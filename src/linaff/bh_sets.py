@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import InconsistencyError, PreconditionError, UnsupportedRingError
-from .rings import Ring, RingElem, Rationals, is_prime
+from .rings import Ring, RingElem, Rationals, Zmod, is_prime
 
 
 @dataclass(frozen=True)
@@ -111,6 +111,24 @@ def verify_bh(candidate: BhCandidate, h: int) -> Collision | None:
     return None
 
 
+def _first_nonregular_pair(ring: Ring, prods: list) -> tuple[int, int] | None:
+    """Lexicographically first (a, b), a < b, with prods[a] - prods[b] not regular.
+
+    Over Z/m a difference is a zerodivisor iff it vanishes mod some prime
+    p | m, over a field iff it is zero: either way the two products share
+    a residue class, so one dict pass per prime, keyed by residue, finds
+    the first such pair.
+    """
+    best = None
+    for p in ring.primes if isinstance(ring, Zmod) else (None,):
+        first: dict = {}
+        for b, x in enumerate(prods):
+            a = first.setdefault(x.value if p is None else x.value % p, b)
+            if a != b and (best is None or (a, b) < best):
+                best = (a, b)
+    return best
+
+
 def verify_properties(candidate: BhCandidate) -> BhReport:
     """Full report: B_h for every 1 <= h <= n, regular product differences
     for 1 < h < n, and regularity of each element."""
@@ -121,29 +139,16 @@ def verify_properties(candidate: BhCandidate) -> BhReport:
     per_h = {h: verify_bh(candidate, h) for h in range(1, n + 1)}
     property2 = None
     for h in range(2, n):
-        combos = list(combinations(range(n), h))
-        prods = [_product(ring, tuple(candidate.elements[i] for i in c)) for c in combos]
-        for a in range(len(combos)):
-            for b in range(a + 1, len(combos)):
-                diff = prods[a] - prods[b]
-                if not ring.is_regular(diff):
-                    property2 = Property2Failure(
-                        h,
-                        tuple(candidate.elements[i] for i in combos[a]),
-                        tuple(candidate.elements[i] for i in combos[b]),
-                        diff,
-                    )
-                    break
-            if property2 is not None:
-                break
-        if property2 is not None:
+        subsets = [tuple(candidate.elements[i] for i in c) for c in combinations(range(n), h)]
+        prods = [_product(ring, s) for s in subsets]
+        pair = _first_nonregular_pair(ring, prods)
+        if pair is not None:
+            a, b = pair
+            property2 = Property2Failure(h, subsets[a], subsets[b], prods[a] - prods[b])
             break
     nonregular = None
     if property2 is None:
-        for s in candidate.elements:
-            if not ring.is_regular(s):
-                nonregular = s
-                break
+        nonregular = next((s for s in candidate.elements if not ring.is_regular(s)), None)
     return BhReport(per_h, property2, nonregular)
 
 

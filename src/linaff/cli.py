@@ -11,11 +11,12 @@ cannot-cancel.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
 
-from . import bh_sets, recovery, sharpness, vonstaudt
+from . import __version__, bh_sets, recovery, sharpness, vonstaudt
 from .errors import LinaffError, ParseError
 from .multiaffine import (
     Line,
@@ -30,8 +31,6 @@ from .multiaffine import (
 )
 from .rings import Rationals, Ring, parse_ring_spec
 from .vonstaudt import VectorMapTable
-
-VERSION = "0.1.0"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -286,18 +285,6 @@ def _fmt_point(pt) -> str:
     return " ".join(_fmt_elem(c) for c in pt)
 
 
-def _fmt_poly(poly: MultiAffinePoly) -> str:
-    if poly.is_zero:
-        return "0"
-    parts = []
-    for mask, coeff in poly.terms():
-        txt = _fmt_elem(coeff)
-        if mask:
-            txt += "*" + "".join(f"x{i}" for i in mask_to_subset(mask))
-        parts.append(txt)
-    return " + ".join(parts)
-
-
 def _fmt_line_witness(line: Line, params) -> str:
     return (
         f"line base {_fmt_point(line.base)} dir {_fmt_point(line.dir)}"
@@ -314,7 +301,7 @@ def document_for(obj) -> list[tuple[str, str]]:
             return [("status", "affine"), ("slope", _fmt_elem(obj.slope))]
         return [("status", "non-affine"), ("witness", f"params {_fmt_point(obj.witness)}")]
     if isinstance(obj, MultiAffinePoly):
-        return [("status", "ok"), ("coeffs", _fmt_poly(obj))]
+        return [("status", "ok"), ("coeffs", repr(obj))]
     if isinstance(obj, bh_sets.Collision):
         return [
             ("status", "collision"),
@@ -330,7 +317,7 @@ def document_for(obj) -> list[tuple[str, str]]:
         return [
             ("status", "witness"),
             ("degree", str(obj.degree)),
-            ("witness", _fmt_poly(obj.poly)),
+            ("witness", repr(obj.poly)),
         ]
     if isinstance(obj, sharpness.CertifyResult):
         if obj.ok:
@@ -424,7 +411,9 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # built once per process: parse_args leaves the parser unchanged
     parser = _Parser(prog="linaff", description="exact affine-linearity certificates")
     parser.add_argument("--json", action="store_true", help="emit the document as JSON")
     sub = parser.add_subparsers(dest="command")
@@ -649,7 +638,7 @@ def run_subcommand(argv) -> tuple[int, str]:
         # domain preconditions and malformed input are both usage errors here
         return EXIT_USAGE, f"error: {exc}\n"
     digest = hashlib.sha256(digest_source.encode("utf-8")).hexdigest()
-    doc = doc + [("version", VERSION), ("digest", digest)]
+    doc = doc + [("version", __version__), ("digest", digest)]
     doc.sort(key=lambda kv: _KEY_ORDER.index(kv[0]))
     if args.json:
         text = json.dumps(dict(doc), indent=None, separators=(", ", ": ")) + "\n"

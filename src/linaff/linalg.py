@@ -4,31 +4,16 @@ Matrices are plain lists of rows of RingElem.  Determinants over Z/m are
 computed by lifting to the integers (fraction-free Bareiss elimination)
 and reducing, so no division inside the ring is ever needed; over fields
 ordinary elimination with pivot inverses is used.  Kernel bases are only
-defined over fields.
+defined over fields.  Ranks over Z/m are taken modulo each prime p | m:
+a homogeneous system has only the zero solution iff it has full column
+rank mod every such p (McCoy, "Remarks on divisors of zero", 1942, with
+the Chinese remainder theorem).
 """
 
 from __future__ import annotations
 
 from .errors import PreconditionError
 from .rings import Ring, RingElem, Zmod
-
-
-def identity_matrix(n: int, ring: Ring) -> list[list[RingElem]]:
-    return [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a, b, ring: Ring) -> list[list[RingElem]]:
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = ring.zero
-            for t in range(inner):
-                acc = acc + a[i][t] * b[t][j]
-            row.append(acc)
-        out.append(row)
-    return out
 
 
 def _bareiss_int_det(m: list[list[int]]) -> int:
@@ -93,37 +78,7 @@ def determinant(rows, ring: Ring) -> RingElem:
     if isinstance(ring, Zmod) and not ring.is_field:
         lifted = [[e.value for e in row] for row in rows]
         return ring.from_int(_bareiss_int_det(lifted))
-    if ring.is_field:
-        return _field_det(rows, ring)
-    # remaining case is Zmod with prime modulus handled above; anything
-    # else would need its own lift
-    lifted = [[e.value for e in row] for row in rows]
-    return ring.from_int(_bareiss_int_det(lifted))
-
-
-def _minor(rows, drop_row: int, drop_col: int):
-    return [
-        [e for j, e in enumerate(row) if j != drop_col]
-        for i, row in enumerate(rows)
-        if i != drop_row
-    ]
-
-
-def adjugate(rows, ring: Ring) -> list[list[RingElem]]:
-    """adj(A) with adj(A)*A = det(A)*I; cofactor expansion, test scale."""
-    n = len(rows)
-    if n == 0:
-        return []
-    adj = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            cof = determinant(_minor(rows, j, i), ring)
-            if (i + j) % 2:
-                cof = -cof
-            row.append(cof)
-        adj.append(row)
-    return adj
+    return _field_det(rows, ring)
 
 
 def rref(rows, cols: int, ring: Ring):
@@ -176,5 +131,34 @@ def kernel_basis(rows, cols: int, ring: Ring) -> list[list[RingElem]]:
     return basis
 
 
+def _rank_mod_p(rows: list[list[int]], cols: int, p: int) -> int:
+    """Rank over F_p of an integer matrix, by elimination on residues."""
+    m = [[x % p for x in row] for row in rows]
+    rank = 0
+    for col in range(cols):
+        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        top = m[rank]
+        inv = pow(top[col], -1, p)
+        for i in range(rank + 1, len(m)):
+            if m[i][col]:
+                factor = m[i][col] * inv
+                m[i] = [(a - factor * b) % p for a, b in zip(m[i], top)]
+        rank += 1
+        if rank == len(m):
+            break
+    return rank
+
+
 def matrix_rank(rows, cols: int, ring: Ring) -> int:
+    """Rank over a field; over Z/m, the least rank modulo a prime p | m.
+
+    Either way rows * x = 0 has only the zero solution iff the result is
+    cols; over Z/m a kernel vector v mod p lifts to the solution (m/p) v.
+    """
+    if isinstance(ring, Zmod):
+        lifted = [[e.value for e in row] for row in rows]
+        return min(_rank_mod_p(lifted, cols, p) for p in ring.primes)
     return len(rref(rows, cols, ring)[1])

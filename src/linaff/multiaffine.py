@@ -120,21 +120,24 @@ class MultiAffinePoly:
         return " + ".join(parts)
 
 
+def monomial(c: RingElem, mask: int, x: Point) -> RingElem:
+    """c * prod_{i in mask} x_i, with bit i of the mask standing for x_{i+1}."""
+    i = 0
+    while mask:
+        if mask & 1:
+            c = c * x[i]
+        mask >>= 1
+        i += 1
+    return c
+
+
 def evaluate(poly: MultiAffinePoly, x: Point) -> RingElem:
     """Exact value of the polynomial at a point of matching arity."""
     if len(x) != poly.arity:
         raise ArityError(f"point has arity {len(x)}, poly has {poly.arity}")
     total = poly.ring.zero
     for mask, c in poly.coeffs.items():
-        term = c
-        m = mask
-        i = 0
-        while m:
-            if m & 1:
-                term = term * x[i]
-            m >>= 1
-            i += 1
-        total = total + term
+        total = total + monomial(c, mask, x)
     return total
 
 
@@ -282,16 +285,8 @@ def restrict_radial(poly: MultiAffinePoly, v: Point) -> list[RingElem]:
     ring = poly.ring
     b = [ring.zero] * (poly.arity + 1)
     for mask, c in poly.coeffs.items():
-        term = c
-        m = mask
-        i = 0
-        while m:
-            if m & 1:
-                term = term * v[i]
-            m >>= 1
-            i += 1
         k = mask.bit_count()
-        b[k] = b[k] + term
+        b[k] = b[k] + monomial(c, mask, v)
     return b
 
 

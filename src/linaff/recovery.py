@@ -9,7 +9,14 @@ one degree at a time.  The outcome is a certificate:
   affine         - coefficients found and re-verified against the oracle
   non-affine     - a refuted line, or a surviving higher-degree coefficient
   cannot-cancel  - the ring's arithmetic blocks the cancellation argument
-                   (the offending determinant is reported)
+                   (a determinant of the blocking system is reported)
+
+A degree-k system forces its unknowns to zero iff it has full column
+rank: over a field in the usual sense, over Z/m modulo every prime
+p | m (McCoy, "Remarks on divisors of zero", 1942, with the Chinese
+remainder theorem).  One elimination per prime decides it, so the
+verdict is exact rather than the sufficient test of finding one square
+subsystem with a regular determinant.
 
 Two acquisition modes exist.  The default checks each radial line over
 every ring element (finite rings) or symbolically (rationals).  The
@@ -32,7 +39,7 @@ from .errors import (
     RingMismatchError,
     UnsupportedRingError,
 )
-from .linalg import determinant, kernel_basis
+from .linalg import determinant, kernel_basis, matrix_rank
 from .multiaffine import (
     FunctionOracle,
     Line,
@@ -41,6 +48,7 @@ from .multiaffine import (
     is_affine_poly,
     line_affine_check,
     mask_to_subset,
+    monomial,
     point_scale,
     psi_extract,
     restrict_radial,
@@ -162,20 +170,7 @@ def build_degree_systems(psi: MultiAffinePoly, dirs: DirectionSet) -> dict[int, 
     systems = {}
     for k in range(2, n + 1):
         masks = tuple(subset_to_mask(s) for s in combinations(range(1, n + 1), k))
-        rows = []
-        for v in dirs.dirs:
-            row = []
-            for mask in masks:
-                term = ring.one
-                m = mask
-                i = 0
-                while m:
-                    if m & 1:
-                        term = term * v[i]
-                    m >>= 1
-                    i += 1
-                row.append(term)
-            rows.append(row)
+        rows = [[monomial(ring.one, mask, v) for mask in masks] for v in dirs.dirs]
         residuals = [radials[i][k] for i in range(len(dirs.dirs))]
         systems[k] = DegreeSystem(k, masks, rows, residuals, ring)
     return systems
@@ -188,7 +183,10 @@ CANNOT_CANCEL = "cannot-cancel"
 
 @dataclass
 class SolveOutcome:
-    """Result of solving one homogeneous system exactly."""
+    """Result of solving one homogeneous system exactly.
+
+    `det` is set on cannot-cancel only, `basis` on kernel only.
+    """
 
     status: str
     det: RingElem | None = None
@@ -198,11 +196,11 @@ class SolveOutcome:
 def solve_vandermonde_exact(system, ring: Ring) -> SolveOutcome:
     """Decide whether a homogeneous system forces all unknowns to zero.
 
-    If some maximal square subsystem has a regular determinant, the
-    adjugate cancels it and only the zero solution remains.  Otherwise a
-    field admits an explicit nonzero kernel by exact elimination, while a
-    ring with zerodivisors yields cannot-cancel with the determinant of
-    the first square subsystem.  Underdetermined systems never force
+    It does iff the system has full column rank (see `matrix_rank`: over
+    Z/m, modulo every prime p | m).  Otherwise a field admits an explicit
+    nonzero kernel by exact elimination, while a ring with zerodivisors
+    yields cannot-cancel with the determinant of the first square
+    subsystem of nonzero rows.  Underdetermined systems never force
     zero; over a ring that is not a field the kernel basis is left empty
     because echelon reduction is unavailable there.
     """
@@ -217,21 +215,13 @@ def solve_vandermonde_exact(system, ring: Ring) -> SolveOutcome:
     for row in rows:
         if len(row) != cols:
             raise PreconditionError("ragged system")
-    live = [row for row in rows if not all(e.is_zero for e in row)]
-    if len(live) >= cols > 0:
-        first_det = None
-        for picks in combinations(range(len(live)), cols):
-            d = determinant([live[i] for i in picks], ring)
-            if first_det is None:
-                first_det = d
-            if ring.is_regular(d):
-                return SolveOutcome(ALL_ZERO, det=d)
-        if not ring.is_field:
-            return SolveOutcome(CANNOT_CANCEL, det=first_det)
-    if cols == 0:
-        return SolveOutcome(ALL_ZERO, det=ring.one)
+    if matrix_rank(rows, cols, ring) == cols:
+        return SolveOutcome(ALL_ZERO)
     if ring.is_field:
         return SolveOutcome(KERNEL, basis=kernel_basis(rows, cols, ring))
+    live = [row for row in rows if not all(e.is_zero for e in row)]
+    if len(live) >= cols:
+        return SolveOutcome(CANNOT_CANCEL, det=determinant(live[:cols], ring))
     return SolveOutcome(KERNEL, basis=[])
 
 
@@ -362,8 +352,9 @@ def recover(f: FunctionOracle, dirs: DirectionSet, mode: str = "exhaustive") -> 
     cancellation, hence cannot-cancel with the factorial determinant) and
     the homogeneous system must force the degree-k coefficients to zero
     (a surviving nonzero coefficient yields a non-affine certificate, a
-    degenerate system over a non-field yields cannot-cancel).  The final
-    affine certificate is re-verified before being returned.
+    system short of full column rank over a non-field yields
+    cannot-cancel).  The final affine certificate is re-verified before
+    being returned.
     """
     if mode not in ("exhaustive", "proof"):
         raise PreconditionError(f"unknown mode {mode!r}")

@@ -12,6 +12,7 @@ The regularity predicate follows the non-zerodivisor convention in which
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -51,6 +52,39 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def prime_factors(m: int) -> tuple[int, ...]:
+    """Distinct prime factors of m >= 1, ascending (trial division, then Pollard rho)."""
+    found = set()
+    for p in range(2, 1000):
+        if p * p > m:
+            break
+        if m % p == 0:
+            found.add(p)
+            while m % p == 0:
+                m //= p
+    rest = [m]
+    while rest:
+        n = rest.pop()
+        if n == 1:
+            continue
+        if is_prime(n):
+            found.add(n)
+            continue
+        x = y = 2
+        c = d = 1
+        while d == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            d = math.gcd(x - y, n)
+            if d == n:  # cycle closed without a split: restart with a new constant
+                x = y = 2
+                c += 1
+                d = 1
+        rest += [d, n // d]
+    return tuple(sorted(found))
 
 
 class RingElem:
@@ -201,7 +235,11 @@ class Ring:
 
 
 class Zmod(Ring):
-    """The ring Z/mZ of integers modulo m >= 2, residues in [0, m)."""
+    """The ring Z/mZ of integers modulo m >= 2, residues in [0, m).
+
+    `primes` holds the distinct prime factors of m, ascending: an element
+    is regular iff it is nonzero modulo each of them.
+    """
 
     kind = "zmod"
 
@@ -215,6 +253,10 @@ class Zmod(Ring):
         self.is_field = is_prime(m)
         self._zero = RingElem(self, 0)
         self._one = RingElem(self, 1)
+
+    @functools.cached_property
+    def primes(self) -> tuple[int, ...]:
+        return prime_factors(self.m)
 
     def _identity(self):
         return (self.kind, self.m)

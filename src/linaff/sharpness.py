@@ -20,7 +20,7 @@ from itertools import combinations
 from .bh_sets import BhCandidate, verify_properties
 from .errors import PreconditionError, RingMismatchError
 from .linalg import determinant, kernel_basis
-from .multiaffine import MultiAffinePoly, is_affine_poly, restrict_radial, subset_to_mask
+from .multiaffine import MultiAffinePoly, is_affine_poly, monomial, restrict_radial, subset_to_mask
 from .recovery import DirectionSet, build_degree_systems, moment_directions
 from .rings import Ring, RingElem
 
@@ -75,19 +75,7 @@ def lower_bound_witness(n: int, dirs: DirectionSet, fld: Ring) -> SharpnessWitne
         raise PreconditionError(f"direction arity {dirs.arity} != n = {n}")
     k = (n + 1) // 2
     masks = [subset_to_mask(s) for s in combinations(range(1, n + 1), k)]
-    rows = []
-    for v in dirs.dirs:
-        row = []
-        for mask in masks:
-            term = fld.one
-            m, i = mask, 0
-            while m:
-                if m & 1:
-                    term = term * v[i]
-                m >>= 1
-                i += 1
-            row.append(term)
-        rows.append(row)
+    rows = [[monomial(fld.one, mask, v) for mask in masks] for v in dirs.dirs]
     basis = kernel_basis(rows, len(masks), fld)
     if not basis:
         raise PreconditionError("direction set already forces the binding degree")

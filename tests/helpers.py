@@ -3,7 +3,9 @@
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-from linaff import MultiAffinePoly, TableOracle, evaluate
+from linaff import BhReport, MultiAffinePoly, TableOracle, evaluate, verify_bh
+from linaff.bh_sets import Property2Failure
+from linaff.linalg import determinant
 
 
 def rand_elem(ring, rng):
@@ -70,6 +72,31 @@ def perm_determinant(rows, ring):
     return total
 
 
+def identity_matrix(n, ring):
+    return [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
+
+
+def mat_mul(a, b, ring):
+    return [
+        [sum((a[i][t] * b[t][j] for t in range(len(b))), ring.zero) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
+def adjugate(rows, ring):
+    """adj(A) with adj(A)*A = det(A)*I, by cofactor expansion."""
+    n = len(rows)
+    adj = []
+    for i in range(n):
+        adj_row = []
+        for j in range(n):
+            minor = [[e for c, e in enumerate(row) if c != i] for r, row in enumerate(rows) if r != j]
+            cof = determinant(minor, ring)
+            adj_row.append(-cof if (i + j) % 2 else cof)
+        adj.append(adj_row)
+    return adj
+
+
 def psi_by_inclusion_exclusion(f, base):
     """Independent extraction oracle: the alternating-sum formula, term by term."""
     ring, n = f.ring, f.arity
@@ -112,3 +139,24 @@ def is_pointwise_affine(f) -> bool:
         if f.value(pt) != want:
             return False
     return True
+
+
+def verify_properties_pairwise(candidate) -> BhReport:
+    """Reference for verify_properties: property (2) by comparing every pair
+    of h-fold products, in lexicographic pair order."""
+    ring, n = candidate.ring, len(candidate)
+    per_h = {h: verify_bh(candidate, h) for h in range(1, n + 1)}
+    for h in range(2, n):
+        subsets = [tuple(candidate.elements[i] for i in c) for c in combinations(range(n), h)]
+        prods = []
+        for subset in subsets:
+            acc = ring.one
+            for e in subset:
+                acc = acc * e
+            prods.append(acc)
+        for a, b in combinations(range(len(subsets)), 2):
+            diff = prods[a] - prods[b]
+            if not ring.is_regular(diff):
+                return BhReport(per_h, Property2Failure(h, subsets[a], subsets[b], diff), None)
+    nonregular = next((s for s in candidate.elements if not ring.is_regular(s)), None)
+    return BhReport(per_h, None, nonregular)

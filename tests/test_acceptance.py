@@ -47,13 +47,15 @@ from linaff.cli import (
     parse_function_table,
     run_subcommand,
 )
-from linaff.linalg import adjugate, determinant, mat_mul
+from linaff.linalg import determinant
 from linaff.multiaffine import Line, zero_point
 from linaff.recovery import factorial_vandermonde
 from linaff.rings import Rationals
 
 from helpers import (
+    adjugate,
     all_points,
+    mat_mul,
     rand_affine_poly,
     rand_nonaffine_poly,
     rand_poly,
@@ -162,6 +164,20 @@ def test_criterion_4_zerodivisor_correction():
         assert cert.status == "cannot-cancel"
         assert cert.degree == 2
         assert cert.det == Z4.elem(2)
+
+
+def test_criterion_4_cancellation_is_polynomial_over_zmod():
+    with _Budget("C4 Z/9 n=5 with 20 moment directions", 1.0):
+        Z9 = Zmod(9)
+        dirs = moment_directions([Z9.elem(v) for v in (1, 2, 4, 5, 7)], 20)
+        poly = MultiAffinePoly(Z9, 5, {0: Z9.one, 0b1: Z9.elem(4)})
+        cert = recover(PolyOracle(poly), dirs)
+        # mod 3 the nodes take two values, so the degree-2 system has rank
+        # at most 2 there and the ring blocks the cancellation
+        assert cert.status == "cannot-cancel"
+        assert cert.degree == 2
+        square = build_degree_systems(psi_extract(PolyOracle(poly)), dirs)[2].rows[:10]
+        assert cert.det == determinant(square, Z9)
 
 
 def test_criterion_5_factorial_determinant():

@@ -18,6 +18,8 @@ from linaff import (
 )
 from linaff.rings import is_prime
 
+from helpers import verify_properties_pairwise
+
 
 def _cand(ring, *vals):
     return BhCandidate(ring, tuple(ring.elem(v) for v in vals))
@@ -78,6 +80,28 @@ def test_verify_properties_examples():
     assert fail.left == (Z6.one, Z6.elem(2))
     assert fail.right == (Z6.elem(2), Z6.elem(3))
     assert fail.difference == Z6.elem(2)  # 2 - 0 after 2*3 = 0
+
+
+def test_verify_properties_matches_pairwise_scan():
+    from linaff import GaloisField
+
+    rng = random.Random(8080)
+    rings = [Zmod(m) for m in (4, 6, 8, 9, 10, 12, 15, 18, 30)] + [
+        PrimeField(7),
+        PrimeField(13),
+        GaloisField(2, 2, [1, 1]),
+        GaloisField(3, 2, [1, 0]),
+    ]
+    Q = Rationals()
+    for _ in range(300):
+        ring = rng.choice(rings + [Q])
+        if ring is Q:
+            values = rng.sample(range(-6, 13), rng.randint(3, 5))
+            cand = BhCandidate(Q, tuple(Q.from_int(v) for v in values))
+        else:
+            codes = rng.sample(range(ring.size), rng.randint(3, min(5, ring.size)))
+            cand = BhCandidate(ring, tuple(ring.element_from_encoding(c) for c in codes))
+        assert verify_properties(cand) == verify_properties_pairwise(cand)
 
 
 def test_property2_failures_imply_no_silent_collisions():

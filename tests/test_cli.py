@@ -157,6 +157,15 @@ def test_recover_cli_cannot_cancel(tmp_path):
     assert "det: 2" in text
 
 
+def test_recover_cli_cancels_across_the_primes_of_m(tmp_path):
+    Z6 = Zmod(6)
+    poly = MultiAffinePoly(Z6, 2, {0: Z6.one, 0b01: Z6.elem(2), 0b10: Z6.elem(5)})
+    path = _write(tmp_path, "z6.tbl", format_function_table(table_from_poly(poly)))
+    code, text = run_subcommand(["recover", "--input", path, "--dirs", "1,3;1,2"])
+    assert code == EXIT_OK
+    assert text.startswith("status: affine\ncoeffs: 1 2 5\n")
+
+
 def test_exit_code_matrix(tmp_path):
     affine = _write(tmp_path, "a.tbl", _affine_z7_table())
     xy = _write(tmp_path, "b.tbl", _xy_z5_table())

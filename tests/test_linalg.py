@@ -2,18 +2,10 @@ import math
 import random
 
 from linaff import GaloisField, PrimeField, Rationals, Zmod
-from linaff.linalg import (
-    adjugate,
-    determinant,
-    identity_matrix,
-    kernel_basis,
-    mat_mul,
-    matrix_rank,
-    rref,
-)
+from linaff.linalg import determinant, kernel_basis, matrix_rank, rref
 from linaff.recovery import factorial_det, factorial_vandermonde
 
-from helpers import perm_determinant, rand_elem
+from helpers import adjugate, identity_matrix, mat_mul, perm_determinant, rand_elem
 
 RINGS = [Zmod(6), Zmod(4), PrimeField(7), GaloisField(2, 2, [1, 1]), Rationals()]
 

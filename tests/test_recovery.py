@@ -21,6 +21,7 @@ from linaff import (
     recover,
     solve_vandermonde_exact,
 )
+from linaff.linalg import determinant
 from linaff.multiaffine import subset_to_mask
 from linaff.recovery import ALL_ZERO, CANNOT_CANCEL, KERNEL
 
@@ -172,6 +173,53 @@ def test_solve_tall_system_uses_any_regular_square_subsystem():
     ]
     out = solve_vandermonde_exact(rows, Z6)
     assert out.status == ALL_ZERO
+
+
+def _forces_zero_by_enumeration(raw, m):
+    cols = len(raw[0])
+    for x in product(range(m), repeat=cols):
+        if any(x) and all(sum(a * b for a, b in zip(row, x)) % m == 0 for row in raw):
+            return False
+    return True
+
+
+def test_solve_all_zero_iff_enumeration_finds_only_zero():
+    # full column rank mod every prime p | m is exact: it agrees with a search
+    # of (Z/m)^cols, also where every square minor is a zerodivisor
+    Z6 = Zmod(6)
+    assert solve_vandermonde_exact([[Z6.elem(3)], [Z6.elem(2)]], Z6).status == ALL_ZERO
+    rng = random.Random(31337)
+    seen = set()
+    for _ in range(400):
+        m = rng.choice((4, 6, 8, 9, 10, 12, 18))
+        ring = Zmod(m)
+        cols = rng.randint(1, 3)
+        raw = []
+        for _ in range(rng.randint(1, 5)):
+            # rows scaled by a divisor of m keep zerodivisors frequent
+            d = rng.choice([d for d in range(1, m) if m % d == 0])
+            raw.append([d * rng.randrange(m) % m for _ in range(cols)])
+        rows = [[ring.elem(v) for v in row] for row in raw]
+        out = solve_vandermonde_exact(rows, ring)
+        assert (out.status == ALL_ZERO) == _forces_zero_by_enumeration(raw, m)
+        if out.status == CANNOT_CANCEL:
+            live = [row for row in rows if any(not e.is_zero for e in row)]
+            assert out.det == determinant(live[:cols], ring)
+        seen.add(out.status)
+    assert seen == {ALL_ZERO, CANNOT_CANCEL, KERNEL}
+
+
+def test_recover_cancels_across_the_primes_of_m():
+    # the degree-2 rows [3] and [2] give 3c = 0 and 2c = 0 over Z/6, so c = 0
+    # although neither 3 nor 2 is regular
+    Z6 = Zmod(6)
+    poly = MultiAffinePoly(Z6, 2, {0: Z6.one, 0b01: Z6.elem(2), 0b10: Z6.elem(5)})
+    dirs = DirectionSet(Z6, 2, (_vec(Z6, 1, 3), _vec(Z6, 1, 2)))
+    for oracle in (table_from_poly(poly), PolyOracle(poly)):
+        cert = recover(oracle, dirs)
+        assert cert.status == "affine"
+        assert cert.constant == Z6.one
+        assert cert.linear == _vec(Z6, 2, 5)
 
 
 def test_recover_affine_example():

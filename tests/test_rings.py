@@ -17,6 +17,7 @@ from linaff import (
     is_regular,
     parse_ring_spec,
 )
+from linaff.rings import is_prime, prime_factors
 
 GF4 = GaloisField(2, 2, [1, 1])  # x^2 + x + 1
 GF8 = GaloisField(2, 3, [1, 1, 0])  # x^3 + x + 1
@@ -55,6 +56,20 @@ def test_is_regular():
     assert not is_regular(Z12.elem(4))
     for ring in (Z12, PrimeField(7), GF4, Rationals()):
         assert not is_regular(ring.zero)
+
+
+def test_zmod_primes():
+    # regularity is nonzero residue mod each prime factor
+    for m in range(2, 400):
+        ring = Zmod(m)
+        assert ring.primes == tuple(p for p in range(2, m + 1) if m % p == 0 and is_prime(p))
+        for x in ring.elements():
+            assert ring.is_regular(x) == all(x.value % p for p in ring.primes)
+    assert PrimeField(13).primes == (13,)
+    # factors beyond trial division
+    assert prime_factors(1000003 * 1000033 * 999983) == (999983, 1000003, 1000033)
+    assert prime_factors(2**64 + 1) == (274177, 67280421310721)
+    assert prime_factors(3**40 * 1000003**2) == (3, 1000003)
 
 
 def test_characteristic_regular_upto():

@@ -19,8 +19,10 @@ from linaff import (
     recover,
     restrict_radial,
 )
-from linaff.linalg import adjugate, determinant, mat_mul
+from linaff.linalg import determinant
 from linaff.multiaffine import Line, PolyOracle, zero_point
+
+from helpers import adjugate, mat_mul
 
 
 def _vec(ring, *vals):
