@@ -62,7 +62,6 @@ from .rings import (
     RingElem,
     Zmod,
     characteristic_regular_upto,
-    enumerate_elements,
     frobenius,
     is_regular,
     parse_ring_spec,

@@ -196,11 +196,14 @@ def construct_primes(n: int) -> BhCandidate:
 
 def search_bh(ring: Ring, n: int, budget: int = 1_000_000) -> BhCandidate | None:
     """First n-subset of the ring (lexicographic by encoding) passing
-    verify_properties, or None if none exists within the budget."""
+    verify_properties, or None if none exists within the budget of
+    candidates tried (at least 1)."""
     if not ring.is_finite:
         raise UnsupportedRingError("search needs a finite ring; use construct_primes over Q")
     if n < 3:
         raise PreconditionError(f"search needs n >= 3, got {n}")
+    if budget < 1:
+        raise PreconditionError(f"budget must be >= 1, got {budget}")
     elems = ring.elements()
     tried = 0
     for picks in combinations(range(len(elems)), n):

@@ -15,6 +15,7 @@ import functools
 import hashlib
 import json
 import sys
+from itertools import product
 
 from . import __version__, bh_sets, recovery, sharpness, vonstaudt
 from .errors import LinaffError, ParseError
@@ -46,7 +47,6 @@ _NEGATIVE = {
     "violation",
     "witness",
     "failure",
-    "hypothesis-violation",
 }
 
 _KEY_ORDER = [
@@ -84,8 +84,7 @@ def parse_function_table(text: str):
     """Parse a table/poly file into a TableOracle, PolyOracle or VectorMapTable."""
     ring: Ring | None = None
     arity = None
-    codomain = "scalar"
-    codomain_dim = 1
+    codomain_dim = None  # None for a scalar codomain
     rows = []  # (lineno, point_texts, value_texts)
     terms = []  # (lineno, coeff_text, index_texts)
     in_poly = False
@@ -113,9 +112,8 @@ def parse_function_table(text: str):
             arity = int(toks[1])
         elif head == "codomain":
             if len(toks) == 2 and toks[1] == "scalar":
-                codomain = "scalar"
+                codomain_dim = None
             elif len(toks) == 3 and toks[1] == "vector" and toks[2].isdigit():
-                codomain = "vector"
                 codomain_dim = int(toks[2])
             else:
                 raise ParseError("codomain must be 'scalar' or 'vector <e>'", lineno)
@@ -144,9 +142,13 @@ def parse_function_table(text: str):
         return _build_poly_oracle(ring, arity, terms)
     if isinstance(ring, Rationals):
         raise ParseError("rational oracles need a poly body, not map rows")
-    if codomain == "vector":
-        return _build_vector_table(ring, arity, codomain_dim, rows)
-    return _build_table_oracle(ring, arity, rows)
+    if codomain_dim is None:
+        return TableOracle(ring, arity, _collect_rows(ring, arity, rows))
+    mapping = _collect_rows(ring, arity, rows, codomain_dim)
+    try:
+        return VectorMapTable(ring, arity, codomain_dim, mapping)
+    except LinaffError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def _parse_point(ring: Ring, texts, lineno, expected):
@@ -154,56 +156,31 @@ def _parse_point(ring: Ring, texts, lineno, expected):
         raise ParseError(f"expected {expected} coordinates, got {len(texts)}", lineno)
     try:
         return tuple(ring.parse_element(t) for t in texts)
-    except (LinaffError, ValueError) as exc:
+    except LinaffError as exc:
         raise ParseError(str(exc), lineno) from None
 
 
-def _build_table_oracle(ring, arity, rows):
-    table = {}
-    for lineno, pt_texts, val_texts in rows:
-        point = _parse_point(ring, pt_texts, lineno, arity)
-        value = _parse_point(ring, val_texts, lineno, 1)[0]
-        if point in table:
-            raise ParseError("duplicate point " + " ".join(pt_texts), lineno)
-        table[point] = value
-    expected = ring.size**arity
-    if len(table) != expected:
-        missing = _first_missing_point(ring, arity, table)
-        raise ParseError(
-            "table is missing the point "
-            + " ".join(ring.format_element(c) for c in missing)
-        )
-    return TableOracle(ring, arity, table)
+def _collect_rows(ring, arity, rows, width=None):
+    """Point -> value map of the map rows, checked exhaustive.
 
-
-def _first_missing_point(ring, arity, table):
-    from itertools import product
-
-    for point in product(ring.elements(), repeat=arity):
-        if point not in table:
-            return point
-    raise ParseError("table size mismatch without a missing point")
-
-
-def _build_vector_table(ring, arity, dim_out, rows):
+    Values are tuples of `width` coordinates, or bare elements for a
+    scalar table (width None), stored in the one pass over the rows.
+    """
+    scalar = width is None
     mapping = {}
     for lineno, pt_texts, val_texts in rows:
         point = _parse_point(ring, pt_texts, lineno, arity)
-        image = _parse_point(ring, val_texts, lineno, dim_out)
+        value = _parse_point(ring, val_texts, lineno, 1 if scalar else width)
         if point in mapping:
             raise ParseError("duplicate point " + " ".join(pt_texts), lineno)
-        mapping[point] = image
-    expected = ring.size**arity
-    if len(mapping) != expected:
-        missing = _first_missing_point(ring, arity, mapping)
+        mapping[point] = value[0] if scalar else value
+    if len(mapping) != ring.size**arity:
+        missing = next(p for p in product(ring.elements(), repeat=arity) if p not in mapping)
         raise ParseError(
             "table is missing the point "
             + " ".join(ring.format_element(c) for c in missing)
         )
-    try:
-        return VectorMapTable(ring, arity, dim_out, mapping)
-    except LinaffError as exc:
-        raise ParseError(str(exc)) from None
+    return mapping
 
 
 def _build_poly_oracle(ring, arity, terms):
@@ -211,7 +188,7 @@ def _build_poly_oracle(ring, arity, terms):
     for lineno, coeff_text, idx_texts in terms:
         try:
             coeff = ring.parse_element(coeff_text)
-        except (LinaffError, ValueError) as exc:
+        except LinaffError as exc:
             raise ParseError(str(exc), lineno) from None
         indices = []
         for t in idx_texts:
@@ -330,9 +307,8 @@ def document_for(obj) -> list[tuple[str, str]]:
     if isinstance(obj, vonstaudt.HypothesisCheck):
         if obj.ok:
             return [("status", "ok")]
-        witness = f"{obj.kind} line base {_fmt_point(obj.line.base)} dir {_fmt_point(obj.line.dir)}"
-        if obj.point is not None:
-            witness += f" point {_fmt_point(obj.point)}"
+        line = obj.line
+        witness = f"line-image line base {_fmt_point(line.base)} dir {_fmt_point(line.dir)}"
         return [("status", "violation"), ("witness", witness)]
     if isinstance(obj, vonstaudt.SemilinearCert):
         return [
@@ -359,13 +335,11 @@ def _certificate_doc(cert: recovery.Certificate) -> list[tuple[str, str]]:
             doc.append(("witness", f"coeff {subset} = {_fmt_elem(cert.coeff)}"))
             doc.insert(1, ("degree", str(cert.degree)))
         return doc
-    if cert.status == recovery.CANNOT_CANCEL:
-        return [
-            ("status", "cannot-cancel"),
-            ("degree", str(cert.degree)),
-            ("det", _fmt_elem(cert.det)),
-        ]
-    return [("status", "hypothesis-violation"), ("witness", cert.description or "")]
+    return [
+        ("status", "cannot-cancel"),
+        ("degree", str(cert.degree)),
+        ("det", _fmt_elem(cert.det)),
+    ]
 
 
 def _bh_report_doc(report: bh_sets.BhReport) -> list[tuple[str, str]]:
@@ -489,7 +463,7 @@ def _parse_vector(ring: Ring, text: str):
         raise ParseError(f"empty vector in {text!r}")
     try:
         return tuple(ring.parse_element(t.strip()) for t in parts)
-    except (LinaffError, ValueError) as exc:
+    except LinaffError as exc:
         raise ParseError(f"bad vector {text!r}: {exc}") from None
 
 
@@ -497,7 +471,7 @@ def _parse_dirs(ring: Ring, arity: int, text: str) -> recovery.DirectionSet:
     vectors = [
         _parse_vector(ring, chunk) for chunk in text.split(";") if chunk.strip() != ""
     ]
-    return recovery.DirectionSet(ring, arity, tuple(vectors), "custom")
+    return recovery.DirectionSet(ring, arity, tuple(vectors))
 
 
 def _load_oracle(path: str):

@@ -1,13 +1,14 @@
 """Exact dense linear algebra over the supported rings.
 
-Matrices are plain lists of rows of RingElem.  Determinants over Z/m are
-computed by lifting to the integers (fraction-free Bareiss elimination)
-and reducing, so no division inside the ring is ever needed; over fields
-ordinary elimination with pivot inverses is used.  Kernel bases are only
-defined over fields.  Ranks over Z/m are taken modulo each prime p | m:
-a homogeneous system has only the zero solution iff it has full column
-rank mod every such p (McCoy, "Remarks on divisors of zero", 1942, with
-the Chinese remainder theorem).
+Matrices are plain lists of rows of RingElem.  Determinants over Z/m,
+prime fields included, are computed by lifting to the integers
+(fraction-free Bareiss elimination) and reducing, so no division inside
+the ring is ever needed; over the other fields the one echelon reduction
+`rref` tracks them.  Kernel bases are only defined over fields.  Ranks
+over Z/m are taken modulo each prime p | m: a homogeneous system has
+only the zero solution iff it has full column rank mod every such p
+(McCoy, "Remarks on divisors of zero", 1942, with the Chinese remainder
+theorem).
 """
 
 from __future__ import annotations
@@ -41,52 +42,30 @@ def _bareiss_int_det(m: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _field_det(rows, ring: Ring) -> RingElem:
-    n = len(rows)
-    if n == 0:
-        return ring.one
-    m = [row[:] for row in rows]
-    det = ring.one
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if not m[r][col].is_zero:
-                pivot = r
-                break
-        if pivot is None:
-            return ring.zero
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det = det * m[col][col]
-        inv = ring.inverse(m[col][col])
-        for r in range(col + 1, n):
-            if m[r][col].is_zero:
-                continue
-            factor = m[r][col] * inv
-            for c in range(col, n):
-                m[r][c] = m[r][c] - factor * m[col][c]
-    return det
-
-
 def determinant(rows, ring: Ring) -> RingElem:
     """Exact determinant of a square matrix over any supported ring."""
     n = len(rows)
     for row in rows:
         if len(row) != n:
             raise PreconditionError("determinant needs a square matrix")
-    if isinstance(ring, Zmod) and not ring.is_field:
+    if isinstance(ring, Zmod):
         lifted = [[e.value for e in row] for row in rows]
         return ring.from_int(_bareiss_int_det(lifted))
-    return _field_det(rows, ring)
+    return rref(rows, n, ring)[2]
 
 
 def rref(rows, cols: int, ring: Ring):
-    """Reduced row echelon form over a field; returns (matrix, pivot columns)."""
+    """Reduced row echelon form over a field.
+
+    Returns (matrix, pivot columns, det), where det is the determinant
+    when the matrix is square: the product of the pivots, negated once
+    per row swap, and zero if some row gets no pivot.
+    """
     if not ring.is_field:
         raise PreconditionError("echelon reduction needs a field")
     m = [row[:] for row in rows]
     pivots = []
+    det = ring.one
     r = 0
     for col in range(cols):
         pivot = None
@@ -96,7 +75,10 @@ def rref(rows, cols: int, ring: Ring):
                 break
         if pivot is None:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
+        if pivot != r:
+            m[r], m[pivot] = m[pivot], m[r]
+            det = -det
+        det = det * m[r][col]
         inv = ring.inverse(m[r][col])
         m[r] = [e * inv for e in m[r]]
         for i in range(len(m)):
@@ -107,7 +89,7 @@ def rref(rows, cols: int, ring: Ring):
         r += 1
         if r == len(m):
             break
-    return m, pivots
+    return m, pivots, det if r == len(m) else ring.zero
 
 
 def kernel_basis(rows, cols: int, ring: Ring) -> list[list[RingElem]]:
@@ -117,7 +99,7 @@ def kernel_basis(rows, cols: int, ring: Ring) -> list[list[RingElem]]:
     and are emitted in ascending free-column order, so the result is
     deterministic.
     """
-    reduced, pivots = rref(rows, cols, ring)
+    reduced, pivots, _ = rref(rows, cols, ring)
     pivot_set = set(pivots)
     basis = []
     for free in range(cols):

@@ -39,7 +39,7 @@ from .errors import (
     RingMismatchError,
     UnsupportedRingError,
 )
-from .linalg import determinant, kernel_basis, matrix_rank
+from .linalg import determinant, matrix_rank
 from .multiaffine import (
     FunctionOracle,
     Line,
@@ -61,17 +61,15 @@ from .rings import Ring, RingElem
 
 @dataclass(frozen=True)
 class DirectionSet:
-    """Nonzero test directions of one arity, with their provenance.
+    """Nonzero test directions of one arity over one ring, in the given order.
 
-    `meta` carries the provenance payload: the per-subset coefficient map
-    for family sets, the node tuple for moment sets, None for custom.
+    `family_directions` and `moment_directions` build the two standard
+    shapes; any other tuple of nonzero vectors is accepted as well.
     """
 
     ring: Ring
     arity: int
     dirs: tuple
-    provenance: str = "custom"
-    meta: object = None
 
     def __post_init__(self):
         for v in self.dirs:
@@ -87,9 +85,7 @@ class DirectionSet:
         return len(self.dirs)
 
     def subset(self, indices) -> "DirectionSet":
-        return DirectionSet(
-            self.ring, self.arity, tuple(self.dirs[i] for i in indices), "custom"
-        )
+        return DirectionSet(self.ring, self.arity, tuple(self.dirs[i] for i in indices))
 
 
 def family_directions(ring: Ring, n: int, coeffs=None) -> DirectionSet:
@@ -124,7 +120,7 @@ def family_directions(ring: Ring, n: int, coeffs=None) -> DirectionSet:
             for j, c in zip(subset, cs):
                 vec[j - 1] = c
             dirs.append(tuple(vec))
-    return DirectionSet(ring, n, tuple(dirs), "family", meta=coeffs)
+    return DirectionSet(ring, n, tuple(dirs))
 
 
 def moment_directions(s_elements, count: int) -> DirectionSet:
@@ -138,7 +134,7 @@ def moment_directions(s_elements, count: int) -> DirectionSet:
     dirs = []
     for i in range(1, count + 1):
         dirs.append(tuple(s ** (i - 1) for s in s_elements))
-    return DirectionSet(ring, len(s_elements), tuple(dirs), "moment", meta=tuple(s_elements))
+    return DirectionSet(ring, len(s_elements), tuple(dirs))
 
 
 @dataclass
@@ -146,33 +142,24 @@ class DegreeSystem:
     """Homogeneous constraints on the degree-k coefficients.
 
     Row i corresponds to direction v_i and has entry prod_{j in J} (v_i)_j
-    at the column of subset J; the right-hand side is zero.  `residuals`
-    records the observed value of each row's left-hand side against the
-    extracted coefficients, which must vanish for the constraints to hold.
+    at the column of subset J, whose bitmask is `masks[col]`; the
+    right-hand side is zero.  The rows depend on the directions only: the
+    values a function must meet are the degree-k coefficients of its
+    radial restrictions, which `recover` reads off psi.
     """
 
-    degree: int
     masks: tuple
     rows: list
-    residuals: list
-    ring: Ring
 
 
-def build_degree_systems(psi: MultiAffinePoly, dirs: DirectionSet) -> dict[int, DegreeSystem]:
+def build_degree_systems(dirs: DirectionSet) -> dict[int, DegreeSystem]:
     """One system per degree k = 2..n, columns in subset-lex order."""
-    n = psi.arity
-    if dirs.arity != n:
-        raise ArityError(f"direction arity {dirs.arity} != poly arity {n}")
-    if dirs.ring != psi.ring:
-        raise RingMismatchError("directions and polynomial use different rings")
-    ring = psi.ring
-    radials = [restrict_radial(psi, v) for v in dirs.dirs]
+    n, one = dirs.arity, dirs.ring.one
     systems = {}
     for k in range(2, n + 1):
         masks = tuple(subset_to_mask(s) for s in combinations(range(1, n + 1), k))
-        rows = [[monomial(ring.one, mask, v) for mask in masks] for v in dirs.dirs]
-        residuals = [radials[i][k] for i in range(len(dirs.dirs))]
-        systems[k] = DegreeSystem(k, masks, rows, residuals, ring)
+        rows = [[monomial(one, mask, v) for mask in masks] for v in dirs.dirs]
+        systems[k] = DegreeSystem(masks, rows)
     return systems
 
 
@@ -185,44 +172,33 @@ CANNOT_CANCEL = "cannot-cancel"
 class SolveOutcome:
     """Result of solving one homogeneous system exactly.
 
-    `det` is set on cannot-cancel only, `basis` on kernel only.
+    `det` is set on cannot-cancel only.
     """
 
     status: str
     det: RingElem | None = None
-    basis: list | None = None
 
 
-def solve_vandermonde_exact(system, ring: Ring) -> SolveOutcome:
-    """Decide whether a homogeneous system forces all unknowns to zero.
+def solve_vandermonde_exact(rows, cols: int, ring: Ring) -> SolveOutcome:
+    """Decide whether rows * x = 0, x with `cols` entries, forces x = 0.
 
     It does iff the system has full column rank (see `matrix_rank`: over
-    Z/m, modulo every prime p | m).  Otherwise a field admits an explicit
-    nonzero kernel by exact elimination, while a ring with zerodivisors
-    yields cannot-cancel with the determinant of the first square
-    subsystem of nonzero rows.  Underdetermined systems never force
-    zero; over a ring that is not a field the kernel basis is left empty
-    because echelon reduction is unavailable there.
+    Z/m, modulo every prime p | m), and the outcome is all-zero.  Short of
+    that rank, a field or a system with fewer than `cols` nonzero rows
+    gives kernel: a nonzero solution exists.  A ring with zerodivisors
+    gives cannot-cancel instead, with the determinant of the first square
+    subsystem of nonzero rows.
     """
-    if isinstance(system, DegreeSystem):
-        rows = system.rows
-        cols = len(system.masks)
-    else:
-        rows = system
-        if not rows:
-            raise PreconditionError("cannot infer column count of an empty raw system")
-        cols = len(rows[0])
     for row in rows:
         if len(row) != cols:
             raise PreconditionError("ragged system")
     if matrix_rank(rows, cols, ring) == cols:
         return SolveOutcome(ALL_ZERO)
-    if ring.is_field:
-        return SolveOutcome(KERNEL, basis=kernel_basis(rows, cols, ring))
-    live = [row for row in rows if not all(e.is_zero for e in row)]
-    if len(live) >= cols:
-        return SolveOutcome(CANNOT_CANCEL, det=determinant(live[:cols], ring))
-    return SolveOutcome(KERNEL, basis=[])
+    if not ring.is_field:
+        live = [row for row in rows if not all(e.is_zero for e in row)]
+        if len(live) >= cols:
+            return SolveOutcome(CANNOT_CANCEL, det=determinant(live[:cols], ring))
+    return SolveOutcome(KERNEL)
 
 
 def factorial_vandermonde(n: int, ring: Ring) -> list[list[RingElem]]:
@@ -245,7 +221,6 @@ def factorial_det(n: int, ring: Ring) -> RingElem:
 
 AFFINE = "affine"
 NON_AFFINE = "non-affine"
-HYPOTHESIS_VIOLATION = "hypothesis-violation"
 
 
 @dataclass
@@ -254,8 +229,8 @@ class Certificate:
 
     Exactly one of the payload groups is populated: affine coefficients,
     a line witness (line + refuting parameter triple), a coefficient
-    witness (degree, subset, value), a cannot-cancel report (degree,
-    determinant), or a free-text hypothesis violation.
+    witness (degree, subset, value), or a cannot-cancel report (degree,
+    determinant).
     """
 
     status: str
@@ -267,7 +242,6 @@ class Certificate:
     mask: tuple | None = None
     coeff: RingElem | None = None
     det: RingElem | None = None
-    description: str | None = None
 
     @property
     def ok(self) -> bool:
@@ -378,25 +352,28 @@ def recover(f: FunctionOracle, dirs: DirectionSet, mode: str = "exhaustive") -> 
         if failure is not None:
             return failure
 
-    systems = build_degree_systems(psi, dirs)
+    # degree-k constraint value of each direction: the degree-k
+    # coefficient of psi restricted to its radial line
+    radials = [restrict_radial(psi, v) for v in dirs.dirs]
+    systems = build_degree_systems(dirs)
 
     if mode == "proof":
         fac_det = factorial_det(n, ring)
         if not ring.is_regular(fac_det):
             degree = 2
             for k in range(2, n + 1):
-                if any(not r.is_zero for r in systems[k].residuals):
+                if any(not b[k].is_zero for b in radials):
                     degree = k
                     break
             return Certificate(CANNOT_CANCEL, degree=degree, det=fac_det)
 
     for k in range(2, n + 1):
         system = systems[k]
-        if any(not r.is_zero for r in system.residuals):
+        if any(not b[k].is_zero for b in radials):
             # the radial checks passed, so no node set with a regular
             # Vandermonde determinant can exist in this ring
             return Certificate(CANNOT_CANCEL, degree=k, det=factorial_det(n, ring))
-        outcome = solve_vandermonde_exact(system, ring)
+        outcome = solve_vandermonde_exact(system.rows, len(system.masks), ring)
         if outcome.status == CANNOT_CANCEL:
             return Certificate(CANNOT_CANCEL, degree=k, det=outcome.det)
         degree_coeffs = [

@@ -153,10 +153,6 @@ class RingElem:
     def is_zero(self) -> bool:
         return self.value == self.ring.zero.value
 
-    def sort_key(self):
-        """Total order key: integer encoding for finite rings, the fraction itself otherwise."""
-        return self.ring.encode(self)
-
 
 class Ring:
     """Common interface of the four supported coefficient rings."""
@@ -202,6 +198,7 @@ class Ring:
         raise NotImplementedError
 
     def elements(self) -> list[RingElem]:
+        """All elements of a finite ring in ascending encoding order."""
         raise NotEnumerableError(f"{self.spec_text()} is not enumerable")
 
     def encode(self, x: RingElem):
@@ -211,7 +208,12 @@ class Ring:
         raise NotImplementedError
 
     def parse_element(self, text: str) -> RingElem:
-        raise NotImplementedError
+        """Element from its file text, the integer encoding for finite rings."""
+        try:
+            code = int(text)
+        except ValueError as exc:
+            raise PreconditionError(str(exc)) from None
+        return self.element_from_encoding(code)
 
     def format_element(self, x: RingElem) -> str:
         raise NotImplementedError
@@ -302,9 +304,6 @@ class Zmod(Ring):
         if not 0 <= code < self.m:
             raise PreconditionError(f"encoding {code} out of range for {self.spec_text()}")
         return RingElem(self, code)
-
-    def parse_element(self, text: str) -> RingElem:
-        return self.element_from_encoding(int(text))
 
     def format_element(self, x: RingElem) -> str:
         return str(x.value)
@@ -471,9 +470,6 @@ class GaloisField(Ring):
             code //= self.p
         return RingElem(self, tuple(digits))
 
-    def parse_element(self, text: str) -> RingElem:
-        return self.element_from_encoding(int(text))
-
     def format_element(self, x: RingElem) -> str:
         return str(self.encode(x))
 
@@ -531,7 +527,12 @@ class Rationals(Ring):
         return x.value
 
     def parse_element(self, text: str) -> RingElem:
-        return RingElem(self, Fraction(text))
+        try:
+            return RingElem(self, Fraction(text))
+        except ValueError as exc:
+            raise PreconditionError(str(exc)) from None
+        except ZeroDivisionError:
+            raise PreconditionError(f"zero denominator in {text!r}") from None
 
     def format_element(self, x: RingElem) -> str:
         v = x.value
@@ -556,11 +557,6 @@ def characteristic_regular_upto(ring: Ring, n: int) -> bool:
         if not ring.is_regular(acc):
             return False
     return True
-
-
-def enumerate_elements(ring: Ring) -> list[RingElem]:
-    """All elements of a finite ring in ascending encoding order."""
-    return ring.elements()
 
 
 def frobenius(x: RingElem, j: int = 1) -> RingElem:

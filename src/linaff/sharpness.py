@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from .bh_sets import BhCandidate, verify_properties
 from .errors import PreconditionError, RingMismatchError
 from .linalg import determinant, kernel_basis
-from .multiaffine import MultiAffinePoly, is_affine_poly, monomial, restrict_radial, subset_to_mask
+from .multiaffine import MultiAffinePoly, is_affine_poly, restrict_radial
 from .recovery import DirectionSet, build_degree_systems, moment_directions
 from .rings import Ring, RingElem
 
@@ -74,13 +73,11 @@ def lower_bound_witness(n: int, dirs: DirectionSet, fld: Ring) -> SharpnessWitne
     if dirs.arity != n:
         raise PreconditionError(f"direction arity {dirs.arity} != n = {n}")
     k = (n + 1) // 2
-    masks = [subset_to_mask(s) for s in combinations(range(1, n + 1), k)]
-    rows = [[monomial(fld.one, mask, v) for mask in masks] for v in dirs.dirs]
-    basis = kernel_basis(rows, len(masks), fld)
+    system = build_degree_systems(dirs)[k]
+    basis = kernel_basis(system.rows, len(system.masks), fld)
     if not basis:
         raise PreconditionError("direction set already forces the binding degree")
-    vec = basis[0]
-    poly = MultiAffinePoly(fld, n, {m: c for m, c in zip(masks, vec) if not c.is_zero})
+    poly = MultiAffinePoly(fld, n, dict(zip(system.masks, basis[0])))
     witness = SharpnessWitness(poly, dirs, fld, k)
     _validate_witness(witness)
     return witness
@@ -125,13 +122,10 @@ def certify_directions(n: int, ring: Ring, candidate: BhCandidate) -> CertifyRes
     count = minimal_direction_count(n)
     dirs = moment_directions(candidate.elements, count)
 
-    zero_poly = MultiAffinePoly(ring, n, {})
-    systems = build_degree_systems(zero_poly, dirs)
+    systems = build_degree_systems(dirs)
     dets = {}
     for k in range(2, n):
-        cols = math.comb(n, k)
-        square = [systems[k].rows[i] for i in range(cols)]
-        d = determinant(square, ring)
+        d = determinant(systems[k].rows[: len(systems[k].masks)], ring)
         dets[k] = d
         if not ring.is_regular(d):
             return CertifyResult(False, dirs, dets, degree=k, det=d)

@@ -3,7 +3,14 @@
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-from linaff import BhReport, MultiAffinePoly, TableOracle, evaluate, verify_bh
+from linaff import (
+    BhReport,
+    MultiAffinePoly,
+    TableOracle,
+    enumerate_affine_lines,
+    evaluate,
+    verify_bh,
+)
 from linaff.bh_sets import Property2Failure
 from linaff.linalg import determinant
 
@@ -160,3 +167,20 @@ def verify_properties_pairwise(candidate) -> BhReport:
                 return BhReport(per_h, Property2Failure(h, subsets[a], subsets[b], diff), None)
     nonregular = next((s for s in candidate.elements if not ring.is_regular(s)), None)
     return BhReport(per_h, None, nonregular)
+
+
+def separation_failure(f):
+    """Reference for the separation hypothesis of check_hypotheses: the
+    first (line, point) in canonical line order and point enumeration order
+    with the point off the line and f(point) in f(line), or None."""
+    fld = f.field
+    points = all_points(fld, f.dim_in)
+    for line in enumerate_affine_lines(fld, f.dim_in):
+        on_line = {
+            tuple(b + r * d for b, d in zip(line.base, line.dir)) for r in fld.elements()
+        }
+        images = {f.value(p) for p in on_line}
+        for v in points:
+            if v not in on_line and f.value(v) in images:
+                return line, v
+    return None

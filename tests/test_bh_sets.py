@@ -189,6 +189,19 @@ def test_search_bh_budget():
     assert search_bh(F7, 3, budget=1) is None
 
 
+def test_search_bh_rejects_a_budget_below_one():
+    # an invalid budget is a usage error, never a negative "none" certificate
+    from linaff.cli import EXIT_USAGE, run_subcommand
+
+    for budget in (0, -5):
+        with pytest.raises(PreconditionError):
+            search_bh(PrimeField(7), 3, budget=budget)
+        code, text = run_subcommand(
+            ["bh", "search", "--ring", "prime 7", "--n", "3", "--budget", str(budget)]
+        )
+        assert (code, text) == (EXIT_USAGE, f"error: budget must be >= 1, got {budget}\n")
+
+
 def test_field_threshold_matches_refined_bound():
     # fields larger than 2^{n-1} always contain a valid node set
     for n in (3, 4):

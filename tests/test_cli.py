@@ -248,14 +248,36 @@ def test_json_mirrors_text(tmp_path):
     assert list(parsed) == [line.split(": ", 1)[0] for line in text.strip().splitlines()]
 
 
+_RATIONAL_POLY = "ring rational\narity 2\npoly\nterm 1 1\nterm 2 2\n"
+
+
+@pytest.mark.parametrize(
+    "argv, body",
+    [
+        (["bh", "geometric", "--ring", "prime 17", "--g", "abc", "--n", "4"], None),
+        (["bh", "geometric", "--ring", "gf 3 2 1 0", "--g", "zz", "--n", "3"], None),
+        (["bh", "geometric", "--ring", "rational", "--g", "1/0", "--n", "3"], None),
+        (["bh", "verify", "--ring", "rational", "--set", "1/0,2,3"], None),
+        (["sharpness", "certify", "--ring", "rational", "--n", "3", "--set", "1,2,1/0"], None),
+        (["recover", "--input", "FILE", "--dirs", "1/0,1"], _RATIONAL_POLY),
+        (["recover", "--input", "FILE", "--moment", "1/0,2"], _RATIONAL_POLY),
+        (["recover", "--input", "FILE", "--dirs", "1,1"], _RATIONAL_POLY + "term 1/0 1 2\n"),
+    ],
+    ids=["zmod-g", "gf-g", "rational-g", "set", "certify-set", "dirs", "moment", "poly-term"],
+)
+def test_malformed_ring_literals_are_usage_errors(tmp_path, argv, body):
+    if body is not None:
+        path = _write(tmp_path, "f.poly", body)
+        argv = [path if a == "FILE" else a for a in argv]
+    code, text = run_subcommand(argv)
+    assert code == EXIT_USAGE
+    assert text.startswith("error: ") and text.count("\n") == 1
+
+
 def test_emit_certificate_examples():
     Z7 = Zmod(7)
     cert = Certificate("affine", constant=Z7.one, linear=(Z7.elem(3), Z7.elem(2)))
     assert emit_certificate(cert) == "status: affine\ncoeffs: 1 3 2\n"
-    violation = Certificate("hypothesis-violation", description="unchecked input")
-    assert emit_certificate(violation) == (
-        "status: hypothesis-violation\nwitness: unchecked input\n"
-    )
     from linaff import BhCandidate, verify_bh
 
     Q = Rationals()

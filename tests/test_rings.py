@@ -12,7 +12,6 @@ from linaff import (
     UnsupportedRingError,
     Zmod,
     characteristic_regular_upto,
-    enumerate_elements,
     frobenius,
     is_regular,
     parse_ring_spec,
@@ -80,11 +79,11 @@ def test_characteristic_regular_upto():
 
 
 def test_enumeration():
-    assert [e.value for e in enumerate_elements(Zmod(3))] == [0, 1, 2]
-    assert [GF4.encode(e) for e in enumerate_elements(GF4)] == [0, 1, 2, 3]
-    assert [e.value for e in enumerate_elements(PrimeField(2))] == [0, 1]
+    assert [e.value for e in Zmod(3).elements()] == [0, 1, 2]
+    assert [GF4.encode(e) for e in GF4.elements()] == [0, 1, 2, 3]
+    assert [e.value for e in PrimeField(2).elements()] == [0, 1]
     with pytest.raises(NotEnumerableError):
-        enumerate_elements(Rationals())
+        Rationals().elements()
 
 
 def test_frobenius():

@@ -145,9 +145,8 @@ def test_certified_moment_matrices_satisfy_adjugate_identity():
         result = certify_directions(n, F, cand)
         assert result.ok
         from linaff import build_degree_systems
-        from linaff.multiaffine import MultiAffinePoly
 
-        systems = build_degree_systems(MultiAffinePoly(F, n, {}), result.directions)
+        systems = build_degree_systems(result.directions)
         for k in range(2, n):
             cols = math.comb(n, k)
             square = [systems[k].rows[i] for i in range(cols)]

@@ -16,6 +16,8 @@ from linaff import (
     recover_semilinear,
 )
 
+from helpers import separation_failure
+
 GF4 = GaloisField(2, 2, [1, 1])
 GF8 = GaloisField(2, 3, [1, 1, 0])
 GF9 = GaloisField(3, 2, [1, 0])
@@ -79,7 +81,39 @@ def test_check_hypotheses_constant_map_fails_on_line_image():
     f = _table(F5, 2, 2, lambda v: (F5.zero, F5.zero))
     verdict = check_hypotheses(f)
     assert not verdict.ok
-    assert verdict.kind == "line-image"
+    assert verdict.line == enumerate_affine_lines(F5, 2)[0]
+
+
+def test_separation_follows_from_line_images():
+    # check_hypotheses scans line images only: on every map it accepts, the
+    # separation hypothesis must hold by its definition, and f is injective
+    rng = random.Random(4477)
+
+    def rand_vec(fld, e):
+        return tuple(fld.element_from_encoding(rng.randrange(fld.size)) for _ in range(e))
+
+    verdicts = []
+    for fld, degree in ((PrimeField(3), 1), (PrimeField(5), 1), (GF4, 2)):
+        for e in (2, 3):
+            for _ in range(6):
+                cols = (rand_vec(fld, e), rand_vec(fld, e))
+                semilinear = _table(
+                    fld, 2, e, _semilinear_map(fld, cols, rand_vec(fld, e), rng.randrange(degree))
+                )
+                perturbed = dict(semilinear.mapping)
+                perturbed[rng.choice(list(perturbed))] = rand_vec(fld, e)
+                maps = [
+                    semilinear,
+                    VectorMapTable(fld, 2, e, perturbed),
+                    _table(fld, 2, e, lambda v: rand_vec(fld, e)),
+                ]
+                for f in maps:
+                    ok = check_hypotheses(f).ok
+                    verdicts.append(ok)
+                    if ok:
+                        assert separation_failure(f) is None
+                        assert len(set(f.mapping.values())) == len(f.mapping)
+    assert True in verdicts and False in verdicts
 
 
 def test_check_hypotheses_squaring_over_gf4():
