@@ -18,15 +18,17 @@ import sys
 from itertools import product
 
 from . import __version__, bh_sets, recovery, sharpness, vonstaudt
-from .errors import LinaffError, ParseError
+from .errors import LinaffError, ParseError, PreconditionError
 from .multiaffine import (
     Line,
     LineCheck,
     MultiAffinePoly,
     PolyOracle,
     TableOracle,
+    flat_table,
     line_affine_check,
     mask_to_subset,
+    point_index,
     psi_extract,
     subset_to_mask,
 )
@@ -142,45 +144,47 @@ def parse_function_table(text: str):
         return _build_poly_oracle(ring, arity, terms)
     if isinstance(ring, Rationals):
         raise ParseError("rational oracles need a poly body, not map rows")
+    values = _collect_rows(ring, arity, rows, codomain_dim)
     if codomain_dim is None:
-        return TableOracle(ring, arity, _collect_rows(ring, arity, rows))
-    mapping = _collect_rows(ring, arity, rows, codomain_dim)
+        return TableOracle.from_codes(ring, arity, values)
+    mapping = dict(zip(product(ring.elements(), repeat=arity), values))
     try:
         return VectorMapTable(ring, arity, codomain_dim, mapping)
     except LinaffError as exc:
         raise ParseError(str(exc)) from None
 
 
-def _parse_point(ring: Ring, texts, lineno, expected):
+def _parse_codes(ring: Ring, texts, lineno, expected):
     if len(texts) != expected:
         raise ParseError(f"expected {expected} coordinates, got {len(texts)}", lineno)
     try:
-        return tuple(ring.parse_element(t) for t in texts)
+        return list(map(ring.parse_code, texts))
     except LinaffError as exc:
         raise ParseError(str(exc), lineno) from None
 
 
 def _collect_rows(ring, arity, rows, width=None):
-    """Point -> value map of the map rows, checked exhaustive.
+    """Values of the map rows in point-index order, checked exhaustive.
 
-    Values are tuples of `width` coordinates, or bare elements for a
-    scalar table (width None), stored in the one pass over the rows.
+    A scalar table's values (width None) are element codes, the storage
+    of `TableOracle`; a vector table's are tuples of `width` elements.
     """
-    scalar = width is None
-    mapping = {}
+    q = ring.size
+    by_index = {}
     for lineno, pt_texts, val_texts in rows:
-        point = _parse_point(ring, pt_texts, lineno, arity)
-        value = _parse_point(ring, val_texts, lineno, 1 if scalar else width)
-        if point in mapping:
+        index = point_index(q, _parse_codes(ring, pt_texts, lineno, arity))
+        if width is None:
+            (value,) = _parse_codes(ring, val_texts, lineno, 1)
+        else:
+            codes = _parse_codes(ring, val_texts, lineno, width)
+            value = tuple(map(ring.element_from_encoding, codes))
+        if index in by_index:
             raise ParseError("duplicate point " + " ".join(pt_texts), lineno)
-        mapping[point] = value[0] if scalar else value
-    if len(mapping) != ring.size**arity:
-        missing = next(p for p in product(ring.elements(), repeat=arity) if p not in mapping)
-        raise ParseError(
-            "table is missing the point "
-            + " ".join(ring.format_element(c) for c in missing)
-        )
-    return mapping
+        by_index[index] = value
+    try:
+        return flat_table(ring, arity, by_index)
+    except PreconditionError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def _build_poly_oracle(ring, arity, terms):
@@ -237,15 +241,13 @@ def format_function_table(oracle) -> str:
         return "\n".join(header + body) + "\n"
     ring = oracle.ring
     header = [f"ring {ring.spec_text()}", f"arity {oracle.arity}", "codomain scalar"]
-    items = sorted(
-        oracle.table.items(), key=lambda kv: tuple(ring.encode(c) for c in kv[0])
-    )
+    elements = ring.elements()
     body = [
         "map "
         + " ".join(ring.format_element(c) for c in pt)
         + " -> "
-        + ring.format_element(v)
-        for pt, v in items
+        + ring.format_element(elements[code])
+        for pt, code in zip(product(elements, repeat=oracle.arity), oracle.codes)
     ]
     return "\n".join(header + body) + "\n"
 
@@ -501,6 +503,8 @@ def _direction_set(args, ring, arity) -> recovery.DirectionSet:
     moment = getattr(args, "moment", None)
     if [bool(dirs_text), family, bool(moment)].count(True) != 1:
         raise ParseError("give exactly one of --dirs, --family, --moment")
+    if arity < 1:
+        raise PreconditionError(f"arity must be >= 1, got {arity}")
     if dirs_text:
         return _parse_dirs(ring, arity, dirs_text)
     if family:

@@ -10,7 +10,10 @@ a unique slope.
 
 Points are plain tuples of RingElem.  Function oracles come in two
 flavours: exhaustive tables over a finite ring, and symbolic multi-affine
-polynomials (the only option over the rationals).
+polynomials (the only option over the rationals).  A table stores its
+values as a flat list of element codes in point-index order (see
+`point_index`), so scans over it are int arithmetic through the ring's
+code kernel.
 """
 
 from __future__ import annotations
@@ -141,29 +144,111 @@ def evaluate(poly: MultiAffinePoly, x: Point) -> RingElem:
     return total
 
 
+def point_index(q: int, codes) -> int:
+    """Mixed-radix index of a point from its coordinates' element codes.
+
+    The first coordinate is the most significant digit base q, so index
+    order is product(ring.elements(), repeat=n) order.
+    """
+    index = 0
+    for c in codes:
+        index = index * q + c
+    return index
+
+
+def index_point(ring: Ring, arity: int, index: int) -> Point:
+    """The point of ring^arity whose `point_index` is `index`."""
+    q = ring.size
+    digits = []
+    for _ in range(arity):
+        index, code = divmod(index, q)
+        digits.append(code)
+    return tuple(ring.element_from_encoding(c) for c in reversed(digits))
+
+
+def flat_table(ring: Ring, arity: int, by_index: dict) -> list:
+    """The values of a point-index -> value map as a list in index order.
+
+    Every point of ring^arity must have a value; the first one without
+    is named in the error.
+    """
+    size = ring.size**arity
+    if len(by_index) != size:
+        missing = next(i for i in range(size) if i not in by_index)
+        coords = " ".join(ring.format_element(c) for c in index_point(ring, arity, missing))
+        raise PreconditionError(f"table is missing the point {coords}")
+    return list(map(by_index.__getitem__, range(size)))
+
+
 class TableOracle:
-    """Function given by an exhaustive point -> value table over a finite ring."""
+    """Function given by an exhaustive point -> value table over a finite ring.
+
+    The values are stored as one flat list `codes` of element codes
+    (`ring.encode`), position i holding the value at the point with
+    `point_index` i.  The coordinate-line scan and the affine re-verify of
+    `recovery.recover` run on these codes through `ring.kernel`; `value`
+    answers in RingElem.  `from_codes` builds the table from codes in
+    that order, as the table-file parser does; the dict constructor
+    converts its dict to them.
+    """
 
     def __init__(self, ring: Ring, arity: int, table: dict[Point, RingElem]):
-        if not ring.is_finite:
-            raise UnsupportedRingError("table oracles need a finite ring; use a poly oracle")
-        if not 1 <= arity <= MAX_ARITY:
-            raise PreconditionError(f"arity must be in 1..{MAX_ARITY}, got {arity}")
-        expected = ring.size**arity
-        if len(table) != expected:
+        _check_table_domain(ring, arity)
+        by_index = {}
+        for point, value in table.items():
+            index = _checked_index(ring, arity, point)
+            if index is None:
+                raise PreconditionError(
+                    f"table key {point!r} is not a point of {ring.spec_text()} of arity {arity}"
+                )
+            if not (isinstance(value, RingElem) and value.ring == ring):
+                raise PreconditionError(f"table value {value!r} is not in {ring.spec_text()}")
+            by_index[index] = ring.encode(value)
+        self._store(ring, arity, flat_table(ring, arity, by_index))
+
+    @classmethod
+    def from_codes(cls, ring: Ring, arity: int, codes: list) -> "TableOracle":
+        """The table whose value at the point with `point_index` i has code codes[i]."""
+        _check_table_domain(ring, arity)
+        if len(codes) != ring.size**arity:
             raise PreconditionError(
-                f"table has {len(table)} entries, needs all {expected} points"
+                f"table has {len(codes)} entries, needs all {ring.size**arity} points"
             )
+        if codes and (min(codes) < 0 or max(codes) >= ring.size):
+            raise PreconditionError(f"table value code out of range for {ring.spec_text()}")
+        oracle = cls.__new__(cls)
+        oracle._store(ring, arity, codes)
+        return oracle
+
+    def _store(self, ring, arity, codes):
         self.ring = ring
         self.arity = arity
-        self.table = table
+        self.codes = codes
+        self._elements = ring.elements()
 
     def value(self, x: Point) -> RingElem:
-        try:
-            return self.table[x]
-        except KeyError:
+        index = _checked_index(self.ring, self.arity, x)
+        if index is None:
             coords = " ".join(self.ring.format_element(c) for c in x)
-            raise MissingPointError(f"no table entry for point {coords}") from None
+            raise MissingPointError(f"no table entry for point {coords}")
+        return self._elements[self.codes[index]]
+
+
+def _check_table_domain(ring: Ring, arity: int):
+    if not ring.is_finite:
+        raise UnsupportedRingError("table oracles need a finite ring; use a poly oracle")
+    if not 1 <= arity <= MAX_ARITY:
+        raise PreconditionError(f"arity must be in 1..{MAX_ARITY}, got {arity}")
+
+
+def _checked_index(ring: Ring, arity: int, x) -> int | None:
+    """`point_index` of x, or None when x is not a point of ring^arity."""
+    if not (isinstance(x, tuple) and len(x) == arity):
+        return None
+    for c in x:
+        if not (isinstance(c, RingElem) and c.ring == ring):
+            return None
+    return point_index(ring.size, map(ring.encode, x))
 
 
 class PolyOracle:

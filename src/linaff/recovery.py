@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 
 from .errors import (
     ArityError,
@@ -41,10 +41,12 @@ from .errors import (
 )
 from .linalg import determinant, matrix_rank
 from .multiaffine import (
+    MAX_ARITY,
     FunctionOracle,
     Line,
     MultiAffinePoly,
     PolyOracle,
+    index_point,
     is_affine_poly,
     line_affine_check,
     mask_to_subset,
@@ -74,7 +76,10 @@ class DirectionSet:
     def __post_init__(self):
         for v in self.dirs:
             if len(v) != self.arity:
-                raise ArityError(f"direction {v} has arity {len(v)}, expected {self.arity}")
+                coords = ", ".join(c.ring.format_element(c) for c in v)
+                raise ArityError(
+                    f"direction ({coords}) has arity {len(v)}, expected {self.arity}"
+                )
             if all(c.is_zero for c in v):
                 raise PreconditionError("directions must be nonzero")
             for c in v:
@@ -98,6 +103,8 @@ def family_directions(ring: Ring, n: int, coeffs=None) -> DirectionSet:
     """
     if n < 1:
         raise PreconditionError(f"arity must be >= 1, got {n}")
+    if n > MAX_ARITY:
+        raise PreconditionError(f"arity must be at most {MAX_ARITY}, got {n}")
     dirs = []
     for size in range(2, n + 1):
         for subset in combinations(range(1, n + 1), size):
@@ -251,21 +258,31 @@ class Certificate:
 def _coordinate_line_failure(f: FunctionOracle) -> Certificate | None:
     """Exhaustive check of every line parallel to a basis vector (tables only).
 
+    Lines go axis by axis, bases in enumeration order with the axis
+    coordinate zero, and the witness is the first refuting parameter, as
+    `line_affine_check` would give.  The scan runs on the table's element
+    codes: along axis a the line through the point with index b takes the
+    values codes[b + r * q^(n-a)] for the element codes r = 0..q-1.
+
     A poly oracle is multi-affine by construction, hence affine along all
     coordinate-parallel lines; no enumeration is needed there.
     """
     if isinstance(f, PolyOracle):
         return None
-    ring, n = f.ring, f.arity
-    elems = ring.elements()
+    ring, n, codes = f.ring, f.arity, f.codes
+    q, kernel = ring.size, ring.kernel
     for axis in range(1, n + 1):
-        e_axis = unit_point(ring, n, axis)
-        for rest in product(elems, repeat=n - 1):
-            base = list(rest[: axis - 1]) + [ring.zero] + list(rest[axis - 1 :])
-            line = Line(tuple(base), e_axis)
-            check = line_affine_check(f, line)
-            if not check.ok:
-                return Certificate(NON_AFFINE, line=line, params=check.witness)
+        stride = q ** (n - axis)
+        step = stride * q
+        for start in range(0, len(codes), step):
+            for base in range(start, start + stride):
+                vals = codes[base : base + step : stride]
+                want = kernel.line(vals[0], kernel.sub(vals[1], vals[0]))
+                if vals != want:
+                    r = next(r for r in range(q) if vals[r] != want[r])
+                    line = Line(index_point(ring, n, base), unit_point(ring, n, axis))
+                    params = (ring.zero, ring.one, ring.element_from_encoding(r))
+                    return Certificate(NON_AFFINE, line=line, params=params)
     return None
 
 
@@ -302,14 +319,14 @@ def _verified_affine(f: FunctionOracle, psi: MultiAffinePoly) -> Certificate:
             psi.coeff(1 << (i - 1)) == linear[i - 1] for i in range(1, n + 1)
         )
     else:
-        ok = True
-        for point in product(ring.elements(), repeat=n):
-            want = c0
-            for ci, xi in zip(linear, point):
-                want = want + ci * xi
-            if f.value(point) != want:
-                ok = False
-                break
+        # the candidate's value at every point, in the table's index order:
+        # axis by axis, each value v becomes the line v + c_i * r
+        kernel = ring.kernel
+        want = [ring.encode(c0)]
+        for c in linear:
+            step = ring.encode(c)
+            want = [x for v in want for x in kernel.line(v, step)]
+        ok = want == f.codes
     if not ok:
         raise InconsistencyError("affine certificate failed pointwise verification")
     return Certificate(AFFINE, constant=c0, linear=linear)
@@ -328,7 +345,10 @@ def recover(f: FunctionOracle, dirs: DirectionSet, mode: str = "exhaustive") -> 
     (a surviving nonzero coefficient yields a non-affine certificate, a
     system short of full column rank over a non-field yields
     cannot-cancel).  The final affine certificate is re-verified before
-    being returned.
+    being returned: a poly oracle by its coefficients, a table at every
+    point.  On a table, step (i) and the re-verify run on the flat list of
+    element codes through the ring's int kernel (`ring.kernel`); the other
+    steps read single values as RingElem.
     """
     if mode not in ("exhaustive", "proof"):
         raise PreconditionError(f"unknown mode {mode!r}")

@@ -6,6 +6,11 @@ rationals.  Every element is kept in a unique canonical form (reduced
 residue, digit vector, or reduced fraction) and all operations are exact;
 there is no floating point anywhere in the package.
 
+Finite rings also number their elements 0..size-1 by that encoding (the
+element code) and carry a `kernel` that does arithmetic on codes: plain
+`%` for Z/m and prime fields, add/mul/neg tables for Galois fields.
+Table oracles and the hot loops over them work on codes.
+
 The regularity predicate follows the non-zerodivisor convention in which
 0 is never regular, so cancelling a regular factor is always legitimate.
 """
@@ -207,13 +212,22 @@ class Ring:
     def element_from_encoding(self, code) -> RingElem:
         raise NotImplementedError
 
-    def parse_element(self, text: str) -> RingElem:
-        """Element from its file text, the integer encoding for finite rings."""
+    def parse_code(self, text: str) -> int:
+        """Code of the element written as `text`: its integer encoding, checked in range."""
         try:
             code = int(text)
         except ValueError as exc:
             raise PreconditionError(str(exc)) from None
-        return self.element_from_encoding(code)
+        return self._checked_code(code)
+
+    def _checked_code(self, code: int) -> int:
+        if not 0 <= code < self.size:
+            raise PreconditionError(f"encoding {code} out of range for {self.spec_text()}")
+        return code
+
+    def parse_element(self, text: str) -> RingElem:
+        """Element from its file text, the integer encoding for finite rings."""
+        return self.element_from_encoding(self.parse_code(text))
 
     def format_element(self, x: RingElem) -> str:
         raise NotImplementedError
@@ -296,14 +310,15 @@ class Zmod(Ring):
     def elements(self) -> list[RingElem]:
         return [RingElem(self, i) for i in range(self.m)]
 
+    @functools.cached_property
+    def kernel(self) -> "ModKernel":
+        return ModKernel(self.m)
+
     def encode(self, x: RingElem) -> int:
         return x.value
 
     def element_from_encoding(self, code) -> RingElem:
-        code = int(code)
-        if not 0 <= code < self.m:
-            raise PreconditionError(f"encoding {code} out of range for {self.spec_text()}")
-        return RingElem(self, code)
+        return RingElem(self, self._checked_code(int(code)))
 
     def format_element(self, x: RingElem) -> str:
         return str(x.value)
@@ -454,6 +469,10 @@ class GaloisField(Ring):
     def elements(self) -> list[RingElem]:
         return [self.element_from_encoding(i) for i in range(self.size)]
 
+    @property
+    def kernel(self) -> "TableKernel":
+        return _field_kernel(self)
+
     def encode(self, x: RingElem) -> int:
         code = 0
         for d in reversed(x.value):
@@ -461,9 +480,7 @@ class GaloisField(Ring):
         return code
 
     def element_from_encoding(self, code) -> RingElem:
-        code = int(code)
-        if not 0 <= code < self.size:
-            raise PreconditionError(f"encoding {code} out of range for {self.spec_text()}")
+        code = self._checked_code(int(code))
         digits = []
         for _ in range(self.k):
             digits.append(code % self.p)
@@ -475,6 +492,54 @@ class GaloisField(Ring):
 
     def spec_text(self) -> str:
         return f"gf {self.p} {self.k} " + " ".join(str(c) for c in self.modulus)
+
+
+class ModKernel:
+    """Arithmetic on the element codes of Z/m, which are the residues themselves."""
+
+    __slots__ = ("m",)
+
+    def __init__(self, m: int):
+        self.m = m
+
+    def sub(self, a: int, b: int) -> int:
+        return (a - b) % self.m
+
+    def line(self, c: int, s: int) -> list[int]:
+        """Codes of c + s*r for every element r, in code order."""
+        m = self.m
+        return [(c + s * r) % m for r in range(m)]
+
+
+class TableKernel:
+    """Arithmetic on the element codes of a Galois field by add/mul/neg tables.
+
+    The tables have size^2 entries (at most 81^2 = 6,561 under the size
+    cap); `GaloisField.kernel` builds them on first use, once per field.
+    """
+
+    __slots__ = ("add", "mul", "neg")
+
+    def __init__(self, fld: GaloisField):
+        digits = [fld.element_from_encoding(i).value for i in range(fld.size)]
+        code = {d: i for i, d in enumerate(digits)}
+        self.add = [[code[fld._add(a, b)] for b in digits] for a in digits]
+        self.mul = [[code[fld._mul(a, b)] for b in digits] for a in digits]
+        self.neg = [code[fld._neg(a)] for a in digits]
+
+    def sub(self, a: int, b: int) -> int:
+        return self.add[a][self.neg[b]]
+
+    def line(self, c: int, s: int) -> list[int]:
+        """Codes of c + s*r for every element r, in code order."""
+        row = self.add[c]
+        return [row[x] for x in self.mul[s]]
+
+
+@functools.cache
+def _field_kernel(fld: GaloisField) -> TableKernel:
+    # keyed by field equality, so every instance of one field shares its tables
+    return TableKernel(fld)
 
 
 class Rationals(Ring):

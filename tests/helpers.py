@@ -5,14 +5,21 @@ from itertools import combinations, permutations, product
 
 from linaff import (
     BhReport,
+    Certificate,
+    Line,
     MultiAffinePoly,
+    PolyOracle,
     TableOracle,
     enumerate_affine_lines,
     evaluate,
+    line_affine_check,
+    psi_extract,
+    recover,
     verify_bh,
 )
 from linaff.bh_sets import Property2Failure
 from linaff.linalg import determinant
+from linaff.multiaffine import unit_point
 
 
 def rand_elem(ring, rng):
@@ -184,3 +191,34 @@ def separation_failure(f):
             if v not in on_line and f.value(v) in images:
                 return line, v
     return None
+
+
+def coordinate_line_failure_reference(f):
+    """Reference for recover's coordinate-line scan on element codes: every
+    line parallel to a basis vector, checked with RingElem arithmetic by
+    line_affine_check, in the same order; the first failure's certificate."""
+    ring, n = f.ring, f.arity
+    elems = ring.elements()
+    for axis in range(1, n + 1):
+        e_axis = unit_point(ring, n, axis)
+        for rest in product(elems, repeat=n - 1):
+            base = list(rest[: axis - 1]) + [ring.zero] + list(rest[axis - 1 :])
+            line = Line(tuple(base), e_axis)
+            check = line_affine_check(f, line)
+            if not check.ok:
+                return Certificate("non-affine", line=line, params=check.witness)
+    return None
+
+
+def recover_reference(f, dirs, mode="exhaustive"):
+    """Reference for recover on a table, on the RingElem path.
+
+    A table that passes the reference coordinate-line scan equals its
+    hypercube interpolant psi at every point (induction on the arity), so
+    the rest of the pipeline must answer as it does for the poly oracle of
+    psi, whose affine check compares coefficients instead of table codes.
+    """
+    failure = coordinate_line_failure_reference(f)
+    if failure is not None:
+        return failure
+    return recover(PolyOracle(psi_extract(f)), dirs, mode)

@@ -25,6 +25,7 @@ from linaff import (
     construct_geometric,
     construct_primes,
     evaluate,
+    family_directions,
     is_affine_poly,
     line_affine_check,
     lower_bound_witness,
@@ -179,6 +180,19 @@ def test_criterion_4_cancellation_is_polynomial_over_zmod():
         assert cert.degree == 2
         square = build_degree_systems(dirs)[2].rows[:10]
         assert cert.det == determinant(square, Z9)
+
+
+def test_table_recover_f11_n4_within_budget():
+    # 14,641 points: the coordinate-line scan and the pointwise re-verify
+    # run on the table's element codes
+    F11 = PrimeField(11)
+    poly = MultiAffinePoly(F11, 4, {0: F11.elem(3), 0b0001: F11.one, 0b0010: F11.elem(4),
+                                    0b0100: F11.one, 0b1000: F11.elem(5)})
+    f = table_from_poly(poly)
+    dirs = family_directions(F11, 4)
+    with _Budget("F_11^4 table recover, family directions", 0.5):
+        cert = recover(f, dirs)
+    assert emit_certificate(cert) == "status: affine\ncoeffs: 3 1 4 1 5\n"
 
 
 def test_criterion_5_factorial_determinant():

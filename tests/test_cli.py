@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -272,6 +273,27 @@ def test_malformed_ring_literals_are_usage_errors(tmp_path, argv, body):
     code, text = run_subcommand(argv)
     assert code == EXIT_USAGE
     assert text.startswith("error: ") and text.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["directions", "--ring", "prime 5", "--n", "40", "--family"],
+         "arity must be at most 16, got 40"),
+        (["directions", "--ring", "prime 5", "--n", "-1", "--moment", "1"],
+         "arity must be >= 1, got -1"),
+        (["recover", "--input", "FILE", "--dirs", "1,1,1"],
+         "direction (1, 1, 1) has arity 3, expected 2"),
+    ],
+    ids=["family-n40", "moment-n-1", "dirs-arity"],
+)
+def test_direction_set_errors(tmp_path, argv, message):
+    path = _write(tmp_path, "affine.tbl", _affine_z7_table())
+    argv = [path if a == "FILE" else a for a in argv]
+    start = time.perf_counter()
+    code, text = run_subcommand(argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, text) == (EXIT_USAGE, f"error: {message}\n")
 
 
 def test_emit_certificate_examples():

@@ -201,15 +201,21 @@ def test_table_oracle_requires_finite_ring_and_totality():
     incomplete = dict(list(table.items())[:-1])
     with pytest.raises(PreconditionError):
         TableOracle(Z3, 2, incomplete)
-    # a mislabeled key is caught on lookup, naming the point
-    bad = dict(table)
-    del bad[(Z3.zero, Z3.zero)]
-    bad[(Z3.zero, Z3.one)] = Z3.zero
+    # a mislabeled key is caught at construction
+    Z5 = Zmod(5)
+    for key in [(Z5.zero, Z3.zero), (Z3.zero,), (Z3.zero, Z3.zero, Z3.zero)]:
+        bad = dict(table)
+        del bad[(Z3.zero, Z3.zero)]
+        bad[key] = Z3.zero
+        with pytest.raises(PreconditionError):
+            TableOracle(Z3, 2, bad)
+    # a lookup of a wrong-arity or foreign-ring point raises, naming the point
     f = TableOracle(Z3, 2, dict(table))
-    f.table.pop((Z3.zero, Z3.zero))
-    f.table[(Z3.elem(5), Z3.zero)] = Z3.zero
-    with pytest.raises(MissingPointError):
-        f.value((Z3.zero, Z3.zero))
+    for point in [(Z3.zero,), (Z3.zero, Z3.zero, Z3.zero), (Z5.elem(4), Z3.zero)]:
+        with pytest.raises(MissingPointError):
+            f.value(point)
+    with pytest.raises(MissingPointError, match="point 4 0"):
+        f.value((Z5.elem(4), Z3.zero))
 
 
 def test_restrict_radial_examples():

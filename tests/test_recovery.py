@@ -6,14 +6,18 @@ import pytest
 from linaff import (
     Certificate,
     DirectionSet,
+    GaloisField,
+    InconsistencyError,
     MultiAffinePoly,
     PolyOracle,
     PreconditionError,
     PrimeField,
     Rationals,
     RingMismatchError,
+    TableOracle,
     Zmod,
     build_degree_systems,
+    evaluate,
     family_directions,
     is_affine_poly,
     moment_directions,
@@ -22,11 +26,21 @@ from linaff import (
     restrict_radial,
     solve_vandermonde_exact,
 )
+from linaff.cli import emit_certificate, format_function_table, parse_function_table
 from linaff.linalg import determinant
 from linaff.multiaffine import subset_to_mask
-from linaff.recovery import ALL_ZERO, CANNOT_CANCEL, KERNEL
+from linaff.recovery import ALL_ZERO, CANNOT_CANCEL, KERNEL, _verified_affine
 
-from helpers import is_pointwise_affine, rand_poly, table_from_poly
+from helpers import (
+    all_points,
+    is_pointwise_affine,
+    rand_affine_poly,
+    rand_nonaffine_poly,
+    rand_nonzero,
+    rand_poly,
+    recover_reference,
+    table_from_poly,
+)
 
 
 def _vec(ring, *vals):
@@ -470,3 +484,84 @@ def test_recover_randomized_sweep_is_total_and_sound():
                 assert is_pointwise_affine(oracle)
             else:
                 assert is_affine_poly(poly)
+
+
+_CODE_PATH_RINGS = [
+    Zmod(4),
+    Zmod(6),
+    Zmod(8),
+    Zmod(9),
+    PrimeField(5),
+    PrimeField(7),
+    GaloisField(2, 2, [1, 1]),
+    GaloisField(2, 3, [1, 1, 0]),
+    GaloisField(3, 2, [1, 0]),
+]
+
+
+def _seeded_tables(ring, n, rng):
+    """Affine, multi-affine and (m/2) x_i x_j tables, and each perturbed at one point."""
+    polys = [rand_affine_poly(ring, n, rng), rand_poly(ring, n, rng)]
+    if n >= 2:
+        polys.append(rand_nonaffine_poly(ring, n, rng))
+        if ring.characteristic % 2 == 0 and not ring.is_field:
+            i, j = rng.sample(range(n), 2)
+            half = {(1 << i) | (1 << j): ring.from_int(ring.characteristic // 2)}
+            polys.append(MultiAffinePoly(ring, n, {**rand_affine_poly(ring, n, rng).coeffs, **half}))
+    tables = []
+    for poly in polys:
+        values = {pt: evaluate(poly, pt) for pt in all_points(ring, n)}
+        tables.append(values)
+        bumped = dict(values)
+        point = rng.choice(list(bumped))
+        bumped[point] = bumped[point] + rand_nonzero(ring, rng)
+        tables.append(bumped)
+    return tables
+
+
+def _seeded_dirs(ring, n, rng, k):
+    if k % 3 == 0:
+        return family_directions(ring, n)
+    dirs = []
+    while len(dirs) < rng.randint(1, 3):
+        v = tuple(ring.element_from_encoding(rng.randrange(ring.size)) for _ in range(n))
+        if any(not c.is_zero for c in v):
+            dirs.append(v)
+    return DirectionSet(ring, n, tuple(dirs))
+
+
+@pytest.mark.parametrize("ring", _CODE_PATH_RINGS, ids=lambda r: r.spec_text())
+def test_table_code_path_matches_ringelem_reference(ring):
+    # recover on the table's element codes answers byte-identically to the
+    # RingElem coordinate-line scan followed by the poly pipeline, and the
+    # table text round-trips through the parser into the same codes
+    rng = random.Random(f"code-path {ring.spec_text()}")
+    answers = set()
+    for n in (1, 2, 3):
+        for k, values in enumerate(_seeded_tables(ring, n, rng)):
+            f = TableOracle(ring, n, values)
+            text = format_function_table(f)
+            g = parse_function_table(text)
+            assert g.codes == f.codes and format_function_table(g) == text
+            assert all(g.value(pt) == v for pt, v in values.items())
+            dirs = _seeded_dirs(ring, n, rng, k)
+            mode = "proof" if k % 4 == 3 else "exhaustive"
+            got = emit_certificate(recover(g, dirs, mode))
+            assert got == emit_certificate(recover_reference(f, dirs, mode))
+            answers.add(got.split("\n")[0])
+    assert {"status: affine", "status: non-affine"} <= answers
+
+
+def test_affine_reverify_checks_every_point():
+    # a table that differs from the affine candidate at a point off the
+    # origin and the basis vectors must fail the pointwise re-verify
+    for ring in (Zmod(6), GaloisField(3, 2, [1, 0])):
+        rng = random.Random(ring.spec_text())
+        poly = rand_affine_poly(ring, 3, rng)
+        values = {pt: evaluate(poly, pt) for pt in all_points(ring, 3)}
+        _verified_affine(TableOracle(ring, 3, values), psi_extract(PolyOracle(poly)))
+        for point in rng.sample([pt for pt in values if sum(not c.is_zero for c in pt) >= 2], 5):
+            bumped = dict(values)
+            bumped[point] = bumped[point] + ring.one
+            with pytest.raises(InconsistencyError):
+                _verified_affine(TableOracle(ring, 3, bumped), psi_extract(PolyOracle(poly)))
