@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import InconsistencyError, PreconditionError, UnsupportedRingError
-from .rings import Ring, RingElem, Rationals, Zmod, is_prime
+from .rings import Ring, RingElem, Rationals, Zmod, format_elements, is_prime
 
 
 @dataclass(frozen=True)
@@ -49,6 +49,14 @@ class Collision:
     left: tuple
     right: tuple
     product: RingElem
+
+    def document(self) -> list[tuple[str, str]]:
+        return [
+            ("status", "collision"),
+            ("left", format_elements(self.left)),
+            ("right", format_elements(self.right)),
+            ("product", format_elements([self.product])),
+        ]
 
 
 @dataclass(frozen=True)
@@ -82,6 +90,24 @@ class BhReport:
             if self.per_h[h] is not None:
                 return self.per_h[h]
         return None
+
+    def document(self) -> list[tuple[str, str]]:
+        """The first failing property and its witness, else ok, as key/value text."""
+        collision = self.first_collision()
+        if collision is not None:
+            return collision.document()
+        if self.property2 is not None:
+            f = self.property2
+            return [
+                ("status", "non-regular-difference"),
+                ("left", format_elements(f.left)),
+                ("right", format_elements(f.right)),
+                ("witness", format_elements([f.difference])),
+            ]
+        if self.nonregular_element is not None:
+            witness = format_elements([self.nonregular_element])
+            return [("status", "non-regular-element"), ("witness", witness)]
+        return [("status", "ok")]
 
 
 def _product(ring: Ring, elems) -> RingElem:

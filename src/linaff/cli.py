@@ -32,7 +32,7 @@ from .multiaffine import (
     psi_extract,
     subset_to_mask,
 )
-from .rings import Rationals, Ring, parse_ring_spec
+from .rings import Rationals, Ring, format_elements, parse_ring_spec
 from .vonstaudt import VectorMapTable
 
 EXIT_OK = 0
@@ -229,13 +229,13 @@ def format_function_table(oracle) -> str:
             f"codomain vector {oracle.dim_out}",
         ]
         items = sorted(
-            oracle.mapping.items(), key=lambda kv: tuple(ring.encode(c) for c in kv[0])
+            oracle.mapping.items(), key=lambda kv: tuple(c.value for c in kv[0])
         )
         body = [
             "map "
-            + " ".join(ring.format_element(c) for c in pt)
+            + format_elements(pt)
             + " -> "
-            + " ".join(ring.format_element(c) for c in img)
+            + format_elements(img)
             for pt, img in items
         ]
         return "\n".join(header + body) + "\n"
@@ -244,7 +244,7 @@ def format_function_table(oracle) -> str:
     elements = ring.elements()
     body = [
         "map "
-        + " ".join(ring.format_element(c) for c in pt)
+        + format_elements(pt)
         + " -> "
         + ring.format_element(elements[code])
         for pt, code in zip(product(elements, repeat=oracle.arity), oracle.codes)
@@ -260,14 +260,10 @@ def _fmt_elem(e) -> str:
     return e.ring.format_element(e)
 
 
-def _fmt_point(pt) -> str:
-    return " ".join(_fmt_elem(c) for c in pt)
-
-
 def _fmt_line_witness(line: Line, params) -> str:
     return (
-        f"line base {_fmt_point(line.base)} dir {_fmt_point(line.dir)}"
-        f" params {_fmt_point(params)}"
+        f"line base {format_elements(line.base)} dir {format_elements(line.dir)}"
+        f" params {format_elements(params)}"
     )
 
 
@@ -278,20 +274,13 @@ def document_for(obj) -> list[tuple[str, str]]:
     if isinstance(obj, LineCheck):
         if obj.ok:
             return [("status", "affine"), ("slope", _fmt_elem(obj.slope))]
-        return [("status", "non-affine"), ("witness", f"params {_fmt_point(obj.witness)}")]
+        return [("status", "non-affine"), ("witness", f"params {format_elements(obj.witness)}")]
     if isinstance(obj, MultiAffinePoly):
         return [("status", "ok"), ("coeffs", repr(obj))]
-    if isinstance(obj, bh_sets.Collision):
-        return [
-            ("status", "collision"),
-            ("left", _fmt_point(obj.left)),
-            ("right", _fmt_point(obj.right)),
-            ("product", _fmt_elem(obj.product)),
-        ]
-    if isinstance(obj, bh_sets.BhReport):
-        return _bh_report_doc(obj)
+    if isinstance(obj, (bh_sets.Collision, bh_sets.BhReport)):
+        return obj.document()
     if isinstance(obj, bh_sets.BhCandidate):
-        return [("status", "ok"), ("set", _fmt_point(obj.elements))]
+        return [("status", "ok"), ("set", format_elements(obj.elements))]
     if isinstance(obj, sharpness.SharpnessWitness):
         return [
             ("status", "witness"),
@@ -310,14 +299,17 @@ def document_for(obj) -> list[tuple[str, str]]:
         if obj.ok:
             return [("status", "ok")]
         line = obj.line
-        witness = f"line-image line base {_fmt_point(line.base)} dir {_fmt_point(line.dir)}"
+        witness = (
+            f"line-image line base {format_elements(line.base)}"
+            f" dir {format_elements(line.dir)}"
+        )
         return [("status", "violation"), ("witness", witness)]
     if isinstance(obj, vonstaudt.SemilinearCert):
         return [
             ("status", "semilinear"),
             ("tau", f"frobenius^{obj.tau_power}"),
-            ("offset", _fmt_point(obj.offset)),
-            ("basis_images", " ; ".join(_fmt_point(col) for col in obj.basis_images)),
+            ("offset", format_elements(obj.offset)),
+            ("basis_images", " ; ".join(format_elements(col) for col in obj.basis_images)),
         ]
     raise LinaffError(f"no document form for {obj!r}")
 
@@ -342,26 +334,6 @@ def _certificate_doc(cert: recovery.Certificate) -> list[tuple[str, str]]:
         ("degree", str(cert.degree)),
         ("det", _fmt_elem(cert.det)),
     ]
-
-
-def _bh_report_doc(report: bh_sets.BhReport) -> list[tuple[str, str]]:
-    collision = report.first_collision()
-    if collision is not None:
-        return document_for(collision)
-    if report.property2 is not None:
-        f = report.property2
-        return [
-            ("status", "non-regular-difference"),
-            ("left", _fmt_point(f.left)),
-            ("right", _fmt_point(f.right)),
-            ("witness", _fmt_elem(f.difference)),
-        ]
-    if report.nonregular_element is not None:
-        return [
-            ("status", "non-regular-element"),
-            ("witness", _fmt_elem(report.nonregular_element)),
-        ]
-    return [("status", "ok")]
 
 
 def emit_certificate(obj) -> str:

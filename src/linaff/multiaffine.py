@@ -11,9 +11,9 @@ a unique slope.
 Points are plain tuples of RingElem.  Function oracles come in two
 flavours: exhaustive tables over a finite ring, and symbolic multi-affine
 polynomials (the only option over the rationals).  A table stores its
-values as a flat list of element codes in point-index order (see
-`point_index`), so scans over it are int arithmetic through the ring's
-code kernel.
+values as a flat list of element codes (the `value` of a finite-ring
+element) in point-index order (see `point_index`), so scans over it are
+int arithmetic through the ring's value-level operations.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .errors import (
     PreconditionError,
     UnsupportedRingError,
 )
-from .rings import Ring, RingElem
+from .rings import Ring, RingElem, format_elements
 
 MAX_ARITY = 16
 
@@ -175,7 +175,7 @@ def flat_table(ring: Ring, arity: int, by_index: dict) -> list:
     size = ring.size**arity
     if len(by_index) != size:
         missing = next(i for i in range(size) if i not in by_index)
-        coords = " ".join(ring.format_element(c) for c in index_point(ring, arity, missing))
+        coords = format_elements(index_point(ring, arity, missing))
         raise PreconditionError(f"table is missing the point {coords}")
     return list(map(by_index.__getitem__, range(size)))
 
@@ -184,12 +184,12 @@ class TableOracle:
     """Function given by an exhaustive point -> value table over a finite ring.
 
     The values are stored as one flat list `codes` of element codes
-    (`ring.encode`), position i holding the value at the point with
+    (`RingElem.value`), position i holding the value at the point with
     `point_index` i.  The coordinate-line scan and the affine re-verify of
-    `recovery.recover` run on these codes through `ring.kernel`; `value`
-    answers in RingElem.  `from_codes` builds the table from codes in
-    that order, as the table-file parser does; the dict constructor
-    converts its dict to them.
+    `recovery.recover` run on these codes through the ring's value-level
+    operations; `value` answers in RingElem.  `from_codes` builds the
+    table from codes in that order, as the table-file parser does; the
+    dict constructor converts its dict to them.
     """
 
     def __init__(self, ring: Ring, arity: int, table: dict[Point, RingElem]):
@@ -203,7 +203,7 @@ class TableOracle:
                 )
             if not (isinstance(value, RingElem) and value.ring == ring):
                 raise PreconditionError(f"table value {value!r} is not in {ring.spec_text()}")
-            by_index[index] = ring.encode(value)
+            by_index[index] = value.value
         self._store(ring, arity, flat_table(ring, arity, by_index))
 
     @classmethod
@@ -224,14 +224,12 @@ class TableOracle:
         self.ring = ring
         self.arity = arity
         self.codes = codes
-        self._elements = ring.elements()
 
     def value(self, x: Point) -> RingElem:
         index = _checked_index(self.ring, self.arity, x)
         if index is None:
-            coords = " ".join(self.ring.format_element(c) for c in x)
-            raise MissingPointError(f"no table entry for point {coords}")
-        return self._elements[self.codes[index]]
+            raise MissingPointError(f"no table entry for point {format_elements(x)}")
+        return RingElem(self.ring, self.codes[index])
 
 
 def _check_table_domain(ring: Ring, arity: int):
@@ -248,7 +246,7 @@ def _checked_index(ring: Ring, arity: int, x) -> int | None:
     for c in x:
         if not (isinstance(c, RingElem) and c.ring == ring):
             return None
-    return point_index(ring.size, map(ring.encode, x))
+    return point_index(ring.size, (c.value for c in x))
 
 
 class PolyOracle:

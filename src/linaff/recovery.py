@@ -74,6 +74,8 @@ class DirectionSet:
     dirs: tuple
 
     def __post_init__(self):
+        if self.arity < 1:
+            raise PreconditionError(f"arity must be >= 1, got {self.arity}")
         for v in self.dirs:
             if len(v) != self.arity:
                 coords = ", ".join(c.ring.format_element(c) for c in v)
@@ -101,8 +103,6 @@ def family_directions(ring: Ring, n: int, coeffs=None) -> DirectionSet:
     subset (as a tuple of indices) to its coefficient list; by default
     every coefficient is 1.
     """
-    if n < 1:
-        raise PreconditionError(f"arity must be >= 1, got {n}")
     if n > MAX_ARITY:
         raise PreconditionError(f"arity must be at most {MAX_ARITY}, got {n}")
     dirs = []
@@ -130,13 +130,24 @@ def family_directions(ring: Ring, n: int, coeffs=None) -> DirectionSet:
     return DirectionSet(ring, n, tuple(dirs))
 
 
+# the minimal direction count C(n, ceil(n/2)) at the largest arity: 12,870
+MAX_DIRECTIONS = math.comb(MAX_ARITY, MAX_ARITY // 2)
+
+
 def moment_directions(s_elements, count: int) -> DirectionSet:
-    """Directions v_i = (s_1^{i-1}, ..., s_n^{i-1}) for i = 1..count."""
+    """Directions v_i = (s_1^{i-1}, ..., s_n^{i-1}) for i = 1..count.
+
+    At most MAX_ARITY nodes and MAX_DIRECTIONS directions are accepted.
+    """
     if count < 1:
         raise PreconditionError(f"need at least one direction, got {count}")
     s_elements = list(s_elements)
     if not s_elements:
         raise PreconditionError("empty node set")
+    if len(s_elements) > MAX_ARITY:
+        raise PreconditionError(f"arity must be at most {MAX_ARITY}, got {len(s_elements)}")
+    if count > MAX_DIRECTIONS:
+        raise PreconditionError(f"direction count must be at most {MAX_DIRECTIONS}, got {count}")
     ring = s_elements[0].ring
     dirs = []
     for i in range(1, count + 1):
@@ -270,14 +281,14 @@ def _coordinate_line_failure(f: FunctionOracle) -> Certificate | None:
     if isinstance(f, PolyOracle):
         return None
     ring, n, codes = f.ring, f.arity, f.codes
-    q, kernel = ring.size, ring.kernel
+    q = ring.size
     for axis in range(1, n + 1):
         stride = q ** (n - axis)
         step = stride * q
         for start in range(0, len(codes), step):
             for base in range(start, start + stride):
                 vals = codes[base : base + step : stride]
-                want = kernel.line(vals[0], kernel.sub(vals[1], vals[0]))
+                want = ring.line(vals[0], ring.sub(vals[1], vals[0]))
                 if vals != want:
                     r = next(r for r in range(q) if vals[r] != want[r])
                     line = Line(index_point(ring, n, base), unit_point(ring, n, axis))
@@ -321,11 +332,9 @@ def _verified_affine(f: FunctionOracle, psi: MultiAffinePoly) -> Certificate:
     else:
         # the candidate's value at every point, in the table's index order:
         # axis by axis, each value v becomes the line v + c_i * r
-        kernel = ring.kernel
-        want = [ring.encode(c0)]
+        want = [c0.value]
         for c in linear:
-            step = ring.encode(c)
-            want = [x for v in want for x in kernel.line(v, step)]
+            want = [x for v in want for x in ring.line(v, c.value)]
         ok = want == f.codes
     if not ok:
         raise InconsistencyError("affine certificate failed pointwise verification")
@@ -347,7 +356,7 @@ def recover(f: FunctionOracle, dirs: DirectionSet, mode: str = "exhaustive") -> 
     cannot-cancel).  The final affine certificate is re-verified before
     being returned: a poly oracle by its coefficients, a table at every
     point.  On a table, step (i) and the re-verify run on the flat list of
-    element codes through the ring's int kernel (`ring.kernel`); the other
+    element codes through the ring's value-level operations; the other
     steps read single values as RingElem.
     """
     if mode not in ("exhaustive", "proof"):

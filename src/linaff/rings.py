@@ -2,14 +2,16 @@
 
 Four ring families are supported: the integers mod m, prime fields,
 small Galois fields F_{p^k} in a polynomial basis, and arbitrary-precision
-rationals.  Every element is kept in a unique canonical form (reduced
-residue, digit vector, or reduced fraction) and all operations are exact;
-there is no floating point anywhere in the package.
+rationals.  Every element is kept in a unique canonical form and all
+operations are exact; there is no floating point anywhere in the package.
 
-Finite rings also number their elements 0..size-1 by that encoding (the
-element code) and carry a `kernel` that does arithmetic on codes: plain
-`%` for Z/m and prime fields, add/mul/neg tables for Galois fields.
-Table oracles and the hot loops over them work on codes.
+An element of a finite ring is its code, an int in 0..size-1: the
+residue for Z/m and prime fields, the base-p digit encoding
+sum(d_i * p^i) of the coefficients d_i of its polynomial for Galois
+fields.  A rational is a reduced fraction.  Each ring has one set of
+value-level operations (`add`, `sub`, `mul`, `neg`, and for finite rings
+`line`) that both the RingElem operators and the code scans over table
+oracles call: `%` for Z/m, add/mul/neg tables for Galois fields.
 
 The regularity predicate follows the non-zerodivisor convention in which
 0 is never regular, so cancelling a regular factor is always legitimate.
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import (
@@ -116,18 +119,18 @@ class RingElem:
 
     def __add__(self, other):
         other = self._other(other)
-        return RingElem(self.ring, self.ring._add(self.value, other.value))
+        return RingElem(self.ring, self.ring.add(self.value, other.value))
 
     def __sub__(self, other):
         other = self._other(other)
-        return RingElem(self.ring, self.ring._sub(self.value, other.value))
+        return RingElem(self.ring, self.ring.sub(self.value, other.value))
 
     def __mul__(self, other):
         other = self._other(other)
-        return RingElem(self.ring, self.ring._mul(self.value, other.value))
+        return RingElem(self.ring, self.ring.mul(self.value, other.value))
 
     def __neg__(self):
-        return RingElem(self.ring, self.ring._neg(self.value))
+        return RingElem(self.ring, self.ring.neg(self.value))
 
     def __pow__(self, exp: int):
         if not isinstance(exp, int) or exp < 0:
@@ -149,7 +152,8 @@ class RingElem:
         )
 
     def __hash__(self):
-        return hash((self.ring, self.value))
+        # equal elements have equal values, so the value alone hashes them consistently
+        return hash(self.value)
 
     def __repr__(self):
         return f"{self.ring.format_element(self)}@{self.ring.spec_text()}"
@@ -183,16 +187,22 @@ class Ring:
     def one(self) -> RingElem:
         return self._one
 
-    def _add(self, a, b):
+    # value-level operations: on codes for finite rings, on fractions for Q
+
+    def add(self, a, b):
         raise NotImplementedError
 
-    def _sub(self, a, b):
+    def sub(self, a, b):
         raise NotImplementedError
 
-    def _mul(self, a, b):
+    def mul(self, a, b):
         raise NotImplementedError
 
-    def _neg(self, a):
+    def neg(self, a):
+        raise NotImplementedError
+
+    def line(self, c: int, s: int) -> list[int]:
+        """Codes of c + s*r for every element code r, in code order (finite rings)."""
         raise NotImplementedError
 
     def is_regular(self, x: RingElem) -> bool:
@@ -203,14 +213,14 @@ class Ring:
         raise NotImplementedError
 
     def elements(self) -> list[RingElem]:
-        """All elements of a finite ring in ascending encoding order."""
-        raise NotEnumerableError(f"{self.spec_text()} is not enumerable")
+        """All elements of a finite ring in ascending code order."""
+        if not self.is_finite:
+            raise NotEnumerableError(f"{self.spec_text()} is not enumerable")
+        return [RingElem(self, code) for code in range(self.size)]
 
-    def encode(self, x: RingElem):
-        raise NotImplementedError
-
-    def element_from_encoding(self, code) -> RingElem:
-        raise NotImplementedError
+    def element_from_encoding(self, code: int) -> RingElem:
+        """The element of a finite ring with the given code, checked in range."""
+        return RingElem(self, self._checked_code(code))
 
     def parse_code(self, text: str) -> int:
         """Code of the element written as `text`: its integer encoding, checked in range."""
@@ -226,11 +236,11 @@ class Ring:
         return code
 
     def parse_element(self, text: str) -> RingElem:
-        """Element from its file text, the integer encoding for finite rings."""
-        return self.element_from_encoding(self.parse_code(text))
+        """Element from its file text, the code for finite rings."""
+        return RingElem(self, self.parse_code(text))
 
     def format_element(self, x: RingElem) -> str:
-        raise NotImplementedError
+        return str(x.value)
 
     def spec_text(self) -> str:
         raise NotImplementedError
@@ -287,17 +297,21 @@ class Zmod(Ring):
     def from_int(self, n: int) -> RingElem:
         return RingElem(self, n % self.m)
 
-    def _add(self, a, b):
+    def add(self, a, b):
         return (a + b) % self.m
 
-    def _sub(self, a, b):
+    def sub(self, a, b):
         return (a - b) % self.m
 
-    def _mul(self, a, b):
+    def mul(self, a, b):
         return (a * b) % self.m
 
-    def _neg(self, a):
+    def neg(self, a):
         return (-a) % self.m
+
+    def line(self, c, s):
+        m = self.m
+        return [(c + s * r) % m for r in range(m)]
 
     def is_regular(self, x: RingElem) -> bool:
         return math.gcd(x.value, self.m) == 1
@@ -306,22 +320,6 @@ class Zmod(Ring):
         if math.gcd(x.value, self.m) != 1:
             raise PreconditionError(f"{x!r} is not invertible")
         return RingElem(self, pow(x.value, -1, self.m))
-
-    def elements(self) -> list[RingElem]:
-        return [RingElem(self, i) for i in range(self.m)]
-
-    @functools.cached_property
-    def kernel(self) -> "ModKernel":
-        return ModKernel(self.m)
-
-    def encode(self, x: RingElem) -> int:
-        return x.value
-
-    def element_from_encoding(self, code) -> RingElem:
-        return RingElem(self, self._checked_code(int(code)))
-
-    def format_element(self, x: RingElem) -> str:
-        return str(x.value)
 
     def spec_text(self) -> str:
         return f"zmod {self.m}"
@@ -349,13 +347,14 @@ class PrimeField(Zmod):
 
 
 class GaloisField(Ring):
-    """F_{p^k} as F_p[t]/(modulus); elements are digit vectors of length k.
+    """F_{p^k} as F_p[t]/(modulus); an element is its code sum(d_i * p^i).
 
-    The modulus is monic of degree k with the low-to-high coefficient list
-    supplied by the caller; irreducibility is verified exhaustively.  Only
-    desk-scale fields are accepted (k <= 4 and p^k <= 81).  An integer
-    passed to elem() is read as the base-p digit encoding sum(d_i * p^i),
-    which is also the enumeration and file format.
+    The d_i are the coefficients of the element's polynomial in t, lowest
+    first; elem() takes either the code or that digit vector.  The modulus
+    is monic of degree k with the low-to-high coefficient list supplied by
+    the caller; irreducibility is verified exhaustively.  Only desk-scale
+    fields are accepted (k <= 4 and p^k <= 81).  Arithmetic is by
+    add/mul/neg tables on codes, built on first use (see `_field_tables`).
     """
 
     kind = "gf"
@@ -381,8 +380,8 @@ class GaloisField(Ring):
             raise PreconditionError(
                 f"x^{k} + {list(modulus)[::-1]}... is reducible over F_{p}"
             )
-        self._zero = RingElem(self, (0,) * k)
-        self._one = RingElem(self, (1,) + (0,) * (k - 1))
+        self._zero = RingElem(self, 0)
+        self._one = RingElem(self, 1)
 
     def _identity(self):
         return (self.kind, self.p, self.k, self.modulus)
@@ -426,120 +425,80 @@ class GaloisField(Ring):
             return raw
         if isinstance(raw, int):
             return self.element_from_encoding(raw)
-        digits = tuple(int(c) % self.p for c in raw)
+        digits = [int(c) % self.p for c in raw]
         if len(digits) != self.k:
             raise PreconditionError(f"digit vector must have length {self.k}")
-        return RingElem(self, digits)
+        return RingElem(self, sum(d * self.p**i for i, d in enumerate(digits)))
 
     def from_int(self, n: int) -> RingElem:
-        return RingElem(self, (n % self.p,) + (0,) * (self.k - 1))
+        return RingElem(self, n % self.p)
 
-    def _add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
+    @functools.cached_property
+    def _tables(self) -> "_FieldTables":
+        return _field_tables(self.p, self.k, self.modulus)
 
-    def _sub(self, a, b):
-        return tuple((x - y) % self.p for x, y in zip(a, b))
+    def add(self, a, b):
+        return self._tables.add[a][b]
 
-    def _neg(self, a):
-        return tuple((-x) % self.p for x in a)
+    def sub(self, a, b):
+        tables = self._tables
+        return tables.add[a][tables.neg[b]]
 
-    def _mul(self, a, b):
-        prod = [0] * (2 * self.k - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] = (prod[i + j] + x * y) % self.p
-        # reduce by the monic modulus: t^k = -(c_{k-1} t^{k-1} + ... + c_0)
-        for i in range(len(prod) - 1, self.k - 1, -1):
-            coef = prod[i]
-            if coef:
-                prod[i] = 0
-                for j, c in enumerate(self.modulus):
-                    prod[i - self.k + j] = (prod[i - self.k + j] - coef * c) % self.p
-        return tuple(prod[: self.k])
+    def mul(self, a, b):
+        return self._tables.mul[a][b]
+
+    def neg(self, a):
+        return self._tables.neg[a]
+
+    def line(self, c, s):
+        row = self._tables.add[c]
+        return [row[x] for x in self._tables.mul[s]]
 
     def is_regular(self, x: RingElem) -> bool:
-        return any(x.value)
+        return x.value != 0
 
     def inverse(self, x: RingElem) -> RingElem:
-        if not any(x.value):
+        if x.value == 0:
             raise PreconditionError("0 is not invertible")
         return x ** (self.size - 2)
-
-    def elements(self) -> list[RingElem]:
-        return [self.element_from_encoding(i) for i in range(self.size)]
-
-    @property
-    def kernel(self) -> "TableKernel":
-        return _field_kernel(self)
-
-    def encode(self, x: RingElem) -> int:
-        code = 0
-        for d in reversed(x.value):
-            code = code * self.p + d
-        return code
-
-    def element_from_encoding(self, code) -> RingElem:
-        code = self._checked_code(int(code))
-        digits = []
-        for _ in range(self.k):
-            digits.append(code % self.p)
-            code //= self.p
-        return RingElem(self, tuple(digits))
-
-    def format_element(self, x: RingElem) -> str:
-        return str(self.encode(x))
 
     def spec_text(self) -> str:
         return f"gf {self.p} {self.k} " + " ".join(str(c) for c in self.modulus)
 
 
-class ModKernel:
-    """Arithmetic on the element codes of Z/m, which are the residues themselves."""
-
-    __slots__ = ("m",)
-
-    def __init__(self, m: int):
-        self.m = m
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.m
-
-    def line(self, c: int, s: int) -> list[int]:
-        """Codes of c + s*r for every element r, in code order."""
-        m = self.m
-        return [(c + s * r) % m for r in range(m)]
-
-
-class TableKernel:
-    """Arithmetic on the element codes of a Galois field by add/mul/neg tables.
-
-    The tables have size^2 entries (at most 81^2 = 6,561 under the size
-    cap); `GaloisField.kernel` builds them on first use, once per field.
-    """
-
-    __slots__ = ("add", "mul", "neg")
-
-    def __init__(self, fld: GaloisField):
-        digits = [fld.element_from_encoding(i).value for i in range(fld.size)]
-        code = {d: i for i, d in enumerate(digits)}
-        self.add = [[code[fld._add(a, b)] for b in digits] for a in digits]
-        self.mul = [[code[fld._mul(a, b)] for b in digits] for a in digits]
-        self.neg = [code[fld._neg(a)] for a in digits]
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add[a][self.neg[b]]
-
-    def line(self, c: int, s: int) -> list[int]:
-        """Codes of c + s*r for every element r, in code order."""
-        row = self.add[c]
-        return [row[x] for x in self.mul[s]]
+_FieldTables = namedtuple("_FieldTables", "add mul neg")
 
 
 @functools.cache
-def _field_kernel(fld: GaloisField) -> TableKernel:
-    # keyed by field equality, so every instance of one field shares its tables
-    return TableKernel(fld)
+def _field_tables(p: int, k: int, modulus: tuple) -> _FieldTables:
+    """Add, mul and neg tables on the codes of F_p[t]/(t^k + modulus).
+
+    This is the one place Galois-field arithmetic happens: digit vectors
+    are added and multiplied as polynomials over F_p, then reduced by the
+    monic modulus.  The tables have (p^k)^2 entries, at most 81^2 = 6,561
+    under the size cap; each field builds them once, on first arithmetic.
+    """
+    digits = [[c // p**i % p for i in range(k)] for c in range(p**k)]
+
+    def code(poly) -> int:
+        return sum(d % p * p**i for i, d in enumerate(poly))
+
+    def product(a, b) -> int:
+        prod = [0] * (2 * k - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+        # reduce by the monic modulus: t^k = -(c_{k-1} t^{k-1} + ... + c_0)
+        for i in range(2 * k - 2, k - 1, -1):
+            for j, c in enumerate(modulus):
+                prod[i - k + j] -= prod[i] * c
+        return code(prod[:k])
+
+    return _FieldTables(
+        add=[[code(x + y for x, y in zip(a, b)) for b in digits] for a in digits],
+        mul=[[product(a, b) for b in digits] for a in digits],
+        neg=[code(-x for x in a) for a in digits],
+    )
 
 
 class Rationals(Ring):
@@ -568,16 +527,16 @@ class Rationals(Ring):
     def from_int(self, n: int) -> RingElem:
         return RingElem(self, Fraction(n))
 
-    def _add(self, a, b):
+    def add(self, a, b):
         return a + b
 
-    def _sub(self, a, b):
+    def sub(self, a, b):
         return a - b
 
-    def _mul(self, a, b):
+    def mul(self, a, b):
         return a * b
 
-    def _neg(self, a):
+    def neg(self, a):
         return -a
 
     def is_regular(self, x: RingElem) -> bool:
@@ -587,9 +546,6 @@ class Rationals(Ring):
         if x.value == 0:
             raise PreconditionError("0 is not invertible")
         return RingElem(self, 1 / x.value)
-
-    def encode(self, x: RingElem) -> Fraction:
-        return x.value
 
     def parse_element(self, text: str) -> RingElem:
         try:
@@ -605,6 +561,11 @@ class Rationals(Ring):
 
     def spec_text(self) -> str:
         return "rational"
+
+
+def format_elements(elems) -> str:
+    """The elements' text, space-separated: a point's coordinates, a subset."""
+    return " ".join(e.ring.format_element(e) for e in elems)
 
 
 def is_regular(x: RingElem) -> bool:

@@ -118,7 +118,8 @@ def certify_directions(n: int, ring: Ring, candidate: BhCandidate) -> CertifyRes
         raise RingMismatchError("node set lives in a different ring")
     report = verify_properties(candidate)
     if not report.ok:
-        raise PreconditionError(f"node set fails the B_h property bundle: {report}")
+        failure = "; ".join(f"{k}: {v}" for k, v in report.document())
+        raise PreconditionError(f"node set fails the B_h property bundle: {failure}")
     count = minimal_direction_count(n)
     dirs = moment_directions(candidate.elements, count)
 

@@ -41,7 +41,7 @@ MAX_DOMAIN_POINTS = 10_000
 
 
 def _point_key(point):
-    return tuple(c.ring.encode(c) for c in point)
+    return tuple(c.value for c in point)
 
 
 def _all_points(fld: Ring, dim: int):

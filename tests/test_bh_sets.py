@@ -59,7 +59,7 @@ def test_verify_bh_matches_sorted_multiset_oracle():
             acc = ring.one
             for i in picks:
                 acc = acc * cand.elements[i]
-            prods.append(ring.encode(acc))
+            prods.append(acc.value)
         has_dupe = len(set(prods)) != len(prods)
         assert (verify_bh(cand, h) is not None) == has_dupe
 

@@ -284,8 +284,25 @@ def test_malformed_ring_literals_are_usage_errors(tmp_path, argv, body):
          "arity must be >= 1, got -1"),
         (["recover", "--input", "FILE", "--dirs", "1,1,1"],
          "direction (1, 1, 1) has arity 3, expected 2"),
+        (["directions", "--ring", "prime 5", "--n", "40", "--moment", ",".join(["1"] * 40)],
+         "arity must be at most 16, got 40"),
+        (["directions", "--ring", "prime 5", "--n", "3", "--moment", "1,2,3",
+          "--count", "100000000"],
+         "direction count must be at most 12870, got 100000000"),
+        (["sharpness", "witness", "--ring", "prime 5", "--n", "0", "--dirs", "1"],
+         "arity must be >= 1, got 0"),
+        (["sharpness", "witness", "--ring", "prime 5", "--n", "-2", "--dirs", "1"],
+         "arity must be >= 1, got -2"),
+        (["sharpness", "certify", "--ring", "prime 101", "--n", "40",
+          "--set", ",".join(str(v) for v in range(1, 41))],
+         "node set fails the B_h property bundle: "
+         "status: collision; left: 1 6; right: 2 3; product: 6"),
+        (["sharpness", "certify", "--ring", "zmod 6", "--n", "3", "--set", "1,2,3"],
+         "node set fails the B_h property bundle: "
+         "status: non-regular-difference; left: 1 2; right: 2 3; witness: 2"),
     ],
-    ids=["family-n40", "moment-n-1", "dirs-arity"],
+    ids=["family-n40", "moment-n-1", "dirs-arity", "moment-n40", "moment-count",
+         "witness-n0", "witness-n-2", "certify-collision", "certify-difference"],
 )
 def test_direction_set_errors(tmp_path, argv, message):
     path = _write(tmp_path, "affine.tbl", _affine_z7_table())

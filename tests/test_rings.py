@@ -21,6 +21,8 @@ from linaff.rings import is_prime, prime_factors
 GF4 = GaloisField(2, 2, [1, 1])  # x^2 + x + 1
 GF8 = GaloisField(2, 3, [1, 1, 0])  # x^3 + x + 1
 GF9 = GaloisField(3, 2, [1, 0])  # x^2 + 1
+GF27 = GaloisField(3, 3, [1, 2, 0])  # x^3 + 2x + 1
+GF81 = GaloisField(3, 4, [2, 0, 0, 2])  # x^4 + 2x^3 + 2, the size cap
 
 
 def test_zmod_arithmetic():
@@ -32,8 +34,8 @@ def test_zmod_arithmetic():
 
 def test_gf4_multiplication_reduces_by_modulus():
     t = GF4.elem(2)
-    assert GF4.encode(t * t) == 3  # t^2 = t + 1
-    assert GF4.encode(t * GF4.elem(3)) == 1  # t*(t+1) = t^2 + t = 1
+    assert (t * t).value == 3  # t^2 = t + 1
+    assert (t * GF4.elem(3)).value == 1  # t*(t+1) = t^2 + t = 1
 
 
 def test_rational_arithmetic():
@@ -80,7 +82,7 @@ def test_characteristic_regular_upto():
 
 def test_enumeration():
     assert [e.value for e in Zmod(3).elements()] == [0, 1, 2]
-    assert [GF4.encode(e) for e in GF4.elements()] == [0, 1, 2, 3]
+    assert [e.value for e in GF4.elements()] == [0, 1, 2, 3]
     assert [e.value for e in PrimeField(2).elements()] == [0, 1]
     with pytest.raises(NotEnumerableError):
         Rationals().elements()
@@ -88,7 +90,7 @@ def test_enumeration():
 
 def test_frobenius():
     t = GF4.elem(2)
-    assert GF4.encode(frobenius(t, 1)) == 3
+    assert frobenius(t, 1).value == 3
     assert frobenius(t, 0) == t
     F5 = PrimeField(5)
     assert frobenius(F5.elem(3), 1) == F5.elem(3)
@@ -99,7 +101,7 @@ def test_frobenius():
 
 
 def test_frobenius_is_ring_homomorphism():
-    for ring in (GF4, GF8, GF9):
+    for ring in (GF4, GF8, GF9, GF27, GF81):
         for x in ring.elements():
             for y in ring.elements():
                 assert frobenius(x + y) == frobenius(x) + frobenius(y)
@@ -116,7 +118,7 @@ def test_regularity_matches_injectivity_on_finite_rings():
 
 def test_ring_axioms_randomized():
     rng = random.Random(20231201)
-    for ring in (Zmod(12), PrimeField(11), GF8, GF9, Rationals()):
+    for ring in (Zmod(12), PrimeField(11), GF8, GF9, GF27, GF81, Rationals()):
         for _ in range(500):
             if ring.is_finite:
                 a, b, c = (
@@ -141,7 +143,7 @@ def test_ring_axioms_randomized():
             # results stay canonical
             for out in (a * b, a + b, a - b, -a):
                 if ring.is_finite:
-                    assert 0 <= ring.encode(out) < ring.size
+                    assert 0 <= out.value < ring.size
                 else:
                     assert out.value.denominator > 0
 
@@ -150,6 +152,11 @@ def test_canonical_form_is_unique():
     Z7 = Zmod(7)
     assert Z7.elem(9).value == 2
     assert Z7.elem(-1).value == 6
+    # a Galois-field digit vector (lowest coefficient first) is read as its code
+    assert GF4.elem((0, 1)) == GF4.elem(2)
+    assert GF81.elem((2, 1, 0, 1)).value == 2 + 1 * 3 + 1 * 27
+    with pytest.raises(PreconditionError):
+        GF4.elem((1, 0, 0))
     from fractions import Fraction
 
     Q = Rationals()
