@@ -50,7 +50,6 @@ from .recovery import (
     factorial_det,
     family_directions,
     moment_directions,
-    factorial_vandermonde,
     recover,
     solve_vandermonde_exact,
 )
@@ -61,7 +60,6 @@ from .rings import (
     Ring,
     RingElem,
     Zmod,
-    characteristic_regular_upto,
     frobenius,
     is_regular,
     parse_ring_spec,

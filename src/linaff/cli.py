@@ -147,9 +147,8 @@ def parse_function_table(text: str):
     values = _collect_rows(ring, arity, rows, codomain_dim)
     if codomain_dim is None:
         return TableOracle.from_codes(ring, arity, values)
-    mapping = dict(zip(product(ring.elements(), repeat=arity), values))
     try:
-        return VectorMapTable(ring, arity, codomain_dim, mapping)
+        return VectorMapTable.from_codes(ring, arity, codomain_dim, values)
     except LinaffError as exc:
         raise ParseError(str(exc)) from None
 
@@ -167,7 +166,8 @@ def _collect_rows(ring, arity, rows, width=None):
     """Values of the map rows in point-index order, checked exhaustive.
 
     A scalar table's values (width None) are element codes, the storage
-    of `TableOracle`; a vector table's are tuples of `width` elements.
+    of `TableOracle`; a vector table's are tuples of `width` codes, the
+    storage of `VectorMapTable`.
     """
     q = ring.size
     by_index = {}
@@ -176,8 +176,7 @@ def _collect_rows(ring, arity, rows, width=None):
         if width is None:
             (value,) = _parse_codes(ring, val_texts, lineno, 1)
         else:
-            codes = _parse_codes(ring, val_texts, lineno, width)
-            value = tuple(map(ring.element_from_encoding, codes))
+            value = tuple(_parse_codes(ring, val_texts, lineno, width))
         if index in by_index:
             raise ParseError("duplicate point " + " ".join(pt_texts), lineno)
         by_index[index] = value
@@ -222,32 +221,16 @@ def format_function_table(oracle) -> str:
             lines.append(entry + (f" {idx}" if idx else ""))
         return "\n".join(lines) + "\n"
     if isinstance(oracle, VectorMapTable):
-        ring = oracle.field
-        header = [
-            f"ring {ring.spec_text()}",
-            f"arity {oracle.dim_in}",
-            f"codomain vector {oracle.dim_out}",
-        ]
-        items = sorted(
-            oracle.mapping.items(), key=lambda kv: tuple(c.value for c in kv[0])
-        )
-        body = [
-            "map "
-            + format_elements(pt)
-            + " -> "
-            + format_elements(img)
-            for pt, img in items
-        ]
-        return "\n".join(header + body) + "\n"
-    ring = oracle.ring
-    header = [f"ring {ring.spec_text()}", f"arity {oracle.arity}", "codomain scalar"]
+        ring, arity, images = oracle.field, oracle.dim_in, oracle.codes
+        codomain = f"vector {oracle.dim_out}"
+    else:
+        ring, arity, images = oracle.ring, oracle.arity, [(c,) for c in oracle.codes]
+        codomain = "scalar"
+    header = [f"ring {ring.spec_text()}", f"arity {arity}", f"codomain {codomain}"]
     elements = ring.elements()
     body = [
-        "map "
-        + format_elements(pt)
-        + " -> "
-        + ring.format_element(elements[code])
-        for pt, code in zip(product(elements, repeat=oracle.arity), oracle.codes)
+        "map " + format_elements(pt) + " -> " + format_elements(elements[c] for c in image)
+        for pt, image in zip(product(elements, repeat=arity), images)
     ]
     return "\n".join(header + body) + "\n"
 

@@ -13,6 +13,8 @@ theorem).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 from .errors import PreconditionError
 from .rings import Ring, RingElem, Zmod
 
@@ -92,16 +94,16 @@ def rref(rows, cols: int, ring: Ring):
     return m, pivots, det if r == len(m) else ring.zero
 
 
-def kernel_basis(rows, cols: int, ring: Ring) -> list[list[RingElem]]:
+def kernel_basis(rows, cols: int, ring: Ring) -> Iterator[list[RingElem]]:
     """Basis of the right kernel over a field, one vector per free column.
 
-    Vectors follow the reduced-echelon convention (free variable set to 1)
-    and are emitted in ascending free-column order, so the result is
-    deterministic.
+    The vectors are built one at a time as they are taken, so a caller
+    that needs only the first pays for that one alone.  They follow the
+    reduced-echelon convention (free variable set to 1) and come in
+    ascending free-column order, so the result is deterministic.
     """
     reduced, pivots, _ = rref(rows, cols, ring)
     pivot_set = set(pivots)
-    basis = []
     for free in range(cols):
         if free in pivot_set:
             continue
@@ -109,8 +111,7 @@ def kernel_basis(rows, cols: int, ring: Ring) -> list[list[RingElem]]:
         vec[free] = ring.one
         for r, pc in enumerate(pivots):
             vec[pc] = -reduced[r][free]
-        basis.append(vec)
-    return basis
+        yield vec
 
 
 def _rank_mod_p(rows: list[list[int]], cols: int, p: int) -> int:

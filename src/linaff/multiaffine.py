@@ -395,11 +395,3 @@ def shift_poly(poly: MultiAffinePoly, base: Point) -> MultiAffinePoly:
             if not mask & bit:
                 dense[mask] = dense[mask] + dense[mask | bit] * base[i]
     return MultiAffinePoly(ring, n, {m: v for m, v in enumerate(dense) if not v.is_zero})
-
-
-def affine_poly(ring: Ring, constant: RingElem, linear) -> MultiAffinePoly:
-    """Build c0 + sum c_i x_i from a constant and a linear coefficient list."""
-    coeffs = {0: constant}
-    for i, c in enumerate(linear, start=1):
-        coeffs[1 << (i - 1)] = c
-    return MultiAffinePoly(ring, len(linear), coeffs)

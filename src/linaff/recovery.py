@@ -219,18 +219,9 @@ def solve_vandermonde_exact(rows, cols: int, ring: Ring) -> SolveOutcome:
     return SolveOutcome(KERNEL)
 
 
-def factorial_vandermonde(n: int, ring: Ring) -> list[list[RingElem]]:
-    """The n x n matrix with row i = (i, i^2, ..., i^n), entries taken in the ring."""
-    if n < 1:
-        raise PreconditionError(f"n must be >= 1, got {n}")
-    rows = []
-    for i in range(1, n + 1):
-        rows.append([ring.from_int(i**k) for k in range(1, n + 1)])
-    return rows
-
-
 def factorial_det(n: int, ring: Ring) -> RingElem:
-    """Image in the ring of prod_{i=1..n} i!, the factorial_vandermonde determinant."""
+    """Image in the ring of prod_{i=1..n} i!, the determinant of the n x n
+    matrix with row i = (i, i^2, ..., i^n)."""
     prod = 1
     for i in range(1, n + 1):
         prod *= math.factorial(i)

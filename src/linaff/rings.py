@@ -473,15 +473,17 @@ _FieldTables = namedtuple("_FieldTables", "add mul neg")
 def _field_tables(p: int, k: int, modulus: tuple) -> _FieldTables:
     """Add, mul and neg tables on the codes of F_p[t]/(t^k + modulus).
 
-    This is the one place Galois-field arithmetic happens: digit vectors
-    are added and multiplied as polynomials over F_p, then reduced by the
-    monic modulus.  The tables have (p^k)^2 entries, at most 81^2 = 6,561
-    under the size cap; each field builds them once, on first arithmetic.
+    This is the one place Galois-field arithmetic happens.  Sums are taken
+    digit by digit mod p.  Products come from the powers of the least
+    primitive element g: each power is the previous one times g, as
+    polynomials over F_p reduced by the monic modulus, and then
+    a*b = g^(log a + log b).  That is O(p^k) polynomial products per
+    candidate g, where a schoolbook table forms (p^k)^2.  The tables have
+    (p^k)^2 entries, at most 81^2 = 6,561 under the size cap; each field
+    builds them once, on first arithmetic.
     """
-    digits = [[c // p**i % p for i in range(k)] for c in range(p**k)]
-
-    def code(poly) -> int:
-        return sum(d % p * p**i for i, d in enumerate(poly))
+    q = p**k
+    digits = [[c // p**i % p for i in range(k)] for c in range(q)]
 
     def product(a, b) -> int:
         prod = [0] * (2 * k - 1)
@@ -492,13 +494,25 @@ def _field_tables(p: int, k: int, modulus: tuple) -> _FieldTables:
         for i in range(2 * k - 2, k - 1, -1):
             for j, c in enumerate(modulus):
                 prod[i - k + j] -= prod[i] * c
-        return code(prod[:k])
+        return sum(d % p * p**i for i, d in enumerate(prod[:k]))
 
-    return _FieldTables(
-        add=[[code(x + y for x, y in zip(a, b)) for b in digits] for a in digits],
-        mul=[[product(a, b) for b in digits] for a in digits],
-        neg=[code(-x for x in a) for a in digits],
-    )
+    # codes a = a_0 + p*a' and b alike: the low digits add mod p, a' and b' recursively
+    add = [[0]]
+    for _ in range(k):
+        size = p * len(add)
+        add = [[(a + b) % p + p * add[a // p][b // p] for b in range(size)] for a in range(size)]
+    for g in range(1, q):
+        powers = [1]
+        x = g
+        while x != 1:
+            powers.append(x)
+            x = product(digits[x], digits[g])
+        if len(powers) == q - 1:
+            break
+    log = {x: i for i, x in enumerate(powers)}
+    cycle = powers * 2
+    mul = [[0] * q] + [[0] + [cycle[log[a] + log[b]] for b in range(1, q)] for a in range(1, q)]
+    return _FieldTables(add=add, mul=mul, neg=[row.index(0) for row in add])
 
 
 class Rationals(Ring):
@@ -571,18 +585,6 @@ def format_elements(elems) -> str:
 def is_regular(x: RingElem) -> bool:
     """Non-zerodivisor test for a ring element (0 is never regular)."""
     return x.ring.is_regular(x)
-
-
-def characteristic_regular_upto(ring: Ring, n: int) -> bool:
-    """True iff the images of 1, 1+1, ..., n*1 in the ring are all regular."""
-    if n < 1:
-        raise PreconditionError(f"n must be >= 1, got {n}")
-    acc = ring.zero
-    for _ in range(n):
-        acc = acc + ring.one
-        if not ring.is_regular(acc):
-            return False
-    return True
 
 
 def frobenius(x: RingElem, j: int = 1) -> RingElem:

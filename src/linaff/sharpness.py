@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from .bh_sets import BhCandidate, verify_properties
 from .errors import PreconditionError, RingMismatchError
 from .linalg import determinant, kernel_basis
-from .multiaffine import MultiAffinePoly, is_affine_poly, restrict_radial
+from .multiaffine import MAX_ARITY, MultiAffinePoly, is_affine_poly, restrict_radial
 from .recovery import DirectionSet, build_degree_systems, moment_directions
 from .rings import Ring, RingElem
 
@@ -59,6 +59,8 @@ def lower_bound_witness(n: int, dirs: DirectionSet, fld: Ring) -> SharpnessWitne
     """
     if n < 3:
         raise PreconditionError(f"need n >= 3, got {n}")
+    if n > MAX_ARITY:
+        raise PreconditionError(f"arity must be at most {MAX_ARITY}, got {n}")
     if not fld.is_field:
         raise PreconditionError("witness construction needs a field")
     if fld.is_finite and fld.size <= 2 ** (n - 1):
@@ -74,10 +76,10 @@ def lower_bound_witness(n: int, dirs: DirectionSet, fld: Ring) -> SharpnessWitne
         raise PreconditionError(f"direction arity {dirs.arity} != n = {n}")
     k = (n + 1) // 2
     system = build_degree_systems(dirs)[k]
-    basis = kernel_basis(system.rows, len(system.masks), fld)
-    if not basis:
+    vector = next(kernel_basis(system.rows, len(system.masks), fld), None)
+    if vector is None:
         raise PreconditionError("direction set already forces the binding degree")
-    poly = MultiAffinePoly(fld, n, dict(zip(system.masks, basis[0])))
+    poly = MultiAffinePoly(fld, n, dict(zip(system.masks, vector)))
     witness = SharpnessWitness(poly, dirs, fld, k)
     _validate_witness(witness)
     return witness

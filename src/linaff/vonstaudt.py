@@ -1,15 +1,22 @@
 """Semilinear recovery for line-preserving maps between small vector spaces.
 
-A map f : F^d -> F^e given by an exhaustive table is accepted when it
-carries every affine line onto an affine line and separates points from
-lines they avoid (f(v) not in f(l) whenever v is not on l).  Over a
-finite field the first hypothesis implies the second: a line image with
-all q points makes f injective on the line, any two points of F^d lie on
-a common line, so f is injective, and f(v) in f(l) would put a second
-preimage of f(v) on l.  Any such map decomposes as a translation
-composed with a tau-linear map, where tau is a power of the Frobenius
-automorphism; `recover_semilinear` extracts and re-verifies that
-decomposition pointwise.
+A map f : F^d -> F^e given by an exhaustive table satisfies the line
+hypotheses when it carries every affine line onto an affine line and
+separates points from lines they avoid (f(v) not in f(l) whenever v is
+not on l).  Over a finite field the first hypothesis implies the second:
+a line image with all q points makes f injective on the line, any two
+points of F^d lie on a common line, so f is injective, and f(v) in f(l)
+would put a second preimage of f(v) on l.
+
+The verdict is decided by decomposing f.  By the fundamental theorem of
+affine geometry, in the form that does not assume f bijective, a map
+satisfying the hypotheses is v -> c + A tau(v), with tau a power of the
+Frobenius automorphism and A injective.  Conversely such a map carries
+the line b + F*v onto the line f(b) + F*A tau(v), because tau is onto,
+so a decomposition with A of rank d that matches f at every point proves
+the hypotheses.  Only when f has no such decomposition are the lines
+scanned, in canonical order, to name the first one whose image is not a
+line.  Both passes run on element codes.
 
 Everything here is exhaustive, so the domains are capped at desk scale:
 |F| in 3..9 and d*e <= 6.  F_2 is rejected because the separation
@@ -30,87 +37,123 @@ from itertools import product
 from .errors import (
     DomainTooLargeError,
     InconsistencyError,
+    MissingPointError,
     PreconditionError,
 )
-from .multiaffine import Line, point_add, point_scale
-from .rings import Ring
+from .linalg import matrix_rank
+from .multiaffine import Line, _checked_index, point_add, point_index, point_scale
+from .rings import Ring, RingElem, format_elements, frobenius
 
 MAX_FIELD_SIZE = 9
 MAX_DIM_PRODUCT = 6
 MAX_DOMAIN_POINTS = 10_000
 
 
-def _point_key(point):
-    return tuple(c.value for c in point)
+def _elements(fld: Ring, codes) -> tuple:
+    return tuple(RingElem(fld, c) for c in codes)
 
 
-def _all_points(fld: Ring, dim: int):
-    return list(product(fld.elements(), repeat=dim))
+def _vector_line(fld: Ring, c: tuple, s: tuple) -> list[tuple]:
+    """Code tuples of c + s*r for every element code r, in code order."""
+    return list(zip(*map(fld.line, c, s)))
+
+
+def _check_table_shape(fld: Ring, dim_in: int, dim_out: int, entries: int):
+    if not (fld.is_finite and fld.is_field):
+        raise PreconditionError("vector map tables need a finite field")
+    if fld.size <= 2:
+        raise PreconditionError("the field must have more than two elements")
+    if fld.size > MAX_FIELD_SIZE:
+        raise DomainTooLargeError(f"field size {fld.size} exceeds the cap {MAX_FIELD_SIZE}")
+    if dim_in < 2:
+        raise PreconditionError(f"domain dimension must be >= 2, got {dim_in}")
+    if dim_out < 1:
+        raise PreconditionError(f"codomain dimension must be >= 1, got {dim_out}")
+    if dim_in * dim_out > MAX_DIM_PRODUCT:
+        raise DomainTooLargeError(
+            f"dimension product {dim_in * dim_out} exceeds the cap {MAX_DIM_PRODUCT}"
+        )
+    if fld.size**dim_in > MAX_DOMAIN_POINTS:
+        raise DomainTooLargeError("domain has too many points for exhaustive checking")
+    if entries != fld.size**dim_in:
+        raise PreconditionError(
+            f"table has {entries} entries, needs all {fld.size ** dim_in} points"
+        )
 
 
 class VectorMapTable:
-    """Exhaustive table of a map F_q^d -> F_q^e over a finite field, q > 2."""
+    """Exhaustive table of a map F_q^d -> F_q^e over a finite field, q > 2.
+
+    The images are stored as one flat list `codes` of tuples of element
+    codes, position i holding the image of the point with `point_index`
+    i, as in `TableOracle`.  `from_codes` takes that list, as the
+    table-file parser does; the dict constructor converts its dict to it.
+    """
 
     def __init__(self, fld: Ring, dim_in: int, dim_out: int, mapping: dict):
-        if not (fld.is_finite and fld.is_field):
-            raise PreconditionError("vector map tables need a finite field")
-        if fld.size <= 2:
-            raise PreconditionError("the field must have more than two elements")
-        if fld.size > MAX_FIELD_SIZE:
-            raise DomainTooLargeError(f"field size {fld.size} exceeds the cap {MAX_FIELD_SIZE}")
-        if dim_in < 2:
-            raise PreconditionError(f"domain dimension must be >= 2, got {dim_in}")
-        if dim_out < 1:
-            raise PreconditionError(f"codomain dimension must be >= 1, got {dim_out}")
-        if dim_in * dim_out > MAX_DIM_PRODUCT:
-            raise DomainTooLargeError(
-                f"dimension product {dim_in * dim_out} exceeds the cap {MAX_DIM_PRODUCT}"
-            )
-        if fld.size**dim_in > MAX_DOMAIN_POINTS:
-            raise DomainTooLargeError("domain has too many points for exhaustive checking")
-        if len(mapping) != fld.size**dim_in:
-            raise PreconditionError(
-                f"table has {len(mapping)} entries, needs all {fld.size ** dim_in} points"
-            )
+        _check_table_shape(fld, dim_in, dim_out, len(mapping))
         for point, image in mapping.items():
             if len(point) != dim_in or len(image) != dim_out:
                 raise PreconditionError("table entry with wrong arity")
+        points = product(fld.elements(), repeat=dim_in)
+        self._store(fld, dim_in, dim_out, [tuple(c.value for c in mapping[p]) for p in points])
+
+    @classmethod
+    def from_codes(cls, fld: Ring, dim_in: int, dim_out: int, codes: list) -> "VectorMapTable":
+        """The table whose image of the point with `point_index` i has codes codes[i]."""
+        _check_table_shape(fld, dim_in, dim_out, len(codes))
+        if any(len(image) != dim_out for image in codes):
+            raise PreconditionError("table entry with wrong arity")
+        if any(not 0 <= c < fld.size for image in codes for c in image):
+            raise PreconditionError(f"table image code out of range for {fld.spec_text()}")
+        table = cls.__new__(cls)
+        table._store(fld, dim_in, dim_out, codes)
+        return table
+
+    def _store(self, fld, dim_in, dim_out, codes):
         self.field = fld
         self.dim_in = dim_in
         self.dim_out = dim_out
-        self.mapping = mapping
+        self.codes = codes
 
-    def value(self, point):
-        return self.mapping[point]
+    def value(self, point) -> tuple:
+        index = _checked_index(self.field, self.dim_in, point)
+        if index is None:
+            raise MissingPointError(f"no table entry for point {format_elements(point)}")
+        return _elements(self.field, self.codes[index])
+
+    @property
+    def mapping(self) -> dict:
+        """The table as a point -> image dict, in point-index order."""
+        points = product(self.field.elements(), repeat=self.dim_in)
+        return {p: _elements(self.field, image) for p, image in zip(points, self.codes)}
 
 
 @lru_cache(maxsize=None)
 def _lines_with_points(fld: Ring, dim: int):
-    """Cached canonical line enumeration, each line paired with its points."""
+    """Cached canonical line enumeration, each line paired with the
+    `point_index` of its points, the parameter running in code order."""
     if not (fld.is_finite and fld.is_field):
         raise PreconditionError("line enumeration needs a finite field")
     if dim < 1:
         raise PreconditionError(f"dimension must be >= 1, got {dim}")
     if fld.size**dim > MAX_DOMAIN_POINTS:
         raise DomainTooLargeError("space has too many points for line enumeration")
-    directions = []
-    for v in _all_points(fld, dim):
-        lead = next((i for i, c in enumerate(v) if not c.is_zero), None)
-        if lead is not None and v[lead] == fld.one:
-            # normalized representative of its projective class
-            directions.append(v)
+    q = fld.size
+    vectors = list(product(range(q), repeat=dim))  # code tuples, lexicographic
     lines = []
-    seen = set()
-    for direction in sorted(directions, key=_point_key):
-        for start in _all_points(fld, dim):
-            points = tuple(
-                point_add(start, point_scale(r, direction)) for r in fld.elements()
-            )
-            base = min(points, key=_point_key)
-            key = (_point_key(base), _point_key(direction))
-            if key not in seen:
-                seen.add(key)
-                lines.append((Line(base, direction), points))
+    for direction in vectors:
+        # one normalized representative per projective class: first nonzero code 1
+        if next((c for c in direction if c), None) != 1:
+            continue
+        bases = set()
+        for start in vectors:
+            points = _vector_line(fld, start, direction)
+            base = min(points)
+            if base not in bases:
+                bases.add(base)
+                line = Line(_elements(fld, base), _elements(fld, direction))
+                lines.append((line, tuple(point_index(q, p) for p in points)))
     return tuple(lines)
 
 
@@ -133,35 +176,32 @@ class HypothesisCheck:
     line: Line | None = None
 
 
-def _image_is_line(images: set, fld: Ring) -> bool:
-    """A set of codomain points is an affine line iff it has q points and
-    is closed under the two-point parametrization lx + (1-l)y."""
-    if len(images) != fld.size:
-        return False
-    ordered = sorted(images, key=_point_key)
-    x, y = ordered[0], ordered[1]
-    spanned = set()
-    for lam in fld.elements():
-        one_minus = fld.one - lam
-        spanned.add(point_add(point_scale(lam, x), point_scale(one_minus, y)))
-    return spanned == images
+def _first_violation(f: VectorMapTable) -> Line | None:
+    """The first line, in canonical order, whose image is not a line: q
+    points closed under y + l(x - y), x and y the two least of them."""
+    fld, codes = f.field, f.codes
+    for line, indices in _lines_with_points(fld, f.dim_in):
+        images = {codes[i] for i in indices}
+        if len(images) != fld.size:
+            return line
+        x, y = sorted(images)[:2]
+        if set(_vector_line(fld, y, tuple(map(fld.sub, x, y)))) != images:
+            return line
+    return None
 
 
 def check_hypotheses(f: VectorMapTable) -> HypothesisCheck:
     """Verify that f maps every affine line onto an affine line and that
-    f(v) avoids f(l) whenever v avoids l.
+    f(v) avoids f(l) whenever v avoids l, which follows (module docstring).
 
-    The second hypothesis follows from the first (see the module
-    docstring): every image having q distinct points makes f injective,
-    and then f(v) = f(w) with w on l forces v = w, so v lies on l.  Only
-    the line images are therefore scanned, in canonical line order.
+    The verdict is ok when f decomposes as c + A tau(v) with A injective.
+    Otherwise the witness is the first line, in canonical order, whose
+    image is not a line; if there is none, the verdict is ok.
     """
-    fld = f.field
-    for line, points in _lines_with_points(fld, f.dim_in):
-        images = {f.value(p) for p in points}
-        if not _image_is_line(images, fld):
-            return HypothesisCheck(False, line)
-    return HypothesisCheck(True)
+    if _decompose(f) is not None:
+        return HypothesisCheck(True)
+    line = _first_violation(f)
+    return HypothesisCheck(line is None, line)
 
 
 @dataclass
@@ -176,13 +216,43 @@ class SemilinearCert:
     offset: tuple
 
     def apply(self, point) -> tuple:
-        fld = self.field
-        p = fld.characteristic
         image = self.offset
         for coord, col in zip(point, self.basis_images):
-            scaled = point_scale(coord ** (p**self.tau_power), col)
-            image = point_add(image, scaled)
+            image = point_add(image, point_scale(frobenius(coord, self.tau_power), col))
         return image
+
+
+def _decompose(f: VectorMapTable) -> SemilinearCert | None:
+    """The decomposition f(v) = c + A tau(v) with A of rank d, or None.
+
+    c is f(0) and the columns of A are the basis images f(e_i) - c.  tau
+    is the Frobenius power that matches f along the first axis, where
+    f(r e_1) = c + tau(r) A e_1; the candidate is then compared with f at
+    every point, on codes.
+    """
+    fld, d, q, codes = f.field, f.dim_in, f.field.size, f.codes
+    offset = codes[0]
+    cols = [tuple(map(fld.sub, codes[q ** (d - 1 - i)], offset)) for i in range(d)]
+    basis_images = tuple(_elements(fld, col) for col in cols)
+    if matrix_rank(basis_images, f.dim_out, fld) < d:
+        return None
+    first_axis = _vector_line(fld, offset, cols[0])
+    along = [codes[r * q ** (d - 1)] for r in range(q)]
+    power, tau = 0, range(q)
+    while [first_axis[t] for t in tau] != along:
+        power += 1
+        if fld.characteristic**power >= q:
+            return None
+        tau = [frobenius(x, power).value for x in fld.elements()]
+    # the candidate at every point in index order: axis by axis, each value
+    # v becomes v + tau(r) * col for r in code order
+    want = [offset]
+    for col in cols:
+        lines = [_vector_line(fld, v, col) for v in want]
+        want = [line[t] for line in lines for t in tau]
+    if want != codes:
+        return None
+    return SemilinearCert(fld, d, f.dim_out, power, basis_images, _elements(fld, offset))
 
 
 @dataclass
@@ -243,55 +313,13 @@ def identify_automorphism(tau_table: dict) -> AutomorphismId:
 def recover_semilinear(f: VectorMapTable) -> SemilinearCert:
     """Extract the (tau, basis images, offset) decomposition of f.
 
-    Requires the line hypotheses to hold.  The scalar action tau is read
-    off the first axis, cross-validated against every other axis,
-    verified to be a field automorphism, identified as a Frobenius power,
-    and the full decomposition is re-checked on every point of the
-    domain.  Any failure here signals a bug in the hypothesis check, so
-    it raises instead of returning a certificate.
+    Without one, the line scan names a violation and this raises
+    PreconditionError; a scan that finds none would contradict the
+    fundamental theorem, and raises InconsistencyError.
     """
-    verdict = check_hypotheses(f)
-    if not verdict.ok:
+    cert = _decompose(f)
+    if cert is not None:
+        return cert
+    if _first_violation(f) is not None:
         raise PreconditionError("line hypotheses fail: line-image")
-    fld = f.field
-    origin = (fld.zero,) * f.dim_in
-    offset = f.value(origin)
-
-    def g(point):
-        return tuple(a - b for a, b in zip(f.value(point), offset))
-
-    def axis_point(axis, lam):
-        return tuple(lam if i == axis else fld.zero for i in range(f.dim_in))
-
-    def scalar_table(axis) -> dict:
-        anchor = g(axis_point(axis, fld.one))
-        lead = next(i for i, c in enumerate(anchor) if not c.is_zero)
-        inv = fld.inverse(anchor[lead])
-        table = {}
-        for lam in fld.elements():
-            image = g(axis_point(axis, lam))
-            candidate = image[lead] * inv
-            if image != point_scale(candidate, anchor):
-                raise InconsistencyError(
-                    f"image of axis {axis + 1} is not a scalar multiple of its anchor"
-                )
-            table[lam] = candidate
-        return table
-
-    tau = scalar_table(0)
-    for axis in range(1, f.dim_in):
-        if scalar_table(axis) != tau:
-            raise InconsistencyError("scalar action differs between axes")
-    ident = identify_automorphism(tau)
-    if not ident.ok:
-        raise InconsistencyError(
-            f"extracted scalar action violates {ident.failed_law} at {ident.witness}"
-        )
-    basis_images = tuple(g(axis_point(axis, fld.one)) for axis in range(f.dim_in))
-    cert = SemilinearCert(
-        fld, f.dim_in, f.dim_out, ident.frobenius_power, basis_images, offset
-    )
-    for point in _all_points(fld, f.dim_in):
-        if cert.apply(point) != f.value(point):
-            raise InconsistencyError("semilinear decomposition fails pointwise")
-    return cert
+    raise InconsistencyError("every line image is a line, yet f has no semilinear decomposition")

@@ -1,14 +1,17 @@
 """Shared helpers for the test suite: random generators and brute oracles."""
 
+import functools
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from linaff import (
     BhReport,
     Certificate,
+    HypothesisCheck,
     Line,
     MultiAffinePoly,
     PolyOracle,
+    PreconditionError,
     TableOracle,
     enumerate_affine_lines,
     evaluate,
@@ -193,6 +196,49 @@ def separation_failure(f):
     return None
 
 
+@functools.cache
+def affine_lines_reference(fld, dim):
+    """Reference for the canonical line order: (line, points) pairs, the
+    directions normalized (first nonzero coordinate 1) in lexicographic
+    order of their codes, and for each direction its lines in the order of
+    their least points, the points in enumeration order of the parameter.
+    A start point not on an earlier line of its direction is the least
+    point of its own line, because the starts run in lexicographic order."""
+    points = all_points(fld, dim)
+    lines = []
+    for direction in points:
+        if next((c for c in direction if not c.is_zero), None) != fld.one:
+            continue
+        covered = set()
+        for start in points:
+            if start not in covered:
+                on_line = tuple(
+                    tuple(b + r * d for b, d in zip(start, direction)) for r in fld.elements()
+                )
+                covered.update(on_line)
+                lines.append((Line(start, direction), on_line))
+    return lines
+
+
+def check_hypotheses_reference(f):
+    """Reference for check_hypotheses: the scan-only verdict on RingElem
+    arithmetic.  Every line is walked in canonical order; the first whose
+    image is not a line (q points closed under l*x + (1 - l)*y, with x, y
+    its two least points) is the witness, and with none the verdict is ok."""
+    fld, mapping = f.field, f.mapping
+    for line, on_line in affine_lines_reference(fld, f.dim_in):
+        images = {mapping[p] for p in on_line}
+        if len(images) != fld.size:
+            return HypothesisCheck(False, line)
+        x, y = sorted(images, key=lambda image: tuple(c.value for c in image))[:2]
+        spanned = {
+            tuple(lam * a + (fld.one - lam) * b for a, b in zip(x, y)) for lam in fld.elements()
+        }
+        if spanned != images:
+            return HypothesisCheck(False, line)
+    return HypothesisCheck(True)
+
+
 def coordinate_line_failure_reference(f):
     """Reference for recover's coordinate-line scan on element codes: every
     line parallel to a basis vector, checked with RingElem arithmetic by
@@ -222,3 +268,51 @@ def recover_reference(f, dirs, mode="exhaustive"):
     if failure is not None:
         return failure
     return recover(PolyOracle(psi_extract(f)), dirs, mode)
+
+
+def factorial_vandermonde(n, ring):
+    """The n x n matrix with row i = (i, i^2, ..., i^n), entries taken in the ring."""
+    if n < 1:
+        raise PreconditionError(f"n must be >= 1, got {n}")
+    rows = []
+    for i in range(1, n + 1):
+        rows.append([ring.from_int(i**k) for k in range(1, n + 1)])
+    return rows
+
+
+def characteristic_regular_upto(ring, n) -> bool:
+    """True iff the images of 1, 1+1, ..., n*1 in the ring are all regular."""
+    if n < 1:
+        raise PreconditionError(f"n must be >= 1, got {n}")
+    acc = ring.zero
+    for _ in range(n):
+        acc = acc + ring.one
+        if not ring.is_regular(acc):
+            return False
+    return True
+
+
+def field_tables_schoolbook(p, k, modulus):
+    """Reference for rings._field_tables: every sum and every product of two
+    digit vectors formed as polynomials over F_p, reduced by the monic
+    modulus t^k + modulus; returns the (add, mul, neg) tables on codes."""
+    digits = [[c // p**i % p for i in range(k)] for c in range(p**k)]
+
+    def code(poly) -> int:
+        return sum(d % p * p**i for i, d in enumerate(poly))
+
+    def product(a, b) -> int:
+        prod = [0] * (2 * k - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+        for i in range(2 * k - 2, k - 1, -1):
+            for j, c in enumerate(modulus):
+                prod[i - k + j] -= prod[i] * c
+        return code(prod[:k])
+
+    return (
+        [[code(x + y for x, y in zip(a, b)) for b in digits] for a in digits],
+        [[product(a, b) for b in digits] for a in digits],
+        [code(-x for x in a) for a in digits],
+    )

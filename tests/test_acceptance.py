@@ -51,12 +51,12 @@ from linaff.cli import (
 )
 from linaff.linalg import determinant
 from linaff.multiaffine import Line, zero_point
-from linaff.recovery import factorial_vandermonde
 from linaff.rings import Rationals
 
 from helpers import (
     adjugate,
     all_points,
+    factorial_vandermonde,
     mat_mul,
     rand_affine_poly,
     rand_nonaffine_poly,

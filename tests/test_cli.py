@@ -293,6 +293,9 @@ def test_malformed_ring_literals_are_usage_errors(tmp_path, argv, body):
          "arity must be >= 1, got 0"),
         (["sharpness", "witness", "--ring", "prime 5", "--n", "-2", "--dirs", "1"],
          "arity must be >= 1, got -2"),
+        (["sharpness", "witness", "--ring", "rational", "--n", "40",
+          "--dirs", ",".join(["1"] * 40)],
+         "arity must be at most 16, got 40"),
         (["sharpness", "certify", "--ring", "prime 101", "--n", "40",
           "--set", ",".join(str(v) for v in range(1, 41))],
          "node set fails the B_h property bundle: "
@@ -302,7 +305,7 @@ def test_malformed_ring_literals_are_usage_errors(tmp_path, argv, body):
          "status: non-regular-difference; left: 1 2; right: 2 3; witness: 2"),
     ],
     ids=["family-n40", "moment-n-1", "dirs-arity", "moment-n40", "moment-count",
-         "witness-n0", "witness-n-2", "certify-collision", "certify-difference"],
+         "witness-n0", "witness-n-2", "witness-n40", "certify-collision", "certify-difference"],
 )
 def test_direction_set_errors(tmp_path, argv, message):
     path = _write(tmp_path, "affine.tbl", _affine_z7_table())

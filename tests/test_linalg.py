@@ -3,9 +3,16 @@ import random
 
 from linaff import GaloisField, PrimeField, Rationals, Zmod
 from linaff.linalg import determinant, kernel_basis, matrix_rank, rref
-from linaff.recovery import factorial_det, factorial_vandermonde
+from linaff.recovery import factorial_det
 
-from helpers import adjugate, identity_matrix, mat_mul, perm_determinant, rand_elem
+from helpers import (
+    adjugate,
+    factorial_vandermonde,
+    identity_matrix,
+    mat_mul,
+    perm_determinant,
+    rand_elem,
+)
 
 RINGS = [Zmod(6), Zmod(4), PrimeField(7), GaloisField(2, 2, [1, 1]), Rationals()]
 
@@ -59,7 +66,7 @@ def test_kernel_vectors_annihilate():
     for ring in (PrimeField(7), GaloisField(3, 2, [1, 0]), Rationals()):
         for rows_n, cols in ((2, 4), (3, 3), (1, 2), (4, 3)):
             rows = [[rand_elem(ring, rng) for _ in range(cols)] for _ in range(rows_n)]
-            basis = kernel_basis(rows, cols, ring)
+            basis = list(kernel_basis(rows, cols, ring))
             assert len(basis) == cols - matrix_rank(rows, cols, ring)
             for vec in basis:
                 assert any(not v.is_zero for v in vec)
@@ -72,7 +79,7 @@ def test_kernel_vectors_annihilate():
 
 def test_kernel_of_empty_system_is_full():
     F5 = PrimeField(5)
-    basis = kernel_basis([], 3, F5)
+    basis = list(kernel_basis([], 3, F5))
     assert basis == [
         [F5.one, F5.zero, F5.zero],
         [F5.zero, F5.one, F5.zero],

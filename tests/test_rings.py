@@ -11,12 +11,13 @@ from linaff import (
     RingMismatchError,
     UnsupportedRingError,
     Zmod,
-    characteristic_regular_upto,
     frobenius,
     is_regular,
     parse_ring_spec,
 )
-from linaff.rings import is_prime, prime_factors
+from linaff.rings import _field_tables, is_prime, prime_factors
+
+from helpers import characteristic_regular_upto, field_tables_schoolbook
 
 GF4 = GaloisField(2, 2, [1, 1])  # x^2 + x + 1
 GF8 = GaloisField(2, 3, [1, 1, 0])  # x^3 + x + 1
@@ -190,6 +191,17 @@ def test_galois_field_validation():
         GaloisField(5, 3, [2, 0, 0])  # 125 > size cap
     GaloisField(2, 4, [1, 1, 0, 0])  # x^4 + x + 1 is irreducible
     GaloisField(2, 4, [1, 1, 1, 1])  # x^4+x^3+x^2+x+1 is the degree-4 cyclotomic factor
+
+
+def test_field_tables_match_schoolbook_products():
+    # the tables come from the powers of a primitive element; every sum and
+    # product formed as polynomials must agree.  GF(16) by the cyclotomic
+    # modulus is a field whose t is not primitive (t^5 = 1).
+    specs = [(2, 2, (1, 1)), (2, 3, (1, 1, 0)), (3, 2, (1, 0)), (3, 3, (1, 2, 0)),
+             (3, 4, (2, 0, 0, 2)), (2, 4, (1, 1, 0, 0)), (2, 4, (1, 1, 1, 1))]
+    for p, k, modulus in specs:
+        GaloisField(p, k, modulus)
+        assert tuple(_field_tables(p, k, modulus)) == field_tables_schoolbook(p, k, modulus)
 
 
 def test_inverse_on_fields():

@@ -16,7 +16,7 @@ from linaff import (
     recover_semilinear,
 )
 
-from helpers import separation_failure
+from helpers import check_hypotheses_reference, separation_failure
 
 GF4 = GaloisField(2, 2, [1, 1])
 GF8 = GaloisField(2, 3, [1, 1, 0])
@@ -28,17 +28,29 @@ def _table(fld, dim_in, dim_out, func) -> VectorMapTable:
     return VectorMapTable(fld, dim_in, dim_out, mapping)
 
 
-def _semilinear_map(fld, matrix_cols, offset, j):
+def _twisted_map(fld, matrix_cols, offset, powers):
+    """v -> offset + sum_i v_i^(p^powers[i]) * matrix_cols[i]: a Frobenius power per axis."""
     p = fld.characteristic
 
     def func(v):
         image = offset
-        for coord, col in zip(v, matrix_cols):
+        for coord, col, j in zip(v, matrix_cols, powers):
             scaled = tuple((coord ** (p**j)) * c for c in col)
             image = tuple(a + b for a, b in zip(image, scaled))
         return image
 
     return func
+
+
+def _semilinear_map(fld, matrix_cols, offset, j):
+    return _twisted_map(fld, matrix_cols, offset, [j] * len(matrix_cols))
+
+
+def _frobenius_degree(fld):
+    degree = 1
+    while fld.characteristic**degree < fld.size:
+        degree += 1
+    return degree
 
 
 def test_line_counts():
@@ -114,6 +126,60 @@ def test_separation_follows_from_line_images():
                         assert separation_failure(f) is None
                         assert len(set(f.mapping.values())) == len(f.mapping)
     assert True in verdicts and False in verdicts
+
+
+def _rand_vec(fld, e, rng):
+    return tuple(fld.element_from_encoding(rng.randrange(fld.size)) for _ in range(e))
+
+
+def test_decomposition_verdict_matches_line_scan():
+    # the verdict comes from the semilinear decomposition, and from a scan on
+    # codes when there is none: the scan-only RingElem walk must give the
+    # same verdict and the same first line.  Over the larger fields d = 3 is
+    # left out for time: there the reference walks up to 7,371 lines per map.
+    rng = random.Random(6061)
+    maps = [_table(GF4, 2, 2, lambda v: (v[0], v[1] * v[1]))]
+    for fld in (PrimeField(3), GF4, PrimeField(5), PrimeField(7), GF8, GF9):
+        degree = _frobenius_degree(fld)
+        for d, e in [(2, 1), (2, 2), (2, 3)] + ([(3, 2)] if fld.size <= 5 else []):
+            for _ in range(2):
+                while True:
+                    cols = tuple(_rand_vec(fld, e, rng) for _ in range(d))
+                    offset = _rand_vec(fld, e, rng)
+                    func = _semilinear_map(fld, cols, offset, rng.randrange(degree))
+                    semilinear = _table(fld, d, e, func)
+                    if e < d or len(set(semilinear.mapping.values())) == fld.size**d:
+                        break
+                perturbed = semilinear.mapping
+                point = rng.choice(list(perturbed))
+                while perturbed[point] == semilinear.value(point):
+                    perturbed[point] = _rand_vec(fld, e, rng)
+                scale = rng.choice(fld.elements())
+                dependent = cols[:-1] + (tuple(scale * c for c in cols[0]),)
+                maps += [
+                    semilinear,
+                    VectorMapTable(fld, d, e, perturbed),
+                    _table(fld, d, e, lambda v: offset),
+                    _table(fld, d, e, _semilinear_map(fld, dependent, offset, 0)),
+                ]
+                if degree > 1:
+                    powers = [rng.randrange(degree)] * d
+                    powers[rng.randrange(1, d)] = (powers[0] + 1) % degree
+                    maps.append(_table(fld, d, e, _twisted_map(fld, cols, offset, powers)))
+    outcomes = set()
+    for f in maps:
+        verdict = check_hypotheses(f)
+        assert verdict == check_hypotheses_reference(f)
+        outcomes.add((verdict.ok, (f.dim_in, f.dim_out)))
+        if verdict.ok:
+            cert = recover_semilinear(f)
+            assert all(cert.apply(v) == f.value(v) for v in f.mapping)
+        else:
+            with pytest.raises(PreconditionError):
+                recover_semilinear(f)
+    # (x, y) -> (x, y^2) over GF(4) twists the axes by different automorphisms
+    assert not check_hypotheses(maps[0]).ok
+    assert {(True, (2, 2)), (True, (2, 3)), (False, (2, 2)), (False, (3, 2))} <= outcomes
 
 
 def test_check_hypotheses_squaring_over_gf4():
@@ -208,9 +274,7 @@ def test_roundtrip_random_semilinear_maps():
     rng = random.Random(90210)
     fields = [PrimeField(3), GF4, PrimeField(5), PrimeField(7), GF8, GF9]
     for fld in fields:
-        degree = 1
-        while fld.characteristic**degree < fld.size:
-            degree += 1
+        degree = _frobenius_degree(fld)
         done = 0
         while done < 100:
             cols = tuple(
