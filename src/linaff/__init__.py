@@ -45,13 +45,11 @@ from .recovery import (
     Certificate,
     DegreeSystem,
     DirectionSet,
-    SolveOutcome,
     build_degree_systems,
     factorial_det,
     family_directions,
     moment_directions,
     recover,
-    solve_vandermonde_exact,
 )
 from .rings import (
     GaloisField,

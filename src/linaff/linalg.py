@@ -4,8 +4,9 @@ Matrices are plain lists of rows of RingElem.  Determinants over Z/m,
 prime fields included, are computed by lifting to the integers
 (fraction-free Bareiss elimination) and reducing, so no division inside
 the ring is ever needed; over the other fields the one echelon reduction
-`rref` tracks them.  Kernel bases are only defined over fields.  Ranks
-over Z/m are taken modulo each prime p | m: a homogeneous system has
+`rref` tracks them.  `kernel_vector` decides whether a homogeneous
+system forces its unknowns to zero, and returns a nonzero solution when
+it does not.  Over Z/m it works modulo each prime p | m: the system has
 only the zero solution iff it has full column rank mod every such p
 (McCoy, "Remarks on divisors of zero", 1942, with the Chinese remainder
 theorem).
@@ -13,10 +14,8 @@ theorem).
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-
 from .errors import PreconditionError
-from .rings import Ring, RingElem, Zmod
+from .rings import PrimeField, Ring, RingElem, Zmod
 
 
 def _bareiss_int_det(m: list[list[int]]) -> int:
@@ -94,54 +93,31 @@ def rref(rows, cols: int, ring: Ring):
     return m, pivots, det if r == len(m) else ring.zero
 
 
-def kernel_basis(rows, cols: int, ring: Ring) -> Iterator[list[RingElem]]:
-    """Basis of the right kernel over a field, one vector per free column.
+def kernel_vector(rows, cols: int, ring: Ring) -> list[RingElem] | None:
+    """A nonzero solution of rows * x = 0, x with `cols` entries, or None
+    when x = 0 is the only one.
 
-    The vectors are built one at a time as they are taken, so a caller
-    that needs only the first pays for that one alone.  They follow the
-    reduced-echelon convention (free variable set to 1) and come in
-    ascending free-column order, so the result is deterministic.
+    Over a field it is the reduced-echelon kernel vector of the first free
+    column (that variable set to 1, the other free ones to 0), which is
+    unique because the reduced echelon form is.  Over Z/m it is that
+    vector v modulo the least prime p | m for which one exists, lifted to
+    (m/p) v: rows * x = 0 forces x = 0 iff the system has full column
+    rank modulo every such p (McCoy, with the CRT).
     """
+    if not ring.is_field:
+        for p in ring.primes:
+            fp = PrimeField(p)
+            vec = kernel_vector([[fp.from_int(e.value) for e in row] for row in rows], cols, fp)
+            if vec is not None:
+                return [ring.from_int(ring.m // p * e.value) for e in vec]
+        return None
     reduced, pivots, _ = rref(rows, cols, ring)
-    pivot_set = set(pivots)
-    for free in range(cols):
-        if free in pivot_set:
-            continue
-        vec = [ring.zero] * cols
-        vec[free] = ring.one
-        for r, pc in enumerate(pivots):
-            vec[pc] = -reduced[r][free]
-        yield vec
-
-
-def _rank_mod_p(rows: list[list[int]], cols: int, p: int) -> int:
-    """Rank over F_p of an integer matrix, by elimination on residues."""
-    m = [[x % p for x in row] for row in rows]
-    rank = 0
-    for col in range(cols):
-        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        top = m[rank]
-        inv = pow(top[col], -1, p)
-        for i in range(rank + 1, len(m)):
-            if m[i][col]:
-                factor = m[i][col] * inv
-                m[i] = [(a - factor * b) % p for a, b in zip(m[i], top)]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
-
-
-def matrix_rank(rows, cols: int, ring: Ring) -> int:
-    """Rank over a field; over Z/m, the least rank modulo a prime p | m.
-
-    Either way rows * x = 0 has only the zero solution iff the result is
-    cols; over Z/m a kernel vector v mod p lifts to the solution (m/p) v.
-    """
-    if isinstance(ring, Zmod):
-        lifted = [[e.value for e in row] for row in rows]
-        return min(_rank_mod_p(lifted, cols, p) for p in ring.primes)
-    return len(rref(rows, cols, ring)[1])
+    # the pivot columns ascend, so the first free column is the first gap
+    free = next((c for c, pc in enumerate(pivots) if c != pc), len(pivots))
+    if free == cols:
+        return None
+    vec = [ring.zero] * cols
+    vec[free] = ring.one
+    for r, pc in enumerate(pivots):
+        vec[pc] = -reduced[r][free]
+    return vec

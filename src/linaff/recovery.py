@@ -2,21 +2,28 @@
 
 The pipeline checks the function along every coordinate-parallel line,
 extracts the multi-affine hypercube coefficients at the origin, checks
-the supplied radial test directions, and then tries to force every
-coefficient of degree >= 2 to zero through exact homogeneous systems,
-one degree at a time.  The outcome is a certificate:
+the supplied radial test directions, and then reads the verdict off the
+coefficients, the same way over every ring.  The outcome is a
+certificate:
 
-  affine         - coefficients found and re-verified against the oracle
+  affine         - no coefficient of degree >= 2 survives; the affine
+                   coefficients are re-verified against the oracle
   non-affine     - a refuted line, or a surviving higher-degree coefficient
-  cannot-cancel  - the ring's arithmetic blocks the cancellation argument
-                   (a determinant of the blocking system is reported)
+  cannot-cancel  - a radial line is affine although its degree-k
+                   coefficient is not zero, so the ring hides that f is
+                   not affine on the line; or proof mode meets a
+                   factorial determinant that is not regular (the
+                   factorial determinant is reported)
 
-A degree-k system forces its unknowns to zero iff it has full column
-rank: over a field in the usual sense, over Z/m modulo every prime
-p | m (McCoy, "Remarks on divisors of zero", 1942, with the Chinese
-remainder theorem).  One elimination per prime decides it, so the
-verdict is exact rather than the sufficient test of finding one square
-subsystem with a regular determinant.
+A function that is affine along every coordinate line equals its
+multi-affine interpolant psi at every point, so f is affine iff psi has
+no coefficient of degree >= 2.  Whether the directions force those
+coefficients to zero for every f is a property of the degree-k systems:
+they force it iff each has full column rank, over Z/m modulo every
+prime p | m (McCoy, "Remarks on divisors of zero", 1942, with the
+Chinese remainder theorem).  A surviving coefficient whose radial
+restrictions all vanish is a nonzero solution of its degree's system, so
+that system is consulted only then, as a consistency check.
 
 Two acquisition modes exist.  The default checks each radial line over
 every ring element (finite rings) or symbolically (rationals).  The
@@ -39,7 +46,7 @@ from .errors import (
     RingMismatchError,
     UnsupportedRingError,
 )
-from .linalg import determinant, matrix_rank
+from .linalg import kernel_vector
 from .multiaffine import (
     MAX_ARITY,
     FunctionOracle,
@@ -181,44 +188,6 @@ def build_degree_systems(dirs: DirectionSet) -> dict[int, DegreeSystem]:
     return systems
 
 
-ALL_ZERO = "all-zero"
-KERNEL = "kernel"
-CANNOT_CANCEL = "cannot-cancel"
-
-
-@dataclass
-class SolveOutcome:
-    """Result of solving one homogeneous system exactly.
-
-    `det` is set on cannot-cancel only.
-    """
-
-    status: str
-    det: RingElem | None = None
-
-
-def solve_vandermonde_exact(rows, cols: int, ring: Ring) -> SolveOutcome:
-    """Decide whether rows * x = 0, x with `cols` entries, forces x = 0.
-
-    It does iff the system has full column rank (see `matrix_rank`: over
-    Z/m, modulo every prime p | m), and the outcome is all-zero.  Short of
-    that rank, a field or a system with fewer than `cols` nonzero rows
-    gives kernel: a nonzero solution exists.  A ring with zerodivisors
-    gives cannot-cancel instead, with the determinant of the first square
-    subsystem of nonzero rows.
-    """
-    for row in rows:
-        if len(row) != cols:
-            raise PreconditionError("ragged system")
-    if matrix_rank(rows, cols, ring) == cols:
-        return SolveOutcome(ALL_ZERO)
-    if not ring.is_field:
-        live = [row for row in rows if not all(e.is_zero for e in row)]
-        if len(live) >= cols:
-            return SolveOutcome(CANNOT_CANCEL, det=determinant(live[:cols], ring))
-    return SolveOutcome(KERNEL)
-
-
 def factorial_det(n: int, ring: Ring) -> RingElem:
     """Image in the ring of prod_{i=1..n} i!, the determinant of the n x n
     matrix with row i = (i, i^2, ..., i^n)."""
@@ -230,6 +199,7 @@ def factorial_det(n: int, ring: Ring) -> RingElem:
 
 AFFINE = "affine"
 NON_AFFINE = "non-affine"
+CANNOT_CANCEL = "cannot-cancel"
 
 
 @dataclass
@@ -239,7 +209,7 @@ class Certificate:
     Exactly one of the payload groups is populated: affine coefficients,
     a line witness (line + refuting parameter triple), a coefficient
     witness (degree, subset, value), or a cannot-cancel report (degree,
-    determinant).
+    factorial determinant).
     """
 
     status: str
@@ -338,17 +308,18 @@ def recover(f: FunctionOracle, dirs: DirectionSet, mode: str = "exhaustive") -> 
     Pipeline: (i) every coordinate-parallel line must be affine, else a
     line witness is returned; (ii) the hypercube coefficients at the
     origin are extracted; (iii) every direction's radial line must be
-    affine; (iv) per degree k = 2..n, the observed degree-k constraint
-    values must vanish (a nonzero value proves the ring blocked the
-    cancellation, hence cannot-cancel with the factorial determinant) and
-    the homogeneous system must force the degree-k coefficients to zero
-    (a surviving nonzero coefficient yields a non-affine certificate, a
-    system short of full column rank over a non-field yields
-    cannot-cancel).  The final affine certificate is re-verified before
-    being returned: a poly oracle by its coefficients, a table at every
-    point.  On a table, step (i) and the re-verify run on the flat list of
-    element codes through the ring's value-level operations; the other
-    steps read single values as RingElem.
+    affine; (iv) proof mode answers cannot-cancel when the factorial
+    determinant is not regular; (v) the first coefficient of psi of
+    degree k >= 2 decides: if the degree-k coefficient of some radial
+    restriction is nonzero, the line passed only because the ring hid
+    it, and the answer is cannot-cancel with the factorial determinant;
+    otherwise the coefficient is the witness of a non-affine
+    certificate.  With no such coefficient f is affine, and the
+    certificate is re-verified before being returned: a poly oracle by
+    its coefficients, a table at every point.  On a table, step (i) and the
+    re-verify run on the flat list of element codes through the ring's
+    value-level operations; the other steps read single values as
+    RingElem.
     """
     if mode not in ("exhaustive", "proof"):
         raise PreconditionError(f"unknown mode {mode!r}")
@@ -372,45 +343,30 @@ def recover(f: FunctionOracle, dirs: DirectionSet, mode: str = "exhaustive") -> 
         if failure is not None:
             return failure
 
-    # degree-k constraint value of each direction: the degree-k
-    # coefficient of psi restricted to its radial line
-    radials = [restrict_radial(psi, v) for v in dirs.dirs]
-    systems = build_degree_systems(dirs)
-
     if mode == "proof":
         fac_det = factorial_det(n, ring)
         if not ring.is_regular(fac_det):
-            degree = 2
-            for k in range(2, n + 1):
-                if any(not b[k].is_zero for b in radials):
-                    degree = k
-                    break
+            radials = [restrict_radial(psi, v) for v in dirs.dirs]
+            degree = next(
+                (k for k in range(2, n + 1) if any(not b[k].is_zero for b in radials)), 2
+            )
             return Certificate(CANNOT_CANCEL, degree=degree, det=fac_det)
 
-    for k in range(2, n + 1):
-        system = systems[k]
-        if any(not b[k].is_zero for b in radials):
-            # the radial checks passed, so no node set with a regular
-            # Vandermonde determinant can exist in this ring
-            return Certificate(CANNOT_CANCEL, degree=k, det=factorial_det(n, ring))
-        outcome = solve_vandermonde_exact(system.rows, len(system.masks), ring)
-        if outcome.status == CANNOT_CANCEL:
-            return Certificate(CANNOT_CANCEL, degree=k, det=outcome.det)
-        degree_coeffs = [
-            (mask, psi.coeff(mask)) for mask in system.masks if not psi.coeff(mask).is_zero
-        ]
-        if outcome.status == ALL_ZERO:
-            if degree_coeffs:
-                raise InconsistencyError(
-                    f"degree-{k} system forced zero but coefficients survive"
-                )
-            continue
-        # kernel: the directions cannot force this degree; a surviving
-        # nonzero coefficient already refutes affinity of the oracle
-        if degree_coeffs:
-            mask, value = degree_coeffs[0]
-            return Certificate(
-                NON_AFFINE, degree=k, mask=mask_to_subset(mask), coeff=value
-            )
+    # the first coefficient of degree >= 2, in (degree, subset-lex) order
+    survivor = next(((mask, c) for mask, c in psi.terms() if mask.bit_count() >= 2), None)
+    if survivor is None:
+        return _verified_affine(f, psi)
 
-    return _verified_affine(f, psi)
+    mask, value = survivor
+    k = mask.bit_count()
+    # the degree-k coefficient of psi restricted to each radial line
+    if any(not restrict_radial(psi, v)[k].is_zero for v in dirs.dirs):
+        # the radial checks passed, so no node set with a regular
+        # Vandermonde determinant can exist in this ring
+        return Certificate(CANNOT_CANCEL, degree=k, det=factorial_det(n, ring))
+    # the degree-k coefficients solve their homogeneous system, so the
+    # system must have a nonzero solution
+    system = build_degree_systems(dirs)[k]
+    if kernel_vector(system.rows, len(system.masks), ring) is None:
+        raise InconsistencyError(f"degree-{k} system forced zero but coefficients survive")
+    return Certificate(NON_AFFINE, degree=k, mask=mask_to_subset(mask), coeff=value)

@@ -17,11 +17,11 @@ import math
 from dataclasses import dataclass, field
 
 from .bh_sets import BhCandidate, verify_properties
-from .errors import PreconditionError, RingMismatchError
-from .linalg import determinant, kernel_basis
+from .errors import InconsistencyError, PreconditionError, RingMismatchError
+from .linalg import determinant, kernel_vector
 from .multiaffine import MAX_ARITY, MultiAffinePoly, is_affine_poly, restrict_radial
 from .recovery import DirectionSet, build_degree_systems, moment_directions
-from .rings import Ring, RingElem
+from .rings import Ring
 
 
 def minimal_direction_count(n: int) -> int:
@@ -76,7 +76,7 @@ def lower_bound_witness(n: int, dirs: DirectionSet, fld: Ring) -> SharpnessWitne
         raise PreconditionError(f"direction arity {dirs.arity} != n = {n}")
     k = (n + 1) // 2
     system = build_degree_systems(dirs)[k]
-    vector = next(kernel_basis(system.rows, len(system.masks), fld), None)
+    vector = kernel_vector(system.rows, len(system.masks), fld)
     if vector is None:
         raise PreconditionError("direction set already forces the binding degree")
     poly = MultiAffinePoly(fld, n, dict(zip(system.masks, vector)))
@@ -95,13 +95,15 @@ def _validate_witness(w: SharpnessWitness):
 
 @dataclass
 class CertifyResult:
-    """Per-degree determinants of the moment-direction systems."""
+    """Per-degree determinants of the moment-direction systems, all regular."""
 
-    ok: bool
     directions: DirectionSet
     dets: dict = field(default_factory=dict)
-    degree: int | None = None
-    det: RingElem | None = None
+
+    @property
+    def ok(self) -> bool:
+        # certify_directions returns a result only for a complete set
+        return True
 
 
 def certify_directions(n: int, ring: Ring, candidate: BhCandidate) -> CertifyResult:
@@ -110,7 +112,9 @@ def certify_directions(n: int, ring: Ring, candidate: BhCandidate) -> CertifyRes
     For 2 <= k <= n-1 the degree-k system restricted to its first C(n,k)
     directions is a Vandermonde matrix in the subset products, whose
     determinant must be regular; the degree-n case is settled by the
-    leading all-ones direction alone.
+    leading all-ones direction alone.  A node set with the B_h property
+    bundle makes every such determinant regular, so a determinant that is
+    not raises InconsistencyError.
     """
     if n < 3:
         raise PreconditionError(f"need n >= 3, got {n}")
@@ -131,6 +135,6 @@ def certify_directions(n: int, ring: Ring, candidate: BhCandidate) -> CertifyRes
         d = determinant(systems[k].rows[: len(systems[k].masks)], ring)
         dets[k] = d
         if not ring.is_regular(d):
-            return CertifyResult(False, dirs, dets, degree=k, det=d)
+            raise InconsistencyError(f"B_h node set with a non-regular degree-{k} determinant")
     dets[n] = ring.one  # leading all-ones direction gives the 1x1 row [1]
-    return CertifyResult(True, dirs, dets)
+    return CertifyResult(dirs, dets)

@@ -31,7 +31,6 @@ fields), which are beyond table oracles and noted here only for context.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 
 from .errors import (
@@ -40,7 +39,6 @@ from .errors import (
     MissingPointError,
     PreconditionError,
 )
-from .linalg import matrix_rank
 from .multiaffine import Line, _checked_index, point_add, point_index, point_scale
 from .rings import Ring, RingElem, format_elements, frobenius
 
@@ -129,10 +127,16 @@ class VectorMapTable:
         return {p: _elements(self.field, image) for p, image in zip(points, self.codes)}
 
 
-@lru_cache(maxsize=None)
 def _lines_with_points(fld: Ring, dim: int):
-    """Cached canonical line enumeration, each line paired with the
-    `point_index` of its points, the parameter running in code order."""
+    """The canonical line enumeration, lazily: each line with the
+    `point_index` of its points, the parameter running in code order.
+
+    Directions come normalized (first nonzero code 1) in lexicographic
+    order.  The lines of a direction partition the space, and each has
+    exactly one point whose code is 0 at the direction's leading
+    coordinate, its least point, which serves as the base; the bases run
+    in lexicographic order.
+    """
     if not (fld.is_finite and fld.is_field):
         raise PreconditionError("line enumeration needs a finite field")
     if dim < 1:
@@ -141,20 +145,15 @@ def _lines_with_points(fld: Ring, dim: int):
         raise DomainTooLargeError("space has too many points for line enumeration")
     q = fld.size
     vectors = list(product(range(q), repeat=dim))  # code tuples, lexicographic
-    lines = []
     for direction in vectors:
-        # one normalized representative per projective class: first nonzero code 1
-        if next((c for c in direction if c), None) != 1:
+        lead = next((i for i, c in enumerate(direction) if c), None)
+        if lead is None or direction[lead] != 1:
             continue
-        bases = set()
-        for start in vectors:
-            points = _vector_line(fld, start, direction)
-            base = min(points)
-            if base not in bases:
-                bases.add(base)
-                line = Line(_elements(fld, base), _elements(fld, direction))
-                lines.append((line, tuple(point_index(q, p) for p in points)))
-    return tuple(lines)
+        line_dir = _elements(fld, direction)
+        for base in vectors:
+            if base[lead] == 0:
+                indices = tuple(point_index(q, pt) for pt in _vector_line(fld, base, direction))
+                yield Line(_elements(fld, base), line_dir), indices
 
 
 def enumerate_affine_lines(fld: Ring, dim: int) -> list[Line]:
@@ -228,14 +227,15 @@ def _decompose(f: VectorMapTable) -> SemilinearCert | None:
     c is f(0) and the columns of A are the basis images f(e_i) - c.  tau
     is the Frobenius power that matches f along the first axis, where
     f(r e_1) = c + tau(r) A e_1; the candidate is then compared with f at
-    every point, on codes.
+    every point, on codes.  Where the candidate matches, f is injective
+    exactly when A is, because tau is a bijection, so "A has rank d" is
+    tested, first since it is cheap, as "f takes q^d distinct values".
     """
     fld, d, q, codes = f.field, f.dim_in, f.field.size, f.codes
+    if len(set(codes)) != len(codes):
+        return None
     offset = codes[0]
     cols = [tuple(map(fld.sub, codes[q ** (d - 1 - i)], offset)) for i in range(d)]
-    basis_images = tuple(_elements(fld, col) for col in cols)
-    if matrix_rank(basis_images, f.dim_out, fld) < d:
-        return None
     first_axis = _vector_line(fld, offset, cols[0])
     along = [codes[r * q ** (d - 1)] for r in range(q)]
     power, tau = 0, range(q)
@@ -252,6 +252,7 @@ def _decompose(f: VectorMapTable) -> SemilinearCert | None:
         want = [line[t] for line in lines for t in tau]
     if want != codes:
         return None
+    basis_images = tuple(_elements(fld, col) for col in cols)
     return SemilinearCert(fld, d, f.dim_out, power, basis_images, _elements(fld, offset))
 
 

@@ -49,7 +49,7 @@ from linaff.cli import (
     parse_function_table,
     run_subcommand,
 )
-from linaff.linalg import determinant
+from linaff.linalg import determinant, kernel_vector
 from linaff.multiaffine import Line, zero_point
 from linaff.rings import Rationals
 
@@ -174,12 +174,19 @@ def test_criterion_4_cancellation_is_polynomial_over_zmod():
         dirs = moment_directions([Z9.elem(v) for v in (1, 2, 4, 5, 7)], 20)
         poly = MultiAffinePoly(Z9, 5, {0: Z9.one, 0b1: Z9.elem(4)})
         cert = recover(PolyOracle(poly), dirs)
+        # f = 1 + 4x_1 is affine, and the answer follows f
+        assert cert.status == "affine"
+        assert cert.constant == Z9.one
+        assert cert.linear == tuple(Z9.elem(c) for c in (4, 0, 0, 0, 0))
         # mod 3 the nodes take two values, so the degree-2 system has rank
-        # at most 2 there and the ring blocks the cancellation
-        assert cert.status == "cannot-cancel"
-        assert cert.degree == 2
-        square = build_degree_systems(dirs)[2].rows[:10]
-        assert cert.det == determinant(square, Z9)
+        # at most 2 there and the ring blocks the cancellation: the system
+        # has a nonzero solution, a kernel vector mod 3 lifted by 9/3
+        system = build_degree_systems(dirs)[2]
+        vector = kernel_vector(system.rows, len(system.masks), Z9)
+        assert vector is not None and any(not c.is_zero for c in vector)
+        assert all(c.value % 3 == 0 for c in vector)
+        for row in system.rows:
+            assert sum(a.value * c.value for a, c in zip(row, vector)) % 9 == 0
 
 
 def test_table_recover_f11_n4_within_budget():

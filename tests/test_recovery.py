@@ -24,12 +24,11 @@ from linaff import (
     psi_extract,
     recover,
     restrict_radial,
-    solve_vandermonde_exact,
 )
 from linaff.cli import emit_certificate, format_function_table, parse_function_table
-from linaff.linalg import determinant
+from linaff.linalg import kernel_vector
 from linaff.multiaffine import subset_to_mask
-from linaff.recovery import ALL_ZERO, CANNOT_CANCEL, KERNEL, _verified_affine
+from linaff.recovery import _verified_affine
 
 from helpers import (
     all_points,
@@ -137,37 +136,33 @@ def test_degree_system_residuals_read_off_the_coefficients():
 
 def test_solve_trivial_square_system():
     Z4 = Zmod(4)
-    out = solve_vandermonde_exact([[Z4.one]], 1, Z4)
-    assert out.status == ALL_ZERO
+    assert kernel_vector([[Z4.one]], 1, Z4) is None
     Q = Rationals()
-    out = solve_vandermonde_exact([[Q.one]], 1, Q)
-    assert out.status == ALL_ZERO
+    assert kernel_vector([[Q.one]], 1, Q) is None
 
 
 def test_solve_zmod4_univariate_instance_cannot_cancel():
-    # a_1 r + a_2 r^2 = 0 sampled at r = 1, 2 over Z/4: det([[1,1],[2,4]]) = 2
+    # a_1 r + a_2 r^2 = 0 sampled at r = 1, 2 over Z/4: det([[1,1],[2,4]]) = 2,
+    # and the ring cannot cancel it: mod 2 the rows are [1,1] and [0,0], whose
+    # kernel vector (1,1) lifts to the nonzero solution (2,2)
     Z4 = Zmod(4)
     rows = [
         [Z4.elem(1), Z4.elem(1)],
         [Z4.elem(2), Z4.elem(4)],
     ]
-    out = solve_vandermonde_exact(rows, 2, Z4)
-    assert out.status == CANNOT_CANCEL
-    assert out.det == Z4.elem(2)
+    assert kernel_vector(rows, 2, Z4) == [Z4.elem(2), Z4.elem(2)]
 
 
 def test_solve_underdetermined_over_field_gives_kernel():
     F7 = PrimeField(7)
     rows = [[F7.one, F7.one, F7.one]]
-    out = solve_vandermonde_exact(rows, 3, F7)
-    assert out.status == KERNEL
+    assert kernel_vector(rows, 3, F7) is not None
 
 
 def test_solve_singular_square_over_field_gives_kernel():
     F5 = PrimeField(5)
     rows = [[F5.one, F5.elem(2)], [F5.elem(2), F5.elem(4)]]
-    out = solve_vandermonde_exact(rows, 2, F5)
-    assert out.status == KERNEL
+    assert kernel_vector(rows, 2, F5) is not None
 
 
 def test_solve_tall_system_uses_any_regular_square_subsystem():
@@ -178,8 +173,7 @@ def test_solve_tall_system_uses_any_regular_square_subsystem():
         [Z6.one, Z6.zero],
         [Z6.zero, Z6.one],
     ]
-    out = solve_vandermonde_exact(rows, 2, Z6)
-    assert out.status == ALL_ZERO
+    assert kernel_vector(rows, 2, Z6) is None
 
 
 def _forces_zero_by_enumeration(raw, m):
@@ -194,7 +188,7 @@ def test_solve_all_zero_iff_enumeration_finds_only_zero():
     # full column rank mod every prime p | m is exact: it agrees with a search
     # of (Z/m)^cols, also where every square minor is a zerodivisor
     Z6 = Zmod(6)
-    assert solve_vandermonde_exact([[Z6.elem(3)], [Z6.elem(2)]], 1, Z6).status == ALL_ZERO
+    assert kernel_vector([[Z6.elem(3)], [Z6.elem(2)]], 1, Z6) is None
     rng = random.Random(31337)
     seen = set()
     for _ in range(400):
@@ -207,13 +201,14 @@ def test_solve_all_zero_iff_enumeration_finds_only_zero():
             d = rng.choice([d for d in range(1, m) if m % d == 0])
             raw.append([d * rng.randrange(m) % m for _ in range(cols)])
         rows = [[ring.elem(v) for v in row] for row in raw]
-        out = solve_vandermonde_exact(rows, cols, ring)
-        assert (out.status == ALL_ZERO) == _forces_zero_by_enumeration(raw, m)
-        if out.status == CANNOT_CANCEL:
-            live = [row for row in rows if any(not e.is_zero for e in row)]
-            assert out.det == determinant(live[:cols], ring)
-        seen.add(out.status)
-    assert seen == {ALL_ZERO, CANNOT_CANCEL, KERNEL}
+        vec = kernel_vector(rows, cols, ring)
+        assert (vec is None) == _forces_zero_by_enumeration(raw, m)
+        if vec is not None:
+            assert len(vec) == cols and any(v.value for v in vec)
+            for row in raw:
+                assert sum(a * v.value for a, v in zip(row, vec)) % m == 0
+        seen.add(vec is None)
+    assert seen == {True, False}
 
 
 def test_recover_cancels_across_the_primes_of_m():
@@ -435,8 +430,7 @@ def test_monotone_degree_stripping():
         psi = psi_extract(oracle)
         systems = build_degree_systems(dirs)
         if all(
-            solve_vandermonde_exact(systems[k].rows, len(systems[k].masks), F11).status
-            == ALL_ZERO
+            kernel_vector(systems[k].rows, len(systems[k].masks), F11) is None
             and all(restrict_radial(psi, v)[k].is_zero for v in dirs.dirs)
             for k in systems
         ):

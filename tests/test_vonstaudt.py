@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import product
 
 import pytest
@@ -16,7 +17,9 @@ from linaff import (
     recover_semilinear,
 )
 
-from helpers import check_hypotheses_reference, separation_failure
+from linaff.multiaffine import Line
+
+from helpers import affine_lines_reference, check_hypotheses_reference, separation_failure
 
 GF4 = GaloisField(2, 2, [1, 1])
 GF8 = GaloisField(2, 3, [1, 1, 0])
@@ -79,6 +82,27 @@ def test_lines_are_canonical_and_cover_all_pairs():
             if a == b:
                 continue
             assert sum(1 for s in seen_sets if a in s and b in s) == 1
+
+
+def test_line_order_matches_reference():
+    for fld in (PrimeField(3), GF4, PrimeField(5), PrimeField(7), GF8, GF9):
+        for dim in (1, 2, 3):
+            expected = [line for line, _ in affine_lines_reference(fld, dim)]
+            assert enumerate_affine_lines(fld, dim) == expected
+
+
+def test_scan_stops_at_the_first_violating_line():
+    # a map F_5^4 -> F_5 never decomposes (e < d), so the line scan runs; a
+    # constant map violates on the first of the 19,500 lines, and the scan
+    # must not build the others first
+    F5 = PrimeField(5)
+    f = VectorMapTable.from_codes(F5, 4, 1, [(0,)] * 5**4)
+    start = time.perf_counter()
+    verdict = check_hypotheses(f)
+    elapsed = time.perf_counter() - start
+    assert not verdict.ok
+    assert verdict.line == Line((F5.zero,) * 4, (F5.zero,) * 3 + (F5.one,))
+    assert elapsed < 0.25, f"first-line violation took {elapsed:.2f} s"
 
 
 def test_check_hypotheses_affine_map():
