@@ -42,9 +42,13 @@ from .multiaffine import (
     restrict_radial,
 )
 from .recovery import (
+    Affine,
+    CannotCancel,
     Certificate,
+    CoefficientWitness,
     DegreeSystem,
     DirectionSet,
+    LineWitness,
     build_degree_systems,
     factorial_det,
     family_directions,

@@ -41,6 +41,9 @@ class BhCandidate:
     def __len__(self):
         return len(self.elements)
 
+    def document(self) -> list[tuple[str, str]]:
+        return [("status", "ok"), ("set", format_elements(self.elements))]
+
 
 @dataclass(frozen=True)
 class Collision:
@@ -100,9 +103,9 @@ class BhReport:
             f = self.property2
             return [
                 ("status", "non-regular-difference"),
+                ("witness", format_elements([f.difference])),
                 ("left", format_elements(f.left)),
                 ("right", format_elements(f.right)),
-                ("witness", format_elements([f.difference])),
             ]
         if self.nonregular_element is not None:
             witness = format_elements([self.nonregular_element])
@@ -178,13 +181,10 @@ def verify_properties(candidate: BhCandidate) -> BhReport:
     return BhReport(per_h, property2, nonregular)
 
 
-def construct_geometric(g: RingElem, n: int, ring: Ring | None = None) -> BhCandidate:
-    """S = {1, g, g^2, g^4, ..., g^(2^{n-2})}; needs g and g^k - 1 regular
-    for 1 <= k <= 2^{n-1} - 1."""
-    if ring is None:
-        ring = g.ring
-    elif g.ring != ring:
-        raise PreconditionError("generator from a different ring")
+def construct_geometric(g: RingElem, n: int) -> BhCandidate:
+    """S = {1, g, g^2, g^4, ..., g^(2^{n-2})} in g's ring; needs g and
+    g^k - 1 regular for 1 <= k <= 2^{n-1} - 1."""
+    ring = g.ring
     if n < 2:
         raise PreconditionError(f"need n >= 2, got {n}")
     if not ring.is_regular(g):

@@ -1,11 +1,13 @@
 """Command-line surface: parse tables, dispatch, emit deterministic documents.
 
-Documents are line-oriented `key: value` text with a fixed key order, so
-identical inputs produce byte-identical output; `--json` mirrors every
-document with the same keys and values.  Exit codes: 0 for affirmative
-certificates, 1 for usage or parse errors, 2 for negative certificates
-(non-affine, collision, violation, witness produced), 3 for
-cannot-cancel.
+Documents are line-oriented `key: value` text.  Each result's
+`document()` fixes its keys and their order, and every document ends
+with `version` and `digest`, so identical inputs produce byte-identical
+output; `--json` mirrors every document with the same keys and values.
+Exit codes: 0 for affirmative certificates, 1 for usage or parse errors,
+2 for negative certificates (non-affine, collision, violation, witness
+produced), 3 for cannot-cancel, 4 for a failed internal cross-check (a
+bug).
 """
 
 from __future__ import annotations
@@ -18,10 +20,9 @@ import sys
 from itertools import product
 
 from . import __version__, bh_sets, recovery, sharpness, vonstaudt
-from .errors import LinaffError, ParseError, PreconditionError
+from .errors import InconsistencyError, LinaffError, ParseError, PreconditionError
 from .multiaffine import (
     Line,
-    LineCheck,
     MultiAffinePoly,
     PolyOracle,
     TableOracle,
@@ -39,6 +40,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NEGATIVE = 2
 EXIT_CANNOT_CANCEL = 3
+EXIT_INTERNAL = 4
 
 _NEGATIVE = {
     "non-affine",
@@ -49,26 +51,6 @@ _NEGATIVE = {
     "violation",
     "witness",
 }
-
-_KEY_ORDER = [
-    "status",
-    "N",
-    "slope",
-    "coeffs",
-    "set",
-    "dirs",
-    "witness",
-    "degree",
-    "det",
-    "tau",
-    "offset",
-    "basis_images",
-    "left",
-    "right",
-    "product",
-    "version",
-    "digest",
-]
 
 
 # ---------------------------------------------------------------------------
@@ -238,83 +220,13 @@ def format_function_table(oracle) -> str:
 # document rendering
 
 
-def _fmt_elem(e) -> str:
-    return e.ring.format_element(e)
-
-
-def _fmt_line_witness(line: Line, params) -> str:
-    return (
-        f"line base {format_elements(line.base)} dir {format_elements(line.dir)}"
-        f" params {format_elements(params)}"
-    )
-
-
-def document_for(obj) -> list[tuple[str, str]]:
-    """Ordered key/value pairs for any certificate-like object."""
-    if isinstance(obj, recovery.Certificate):
-        return _certificate_doc(obj)
-    if isinstance(obj, LineCheck):
-        if obj.ok:
-            return [("status", "affine"), ("slope", _fmt_elem(obj.slope))]
-        return [("status", "non-affine"), ("witness", f"params {format_elements(obj.witness)}")]
-    if isinstance(obj, MultiAffinePoly):
-        return [("status", "ok"), ("coeffs", repr(obj))]
-    if isinstance(obj, (bh_sets.Collision, bh_sets.BhReport)):
-        return obj.document()
-    if isinstance(obj, bh_sets.BhCandidate):
-        return [("status", "ok"), ("set", format_elements(obj.elements))]
-    if isinstance(obj, sharpness.SharpnessWitness):
-        return [
-            ("status", "witness"),
-            ("degree", str(obj.degree)),
-            ("witness", repr(obj.poly)),
-        ]
-    if isinstance(obj, sharpness.CertifyResult):
-        return [("status", "ok")]
-    if isinstance(obj, vonstaudt.HypothesisCheck):
-        if obj.ok:
-            return [("status", "ok")]
-        line = obj.line
-        witness = (
-            f"line-image line base {format_elements(line.base)}"
-            f" dir {format_elements(line.dir)}"
-        )
-        return [("status", "violation"), ("witness", witness)]
-    if isinstance(obj, vonstaudt.SemilinearCert):
-        return [
-            ("status", "semilinear"),
-            ("tau", f"frobenius^{obj.tau_power}"),
-            ("offset", format_elements(obj.offset)),
-            ("basis_images", " ; ".join(format_elements(col) for col in obj.basis_images)),
-        ]
-    raise LinaffError(f"no document form for {obj!r}")
-
-
-def _certificate_doc(cert: recovery.Certificate) -> list[tuple[str, str]]:
-    if cert.status == recovery.AFFINE:
-        coeffs = _fmt_elem(cert.constant) + "".join(
-            " " + _fmt_elem(c) for c in cert.linear
-        )
-        return [("status", "affine"), ("coeffs", coeffs)]
-    if cert.status == recovery.NON_AFFINE:
-        doc = [("status", "non-affine")]
-        if cert.line is not None:
-            doc.append(("witness", _fmt_line_witness(cert.line, cert.params)))
-        else:
-            subset = ",".join(str(i) for i in cert.mask)
-            doc.append(("witness", f"coeff {subset} = {_fmt_elem(cert.coeff)}"))
-            doc.insert(1, ("degree", str(cert.degree)))
-        return doc
-    return [
-        ("status", "cannot-cancel"),
-        ("degree", str(cert.degree)),
-        ("det", _fmt_elem(cert.det)),
-    ]
+def _text(doc: list[tuple[str, str]]) -> str:
+    return "".join(f"{k}: {v}\n" for k, v in doc)
 
 
 def emit_certificate(obj) -> str:
-    """Deterministic text rendering of a certificate-like object."""
-    return "".join(f"{k}: {v}\n" for k, v in document_for(obj))
+    """Deterministic text rendering of a result's document."""
+    return _text(obj.document())
 
 
 def _exit_code_for(doc: list[tuple[str, str]]) -> int:
@@ -478,25 +390,21 @@ def _run(args) -> tuple[list[tuple[str, str]], str]:
         oracle = _scalar_oracle(oracle)
         base = _parse_vector(oracle.ring, args.base)
         direction = _parse_vector(oracle.ring, args.dir)
-        check = line_affine_check(oracle, Line(base, direction))
-        return document_for(check), text
+        return line_affine_check(oracle, Line(base, direction)).document(), text
     if cmd == "psi":
         text, oracle = _load_oracle(args.input)
         oracle = _scalar_oracle(oracle)
         base = _parse_vector(oracle.ring, args.base) if args.base else None
-        return document_for(psi_extract(oracle, base)), text
+        return [("status", "ok"), ("coeffs", repr(psi_extract(oracle, base)))], text
     if cmd == "recover":
         text, oracle = _load_oracle(args.input)
         oracle = _scalar_oracle(oracle)
         dirs = _direction_set(args, oracle.ring, oracle.arity)
-        cert = recovery.recover(oracle, dirs, mode=args.mode)
-        return document_for(cert), text
+        return recovery.recover(oracle, dirs, mode=args.mode).document(), text
     if cmd == "directions":
         ring = parse_ring_spec(args.ring)
         dirs = _direction_set(args, ring, args.n)
-        rendered = ";".join(
-            ",".join(_fmt_elem(c) for c in v) for v in dirs.dirs
-        )
+        rendered = ";".join(",".join(map(ring.format_element, v)) for v in dirs.dirs)
         return [("status", "ok"), ("dirs", rendered)], args.ring
     if cmd == "bh":
         return _run_bh(args)
@@ -509,8 +417,8 @@ def _run(args) -> tuple[list[tuple[str, str]], str]:
         text, oracle = _load_oracle(args.input)
         table = _vector_table(oracle)
         if sub == "check":
-            return document_for(vonstaudt.check_hypotheses(table)), text
-        return document_for(vonstaudt.recover_semilinear(table)), text
+            return vonstaudt.check_hypotheses(table).document(), text
+        return vonstaudt.recover_semilinear(table).document(), text
     raise ParseError("missing subcommand; see --help")
 
 
@@ -524,16 +432,16 @@ def _run_bh(args):
         candidate = bh_sets.BhCandidate(ring, elements)
         if args.h is not None:
             collision = bh_sets.verify_bh(candidate, args.h)
-            doc = [("status", "ok")] if collision is None else document_for(collision)
+            doc = [("status", "ok")] if collision is None else collision.document()
             return doc, args.set
-        return document_for(bh_sets.verify_properties(candidate)), args.set
+        return bh_sets.verify_properties(candidate).document(), args.set
     if sub == "search":
         found = bh_sets.search_bh(ring, args.n, args.budget)
         if found is None:
             return [("status", "none")], args.ring
-        return document_for(found), args.ring
+        return found.document(), args.ring
     g = ring.parse_element(args.g)
-    return document_for(bh_sets.construct_geometric(g, args.n)), args.ring
+    return bh_sets.construct_geometric(g, args.n).document(), args.ring
 
 
 def _run_sharpness(args):
@@ -546,12 +454,10 @@ def _run_sharpness(args):
     ring = parse_ring_spec(args.ring)
     if sub == "witness":
         dirs = _parse_dirs(ring, args.n, args.dirs)
-        witness = sharpness.lower_bound_witness(args.n, dirs, ring)
-        return document_for(witness), args.dirs
+        return sharpness.lower_bound_witness(args.n, dirs, ring).document(), args.dirs
     elements = _parse_vector(ring, args.set)
     candidate = bh_sets.BhCandidate(ring, elements)
-    result = sharpness.certify_directions(args.n, ring, candidate)
-    return document_for(result), args.set
+    return sharpness.certify_directions(args.n, ring, candidate).document(), args.set
 
 
 def run_subcommand(argv) -> tuple[int, str]:
@@ -560,22 +466,23 @@ def run_subcommand(argv) -> tuple[int, str]:
     try:
         args = parser.parse_args(argv)
         doc, digest_source = _run(args)
+    except InconsistencyError as exc:
+        return EXIT_INTERNAL, f"internal error: {exc}\n"
     except LinaffError as exc:
         # domain preconditions and malformed input are both usage errors here
         return EXIT_USAGE, f"error: {exc}\n"
     digest = hashlib.sha256(digest_source.encode("utf-8")).hexdigest()
     doc = doc + [("version", __version__), ("digest", digest)]
-    doc.sort(key=lambda kv: _KEY_ORDER.index(kv[0]))
     if args.json:
         text = json.dumps(dict(doc), indent=None, separators=(", ", ": ")) + "\n"
     else:
-        text = "".join(f"{k}: {v}\n" for k, v in doc)
+        text = _text(doc)
     return _exit_code_for(doc), text
 
 
 def main(argv=None) -> int:
     code, text = run_subcommand(sys.argv[1:] if argv is None else argv)
-    stream = sys.stderr if code == EXIT_USAGE else sys.stdout
+    stream = sys.stderr if code in (EXIT_USAGE, EXIT_INTERNAL) else sys.stdout
     stream.write(text)
     return code
 

@@ -277,6 +277,9 @@ class Line:
         if all(c.is_zero for c in self.dir):
             raise PreconditionError("line direction must be nonzero")
 
+    def text(self) -> str:
+        return f"line base {format_elements(self.base)} dir {format_elements(self.dir)}"
+
 
 @dataclass(frozen=True)
 class LineCheck:
@@ -288,6 +291,11 @@ class LineCheck:
     @property
     def ok(self) -> bool:
         return self.witness is None
+
+    def document(self) -> list[tuple[str, str]]:
+        if self.ok:
+            return [("status", "affine"), ("slope", format_elements([self.slope]))]
+        return [("status", "non-affine"), ("witness", f"params {format_elements(self.witness)}")]
 
 
 def _check_arity(f: FunctionOracle, line: Line):

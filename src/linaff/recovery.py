@@ -3,17 +3,16 @@
 The pipeline checks the function along every coordinate-parallel line,
 extracts the multi-affine hypercube coefficients at the origin, checks
 the supplied radial test directions, and then reads the verdict off the
-coefficients, the same way over every ring.  The outcome is a
-certificate:
+coefficients, the same way over every ring.  The outcome is one of four
+certificates, each with a `status` and a `document()`:
 
-  affine         - no coefficient of degree >= 2 survives; the affine
-                   coefficients are re-verified against the oracle
-  non-affine     - a refuted line, or a surviving higher-degree coefficient
-  cannot-cancel  - a radial line is affine although its degree-k
-                   coefficient is not zero, so the ring hides that f is
-                   not affine on the line; or proof mode meets a
-                   factorial determinant that is not regular (the
-                   factorial determinant is reported)
+  Affine              affine; its coefficients are re-verified against f
+  LineWitness         non-affine: a refuted line
+  CoefficientWitness  non-affine: a surviving coefficient of degree >= 2
+  CannotCancel        cannot-cancel: the ring hides a nonzero degree-k
+                      coefficient from an affine radial line, or proof
+                      mode meets a factorial determinant that is not
+                      regular (the factorial determinant is reported)
 
 A function that is affine along every coordinate line equals its
 multi-affine interpolant psi at every point, so f is affine iff psi has
@@ -65,7 +64,7 @@ from .multiaffine import (
     unit_point,
     zero_point,
 )
-from .rings import Ring, RingElem
+from .rings import Ring, RingElem, format_elements
 
 
 @dataclass(frozen=True)
@@ -197,37 +196,71 @@ def factorial_det(n: int, ring: Ring) -> RingElem:
     return ring.from_int(prod)
 
 
-AFFINE = "affine"
-NON_AFFINE = "non-affine"
-CANNOT_CANCEL = "cannot-cancel"
+@dataclass(frozen=True)
+class Affine:
+    """f(x) = constant + sum_i linear[i-1] * x_i, re-verified against f."""
+
+    status = "affine"
+    constant: RingElem
+    linear: tuple
+
+    def document(self) -> list[tuple[str, str]]:
+        coeffs = format_elements((self.constant, *self.linear))
+        return [("status", self.status), ("coeffs", coeffs)]
 
 
-@dataclass
-class Certificate:
-    """Outcome of the recovery pipeline.
+@dataclass(frozen=True)
+class LineWitness:
+    """A line on which f is not affine, with the refuting parameter triple."""
 
-    Exactly one of the payload groups is populated: affine coefficients,
-    a line witness (line + refuting parameter triple), a coefficient
-    witness (degree, subset, value), or a cannot-cancel report (degree,
-    factorial determinant).
-    """
+    status = "non-affine"
+    line: Line
+    params: tuple
 
-    status: str
-    constant: RingElem | None = None
-    linear: tuple | None = None
-    line: Line | None = None
-    params: tuple | None = None
-    degree: int | None = None
-    mask: tuple | None = None
-    coeff: RingElem | None = None
-    det: RingElem | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.status == AFFINE
+    def document(self) -> list[tuple[str, str]]:
+        witness = f"{self.line.text()} params {format_elements(self.params)}"
+        return [("status", self.status), ("witness", witness)]
 
 
-def _coordinate_line_failure(f: FunctionOracle) -> Certificate | None:
+@dataclass(frozen=True)
+class CoefficientWitness:
+    """A coefficient of psi of degree >= 2 that survives: `mask` is its subset."""
+
+    status = "non-affine"
+    degree: int
+    mask: tuple
+    coeff: RingElem
+
+    def document(self) -> list[tuple[str, str]]:
+        subset = ",".join(str(i) for i in self.mask)
+        return [
+            ("status", self.status),
+            ("witness", f"coeff {subset} = {format_elements([self.coeff])}"),
+            ("degree", str(self.degree)),
+        ]
+
+
+@dataclass(frozen=True)
+class CannotCancel:
+    """The ring hides a degree-k coefficient from the lines; det is the
+    factorial determinant."""
+
+    status = "cannot-cancel"
+    degree: int
+    det: RingElem
+
+    def document(self) -> list[tuple[str, str]]:
+        return [
+            ("status", self.status),
+            ("degree", str(self.degree)),
+            ("det", format_elements([self.det])),
+        ]
+
+
+Certificate = Affine | LineWitness | CoefficientWitness | CannotCancel
+
+
+def _coordinate_line_failure(f: FunctionOracle) -> LineWitness | None:
     """Exhaustive check of every line parallel to a basis vector (tables only).
 
     Lines go axis by axis, bases in enumeration order with the axis
@@ -254,29 +287,29 @@ def _coordinate_line_failure(f: FunctionOracle) -> Certificate | None:
                     r = next(r for r in range(q) if vals[r] != want[r])
                     line = Line(index_point(ring, n, base), unit_point(ring, n, axis))
                     params = (ring.zero, ring.one, ring.element_from_encoding(r))
-                    return Certificate(NON_AFFINE, line=line, params=params)
+                    return LineWitness(line, params)
     return None
 
 
-def _radial_failure(f: FunctionOracle, v, mode: str) -> Certificate | None:
+def _radial_failure(f: FunctionOracle, v, mode: str) -> LineWitness | None:
     """Check f along the radial line R*v, exhaustively or at samples 0..n."""
     ring, n = f.ring, f.arity
     line = Line(zero_point(ring, n), v)
     if mode == "exhaustive":
         check = line_affine_check(f, line)
         if not check.ok:
-            return Certificate(NON_AFFINE, line=line, params=check.witness)
+            return LineWitness(line, check.witness)
         return None
     f0 = f.value(line.base)
     slope = f.value(v) - f0
     for t in range(2, n + 1):
         r = ring.from_int(t)
         if f.value(point_scale(r, v)) != f0 + slope * r:
-            return Certificate(NON_AFFINE, line=line, params=(ring.zero, ring.one, r))
+            return LineWitness(line, (ring.zero, ring.one, r))
     return None
 
 
-def _verified_affine(f: FunctionOracle, psi: MultiAffinePoly) -> Certificate:
+def _verified_affine(f: FunctionOracle, psi: MultiAffinePoly) -> Affine:
     """Assemble the affine certificate and re-verify it against the oracle."""
     ring, n = f.ring, f.arity
     origin = zero_point(ring, n)
@@ -299,7 +332,7 @@ def _verified_affine(f: FunctionOracle, psi: MultiAffinePoly) -> Certificate:
         ok = want == f.codes
     if not ok:
         raise InconsistencyError("affine certificate failed pointwise verification")
-    return Certificate(AFFINE, constant=c0, linear=linear)
+    return Affine(c0, linear)
 
 
 def recover(f: FunctionOracle, dirs: DirectionSet, mode: str = "exhaustive") -> Certificate:
@@ -350,7 +383,7 @@ def recover(f: FunctionOracle, dirs: DirectionSet, mode: str = "exhaustive") -> 
             degree = next(
                 (k for k in range(2, n + 1) if any(not b[k].is_zero for b in radials)), 2
             )
-            return Certificate(CANNOT_CANCEL, degree=degree, det=fac_det)
+            return CannotCancel(degree, fac_det)
 
     # the first coefficient of degree >= 2, in (degree, subset-lex) order
     survivor = next(((mask, c) for mask, c in psi.terms() if mask.bit_count() >= 2), None)
@@ -363,10 +396,10 @@ def recover(f: FunctionOracle, dirs: DirectionSet, mode: str = "exhaustive") -> 
     if any(not restrict_radial(psi, v)[k].is_zero for v in dirs.dirs):
         # the radial checks passed, so no node set with a regular
         # Vandermonde determinant can exist in this ring
-        return Certificate(CANNOT_CANCEL, degree=k, det=factorial_det(n, ring))
+        return CannotCancel(k, factorial_det(n, ring))
     # the degree-k coefficients solve their homogeneous system, so the
     # system must have a nonzero solution
     system = build_degree_systems(dirs)[k]
     if kernel_vector(system.rows, len(system.masks), ring) is None:
         raise InconsistencyError(f"degree-{k} system forced zero but coefficients survive")
-    return Certificate(NON_AFFINE, degree=k, mask=mask_to_subset(mask), coeff=value)
+    return CoefficientWitness(k, mask_to_subset(mask), value)

@@ -48,6 +48,9 @@ class SharpnessWitness:
     field: Ring
     degree: int
 
+    def document(self) -> list[tuple[str, str]]:
+        return [("status", "witness"), ("witness", repr(self.poly)), ("degree", str(self.degree))]
+
 
 def lower_bound_witness(n: int, dirs: DirectionSet, fld: Ring) -> SharpnessWitness:
     """Defeat a direction set smaller than the minimal count.
@@ -104,6 +107,9 @@ class CertifyResult:
     def ok(self) -> bool:
         # certify_directions returns a result only for a complete set
         return True
+
+    def document(self) -> list[tuple[str, str]]:
+        return [("status", "ok")]
 
 
 def certify_directions(n: int, ring: Ring, candidate: BhCandidate) -> CertifyResult:

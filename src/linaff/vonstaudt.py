@@ -174,6 +174,11 @@ class HypothesisCheck:
     ok: bool
     line: Line | None = None
 
+    def document(self) -> list[tuple[str, str]]:
+        if self.ok:
+            return [("status", "ok")]
+        return [("status", "violation"), ("witness", f"line-image {self.line.text()}")]
+
 
 def _first_violation(f: VectorMapTable) -> Line | None:
     """The first line, in canonical order, whose image is not a line: q
@@ -213,6 +218,14 @@ class SemilinearCert:
     tau_power: int
     basis_images: tuple
     offset: tuple
+
+    def document(self) -> list[tuple[str, str]]:
+        return [
+            ("status", "semilinear"),
+            ("tau", f"frobenius^{self.tau_power}"),
+            ("offset", format_elements(self.offset)),
+            ("basis_images", " ; ".join(format_elements(col) for col in self.basis_images)),
+        ]
 
     def apply(self, point) -> tuple:
         image = self.offset

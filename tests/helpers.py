@@ -6,9 +6,9 @@ from itertools import combinations, permutations, product
 
 from linaff import (
     BhReport,
-    Certificate,
     HypothesisCheck,
     Line,
+    LineWitness,
     MultiAffinePoly,
     PolyOracle,
     PreconditionError,
@@ -252,7 +252,7 @@ def coordinate_line_failure_reference(f):
             line = Line(tuple(base), e_axis)
             check = line_affine_check(f, line)
             if not check.ok:
-                return Certificate("non-affine", line=line, params=check.witness)
+                return LineWitness(line, check.witness)
     return None
 
 

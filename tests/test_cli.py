@@ -4,6 +4,10 @@ import time
 import pytest
 
 from linaff import (
+    BhCandidate,
+    DirectionSet,
+    InconsistencyError,
+    Line,
     MultiAffinePoly,
     ParseError,
     PolyOracle,
@@ -12,9 +16,21 @@ from linaff import (
     TableOracle,
     VectorMapTable,
     Zmod,
+    certify_directions,
+    check_hypotheses,
+    construct_geometric,
+    line_affine_check,
+    lower_bound_witness,
+    parse_ring_spec,
+    recover,
+    recover_semilinear,
+    search_bh,
+    verify_bh,
+    verify_properties,
 )
 from linaff.cli import (
     EXIT_CANNOT_CANCEL,
+    EXIT_INTERNAL,
     EXIT_NEGATIVE,
     EXIT_OK,
     EXIT_USAGE,
@@ -24,7 +40,7 @@ from linaff.cli import (
     parse_function_table,
     run_subcommand,
 )
-from linaff.recovery import Certificate
+from linaff.recovery import Affine
 
 from helpers import all_points, table_from_poly
 
@@ -302,7 +318,7 @@ def test_malformed_ring_literals_are_usage_errors(tmp_path, argv, body):
          "status: collision; left: 1 6; right: 2 3; product: 6"),
         (["sharpness", "certify", "--ring", "zmod 6", "--n", "3", "--set", "1,2,3"],
          "node set fails the B_h property bundle: "
-         "status: non-regular-difference; left: 1 2; right: 2 3; witness: 2"),
+         "status: non-regular-difference; witness: 2; left: 1 2; right: 2 3"),
     ],
     ids=["family-n40", "moment-n-1", "dirs-arity", "moment-n40", "moment-count",
          "witness-n0", "witness-n-2", "witness-n40", "certify-collision", "certify-difference"],
@@ -318,7 +334,7 @@ def test_direction_set_errors(tmp_path, argv, message):
 
 def test_emit_certificate_examples():
     Z7 = Zmod(7)
-    cert = Certificate("affine", constant=Z7.one, linear=(Z7.elem(3), Z7.elem(2)))
+    cert = Affine(Z7.one, (Z7.elem(3), Z7.elem(2)))
     assert emit_certificate(cert) == "status: affine\ncoeffs: 1 3 2\n"
     from linaff import BhCandidate, verify_bh
 
@@ -327,6 +343,80 @@ def test_emit_certificate_examples():
     assert emit_certificate(collision) == (
         "status: collision\nleft: 1 6\nright: 2 3\nproduct: 6\n"
     )
+
+
+def _set(spec, text):
+    ring = parse_ring_spec(spec)
+    return BhCandidate(ring, tuple(ring.parse_element(t) for t in text.split(",")))
+
+
+def _vec(ring, text):
+    return tuple(ring.parse_element(t) for t in text.split(","))
+
+
+def _dirs(ring, arity, text):
+    return DirectionSet(ring, arity, tuple(_vec(ring, v) for v in text.split(";")))
+
+
+def _line(ring, base, direction):
+    return Line(_vec(ring, base), _vec(ring, direction))
+
+
+_F5 = PrimeField(5)
+_GOOD_MAP = _vector_table_text(lambda v: (v[0] + _F5.one, v[1]), _F5, 2, 2)
+_CONST_MAP = _vector_table_text(lambda v: (_F5.zero, _F5.zero), _F5, 2, 2)
+
+
+@pytest.mark.parametrize(
+    "argv, body, result",
+    [
+        (["recover", "--input", "FILE", "--dirs", "1,1"], _affine_z7_table(),
+         lambda f: recover(f, _dirs(f.ring, 2, "1,1"))),
+        (["recover", "--input", "FILE", "--dirs", "1,1"], _xy_z5_table(),
+         lambda f: recover(f, _dirs(f.ring, 2, "1,1"))),
+        (["recover", "--input", "FILE", "--dirs", "1,0"],
+         "ring zmod 7\narity 2\npoly\nterm 3 1 2\n",
+         lambda f: recover(f, _dirs(f.ring, 2, "1,0"))),
+        (["recover", "--input", "FILE", "--dirs", "1,1"], _2xy_z4_table(),
+         lambda f: recover(f, _dirs(f.ring, 2, "1,1"))),
+        (["check-line", "--input", "FILE", "--base", "0,0", "--dir", "1,1"], _affine_z7_table(),
+         lambda f: line_affine_check(f, _line(f.ring, "0,0", "1,1"))),
+        (["check-line", "--input", "FILE", "--base", "0,0", "--dir", "1,1"], _xy_z5_table(),
+         lambda f: line_affine_check(f, _line(f.ring, "0,0", "1,1"))),
+        (["bh", "verify", "--ring", "prime 5", "--set", "1,2,4"], None,
+         lambda _: verify_properties(_set("prime 5", "1,2,4"))),
+        (["bh", "verify", "--ring", "rational", "--set", "1,2,3,6", "--h", "2"], None,
+         lambda _: verify_bh(_set("rational", "1,2,3,6"), 2)),
+        (["bh", "verify", "--ring", "zmod 6", "--set", "1,2,3"], None,
+         lambda _: verify_properties(_set("zmod 6", "1,2,3"))),
+        (["bh", "search", "--ring", "prime 5", "--n", "3"], None,
+         lambda _: search_bh(_F5, 3)),
+        (["bh", "geometric", "--ring", "prime 17", "--g", "3", "--n", "4"], None,
+         lambda _: construct_geometric(PrimeField(17).elem(3), 4)),
+        (["sharpness", "witness", "--ring", "prime 7", "--n", "3", "--dirs", "1,1,1;1,2,4"],
+         None,
+         lambda _: lower_bound_witness(3, _dirs(PrimeField(7), 3, "1,1,1;1,2,4"), PrimeField(7))),
+        (["sharpness", "certify", "--ring", "prime 5", "--n", "3", "--set", "1,2,4"], None,
+         lambda _: certify_directions(3, _F5, _set("prime 5", "1,2,4"))),
+        (["vonstaudt", "check", "--input", "FILE"], _GOOD_MAP, check_hypotheses),
+        (["vonstaudt", "check", "--input", "FILE"], _CONST_MAP, check_hypotheses),
+        (["vonstaudt", "recover", "--input", "FILE"], _GOOD_MAP, recover_semilinear),
+    ],
+    ids=["affine", "line-witness", "coefficient-witness", "cannot-cancel",
+         "check-line-ok", "check-line-failed", "bh-ok", "bh-collision",
+         "bh-non-regular-difference", "bh-search", "bh-geometric", "sharpness-witness",
+         "sharpness-certify", "vonstaudt-ok", "vonstaudt-violation", "vonstaudt-recover"],
+)
+def test_one_document_per_result(tmp_path, argv, body, result):
+    # the CLI prints the result's own document, then its version and digest
+    oracle = None
+    if body is not None:
+        argv = [_write(tmp_path, "f.tbl", body) if a == "FILE" else a for a in argv]
+        oracle = parse_function_table(body)
+    _, text = run_subcommand(argv)
+    lines = text.splitlines(keepends=True)
+    assert [line.split(":")[0] for line in lines[-2:]] == ["version", "digest"]
+    assert "".join(lines[:-2]) == emit_certificate(result(oracle))
 
 
 def test_vonstaudt_cli_semilinear_document(tmp_path):
@@ -354,6 +444,19 @@ def test_main_writes_to_streams(tmp_path, capsys):
     assert main(["recover", "--input", str(tmp_path / "nope.tbl"), "--dirs", "1,1"]) == EXIT_USAGE
     out = capsys.readouterr()
     assert "error:" in out.err and out.out == ""
+
+
+def test_internal_errors_have_their_own_exit_code(tmp_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise InconsistencyError("cross-check failed")
+
+    monkeypatch.setattr("linaff.cli.recovery.recover", broken)
+    path = _write(tmp_path, "affine.tbl", _affine_z7_table())
+    argv = ["recover", "--input", path, "--dirs", "1,1"]
+    assert run_subcommand(argv) == (EXIT_INTERNAL, "internal error: cross-check failed\n")
+    assert main(argv) == EXIT_INTERNAL
+    out = capsys.readouterr()
+    assert out.err == "internal error: cross-check failed\n" and out.out == ""
 
 
 def test_family_flag_via_cli(tmp_path):

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from linaff import (
-    Certificate,
+    CannotCancel,
     DirectionSet,
     GaloisField,
     InconsistencyError,
@@ -439,9 +439,9 @@ def test_monotone_degree_stripping():
 
 def test_certificate_emitter_contract_fields():
     Z4 = Zmod(4)
-    cert = Certificate("cannot-cancel", degree=2, det=Z4.elem(2))
+    cert = CannotCancel(2, Z4.elem(2))
     assert cert.status == "cannot-cancel"
-    assert not cert.ok
+    assert emit_certificate(cert) == "status: cannot-cancel\ndegree: 2\ndet: 2\n"
 
 
 def test_recover_randomized_sweep_is_total_and_sound():
