@@ -10,6 +10,7 @@ and semilinear (von Staudt style) recovery of line-preserving maps.
 from .bh_sets import (
     BhCandidate,
     BhReport,
+    BudgetSpent,
     Collision,
     construct_geometric,
     construct_primes,
@@ -74,13 +75,11 @@ from .sharpness import (
     minimal_direction_count,
 )
 from .vonstaudt import (
-    AutomorphismId,
     HypothesisCheck,
     SemilinearCert,
     VectorMapTable,
     check_hypotheses,
     enumerate_affine_lines,
-    identify_automorphism,
     recover_semilinear,
 )
 

@@ -2,15 +2,20 @@
 
 A finite set S is a weak multiplicative B_h set when the products of its
 h-element subsets are pairwise distinct.  The quantitative direction
-bounds additionally need every difference of two distinct h-fold
-products (1 < h < n) to be regular, and every element of S itself to be
-regular; `verify_properties` checks the whole bundle and reports the
-first failure deterministically.
+bounds additionally need property (2): every difference of two distinct
+h-fold products (1 < h < n) is regular.  Property (2) implies the rest
+of the bundle: a collision is a zero difference, which is never regular;
+distinct elements cannot collide at h = 1 or h = n; and a non-regular
+element a makes a*b - a*c non-regular at h = 2.  So `verify_properties`
+decides the bundle by one residue pass per h, and scans for collisions
+only to name the first failure.
 
 Constructions: a geometric progression on the doubling exponents
 {1, g, g^2, g^4, ...}, valid whenever g and g^k - 1 stay regular up to
 k = 2^{n-1} - 1, and the first n primes inside the rationals.  For
-finite rings a lexicographic exhaustive search is provided.
+finite rings a lexicographic exhaustive search over the regular elements
+is provided.  Node sets have at most MAX_ARITY elements, the largest
+arity the direction machinery accepts.
 """
 
 from __future__ import annotations
@@ -19,7 +24,13 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import InconsistencyError, PreconditionError, UnsupportedRingError
+from .multiaffine import MAX_ARITY
 from .rings import Ring, RingElem, Rationals, Zmod, format_elements, is_prime
+
+
+def _check_size(n: int):
+    if n > MAX_ARITY:
+        raise PreconditionError(f"node set must have at most {MAX_ARITY} elements, got {n}")
 
 
 @dataclass(frozen=True)
@@ -32,6 +43,7 @@ class BhCandidate:
     def __post_init__(self):
         if not self.elements:
             raise PreconditionError("candidate set must be nonempty")
+        _check_size(len(self.elements))
         for s in self.elements:
             if s.ring != self.ring:
                 raise PreconditionError("element from a different ring")
@@ -72,33 +84,25 @@ class Property2Failure:
     difference: RingElem
 
 
-@dataclass
+@dataclass(frozen=True)
 class BhReport:
-    """Per-h collision verdicts plus the regularity checks of property (2)."""
+    """The first failures of the B_h property bundle: the lowest-h collision
+    of h-fold products, and the first non-regular difference (property (2)).
 
-    per_h: dict
+    A collision is a zero difference, so it never comes without the other.
+    """
+
+    collision: Collision | None
     property2: Property2Failure | None
-    nonregular_element: RingElem | None
 
     @property
     def ok(self) -> bool:
-        return (
-            all(v is None for v in self.per_h.values())
-            and self.property2 is None
-            and self.nonregular_element is None
-        )
-
-    def first_collision(self) -> Collision | None:
-        for h in sorted(self.per_h):
-            if self.per_h[h] is not None:
-                return self.per_h[h]
-        return None
+        return self.collision is None and self.property2 is None
 
     def document(self) -> list[tuple[str, str]]:
         """The first failing property and its witness, else ok, as key/value text."""
-        collision = self.first_collision()
-        if collision is not None:
-            return collision.document()
+        if self.collision is not None:
+            return self.collision.document()
         if self.property2 is not None:
             f = self.property2
             return [
@@ -107,10 +111,17 @@ class BhReport:
                 ("left", format_elements(f.left)),
                 ("right", format_elements(f.right)),
             ]
-        if self.nonregular_element is not None:
-            witness = format_elements([self.nonregular_element])
-            return [("status", "non-regular-element"), ("witness", witness)]
         return [("status", "ok")]
+
+
+@dataclass(frozen=True)
+class BudgetSpent:
+    """A search that tried its whole budget of candidates without deciding."""
+
+    budget: int
+
+    def document(self) -> list[tuple[str, str]]:
+        return [("status", "inconclusive"), ("budget", str(self.budget))]
 
 
 def _product(ring: Ring, elems) -> RingElem:
@@ -159,26 +170,28 @@ def _first_nonregular_pair(ring: Ring, prods: list) -> tuple[int, int] | None:
 
 
 def verify_properties(candidate: BhCandidate) -> BhReport:
-    """Full report: B_h for every 1 <= h <= n, regular product differences
-    for 1 < h < n, and regularity of each element."""
+    """The B_h property bundle, decided by property (2) alone.
+
+    The bundle holds iff every difference of two h-fold products is regular
+    for 1 < h < n (see the module docstring).  Only a failure runs the
+    per-h collision scan, from the failing h up, since no collision lies
+    below it; the report then names the lowest-h collision, if any, and the
+    first non-regular difference.
+    """
     n = len(candidate)
     if n < 3:
         raise PreconditionError(f"property verification needs |S| >= 3, got {n}")
     ring = candidate.ring
-    per_h = {h: verify_bh(candidate, h) for h in range(1, n + 1)}
-    property2 = None
     for h in range(2, n):
         subsets = [tuple(candidate.elements[i] for i in c) for c in combinations(range(n), h)]
         prods = [_product(ring, s) for s in subsets]
         pair = _first_nonregular_pair(ring, prods)
         if pair is not None:
             a, b = pair
-            property2 = Property2Failure(h, subsets[a], subsets[b], prods[a] - prods[b])
-            break
-    nonregular = None
-    if property2 is None:
-        nonregular = next((s for s in candidate.elements if not ring.is_regular(s)), None)
-    return BhReport(per_h, property2, nonregular)
+            failure = Property2Failure(h, subsets[a], subsets[b], prods[a] - prods[b])
+            collisions = (verify_bh(candidate, k) for k in range(h, n))
+            return BhReport(next(filter(None, collisions), None), failure)
+    return BhReport(None, None)
 
 
 def construct_geometric(g: RingElem, n: int) -> BhCandidate:
@@ -187,6 +200,7 @@ def construct_geometric(g: RingElem, n: int) -> BhCandidate:
     ring = g.ring
     if n < 2:
         raise PreconditionError(f"need n >= 2, got {n}")
+    _check_size(n)
     if not ring.is_regular(g):
         raise PreconditionError("generator g is not regular")
     power = ring.one
@@ -220,23 +234,31 @@ def construct_primes(n: int) -> BhCandidate:
     return BhCandidate(ring, tuple(ring.from_int(p) for p in _first_primes(n)))
 
 
-def search_bh(ring: Ring, n: int, budget: int = 1_000_000) -> BhCandidate | None:
+def search_bh(ring: Ring, n: int, budget: int = 1_000_000) -> BhCandidate | BudgetSpent | None:
     """First n-subset of the ring (lexicographic by encoding) passing
-    verify_properties, or None if none exists within the budget of
-    candidates tried (at least 1)."""
+    verify_properties; None when there is none, and BudgetSpent when
+    `budget` candidates (at least 1) were tried without finding one.
+
+    At h = 2 every a*(b - c) must be regular, so a B_h set holds only
+    regular elements, pairwise distinct modulo every prime p | m: over Z/m
+    it has at most p_min - 1 elements, over GF(q) at most q - 1.  Larger n
+    is answered at once, and only regular elements are enumerated, which
+    skips exactly the candidates that always fail.
+    """
     if not ring.is_finite:
         raise UnsupportedRingError("search needs a finite ring; use construct_primes over Q")
     if n < 3:
         raise PreconditionError(f"search needs n >= 3, got {n}")
+    _check_size(n)
     if budget < 1:
         raise PreconditionError(f"budget must be >= 1, got {budget}")
-    elems = ring.elements()
-    tried = 0
-    for picks in combinations(range(len(elems)), n):
-        if tried >= budget:
-            return None
-        tried += 1
-        candidate = BhCandidate(ring, tuple(elems[i] for i in picks))
+    if isinstance(ring, Zmod) and n >= ring.primes[0]:
+        return None
+    regular = [e for e in ring.elements() if ring.is_regular(e)]
+    for tried, picks in enumerate(combinations(regular, n)):
+        if tried == budget:
+            return BudgetSpent(budget)
+        candidate = BhCandidate(ring, picks)
         if verify_properties(candidate).ok:
             return candidate
     return None

@@ -6,8 +6,8 @@ with `version` and `digest`, so identical inputs produce byte-identical
 output; `--json` mirrors every document with the same keys and values.
 Exit codes: 0 for affirmative certificates, 1 for usage or parse errors,
 2 for negative certificates (non-affine, collision, violation, witness
-produced), 3 for cannot-cancel, 4 for a failed internal cross-check (a
-bug).
+produced), 3 for undecided answers (cannot-cancel, or a search whose
+budget ran out), 4 for a failed internal cross-check (a bug).
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ _NEGATIVE = {
     "non-affine",
     "collision",
     "non-regular-difference",
-    "non-regular-element",
     "none",
     "violation",
     "witness",
@@ -231,7 +230,7 @@ def emit_certificate(obj) -> str:
 
 def _exit_code_for(doc: list[tuple[str, str]]) -> int:
     status = dict(doc).get("status", "ok")
-    if status == "cannot-cancel":
+    if status in ("cannot-cancel", "inconclusive"):
         return EXIT_CANNOT_CANCEL
     if status in _NEGATIVE:
         return EXIT_NEGATIVE

@@ -1,10 +1,7 @@
 """Exact dense linear algebra over the supported rings.
 
-Matrices are plain lists of rows of RingElem.  Determinants over Z/m,
-prime fields included, are computed by lifting to the integers
-(fraction-free Bareiss elimination) and reducing, so no division inside
-the ring is ever needed; over the other fields the one echelon reduction
-`rref` tracks them.  `kernel_vector` decides whether a homogeneous
+Matrices are plain lists of rows of RingElem.  `rref` is the one echelon
+reduction over a field.  `kernel_vector` decides whether a homogeneous
 system forces its unknowns to zero, and returns a nonzero solution when
 it does not.  Over Z/m it works modulo each prime p | m: the system has
 only the zero solution iff it has full column rank mod every such p
@@ -15,58 +12,15 @@ theorem).
 from __future__ import annotations
 
 from .errors import PreconditionError
-from .rings import PrimeField, Ring, RingElem, Zmod
-
-
-def _bareiss_int_det(m: list[list[int]]) -> int:
-    """Fraction-free determinant of an integer matrix; exact."""
-    n = len(m)
-    if n == 0:
-        return 1
-    m = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def determinant(rows, ring: Ring) -> RingElem:
-    """Exact determinant of a square matrix over any supported ring."""
-    n = len(rows)
-    for row in rows:
-        if len(row) != n:
-            raise PreconditionError("determinant needs a square matrix")
-    if isinstance(ring, Zmod):
-        lifted = [[e.value for e in row] for row in rows]
-        return ring.from_int(_bareiss_int_det(lifted))
-    return rref(rows, n, ring)[2]
+from .rings import PrimeField, Ring, RingElem
 
 
 def rref(rows, cols: int, ring: Ring):
-    """Reduced row echelon form over a field.
-
-    Returns (matrix, pivot columns, det), where det is the determinant
-    when the matrix is square: the product of the pivots, negated once
-    per row swap, and zero if some row gets no pivot.
-    """
+    """Reduced row echelon form over a field: (matrix, pivot columns)."""
     if not ring.is_field:
         raise PreconditionError("echelon reduction needs a field")
     m = [row[:] for row in rows]
     pivots = []
-    det = ring.one
     r = 0
     for col in range(cols):
         pivot = None
@@ -78,8 +32,6 @@ def rref(rows, cols: int, ring: Ring):
             continue
         if pivot != r:
             m[r], m[pivot] = m[pivot], m[r]
-            det = -det
-        det = det * m[r][col]
         inv = ring.inverse(m[r][col])
         m[r] = [e * inv for e in m[r]]
         for i in range(len(m)):
@@ -90,7 +42,7 @@ def rref(rows, cols: int, ring: Ring):
         r += 1
         if r == len(m):
             break
-    return m, pivots, det if r == len(m) else ring.zero
+    return m, pivots
 
 
 def kernel_vector(rows, cols: int, ring: Ring) -> list[RingElem] | None:
@@ -111,7 +63,7 @@ def kernel_vector(rows, cols: int, ring: Ring) -> list[RingElem] | None:
             if vec is not None:
                 return [ring.from_int(ring.m // p * e.value) for e in vec]
         return None
-    reduced, pivots, _ = rref(rows, cols, ring)
+    reduced, pivots = rref(rows, cols, ring)
     # the pivot columns ascend, so the first free column is the first gap
     free = next((c for c, pc in enumerate(pivots) if c != pc), len(pivots))
     if free == cols:

@@ -269,61 +269,6 @@ def _decompose(f: VectorMapTable) -> SemilinearCert | None:
     return SemilinearCert(fld, d, f.dim_out, power, basis_images, _elements(fld, offset))
 
 
-@dataclass
-class AutomorphismId:
-    """Either the Frobenius power matching a scalar table, or the first
-    violated field-automorphism law with its witness pair."""
-
-    frobenius_power: int | None
-    failed_law: str | None = None
-    witness: tuple | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.frobenius_power is not None
-
-
-def identify_automorphism(tau_table: dict) -> AutomorphismId:
-    """Match a total map F -> F against the powers of Frobenius.
-
-    Checks bijectivity first, then additivity and multiplicativity over
-    all pairs in encoding order; a table passing all three is a field
-    automorphism and therefore some x -> x^(p^j).
-    """
-    if not tau_table:
-        raise PreconditionError("empty scalar table")
-    fld = next(iter(tau_table)).ring
-    if not (fld.is_finite and fld.is_field):
-        raise PreconditionError("automorphism identification needs a finite field")
-    elems = fld.elements()
-    if len(tau_table) != fld.size or any(x not in tau_table for x in elems):
-        raise PreconditionError("scalar table must be total on the field")
-    if len({tau_table[x] for x in elems}) != fld.size:
-        dupes = {}
-        for x in elems:
-            y = tau_table[x]
-            if y in dupes:
-                return AutomorphismId(None, "bijectivity", (dupes[y], x))
-            dupes[y] = x
-    for x in elems:
-        for y in elems:
-            if tau_table[x + y] != tau_table[x] + tau_table[y]:
-                return AutomorphismId(None, "additivity", (x, y))
-    for x in elems:
-        for y in elems:
-            if tau_table[x * y] != tau_table[x] * tau_table[y]:
-                return AutomorphismId(None, "multiplicativity", (x, y))
-    p = fld.characteristic
-    degree = 1
-    size = fld.size
-    while p**degree < size:
-        degree += 1
-    for j in range(degree):
-        if all(tau_table[x] == x ** (p**j) for x in elems):
-            return AutomorphismId(j)
-    raise InconsistencyError("field automorphism matching no Frobenius power")
-
-
 def recover_semilinear(f: VectorMapTable) -> SemilinearCert:
     """Extract the (tau, basis images, offset) decomposition of f.
 

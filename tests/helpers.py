@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from linaff import (
+    BhCandidate,
     BhReport,
     HypothesisCheck,
     Line,
@@ -13,15 +14,16 @@ from linaff import (
     PolyOracle,
     PreconditionError,
     TableOracle,
+    Zmod,
     enumerate_affine_lines,
     evaluate,
     line_affine_check,
     psi_extract,
     recover,
     verify_bh,
+    verify_properties,
 )
 from linaff.bh_sets import Property2Failure
-from linaff.linalg import determinant
 from linaff.multiaffine import unit_point
 
 
@@ -72,6 +74,58 @@ def table_from_poly(poly) -> TableOracle:
 
 def table_from_function(ring, n, func) -> TableOracle:
     return TableOracle(ring, n, {pt: func(pt) for pt in all_points(ring, n)})
+
+
+def _bareiss_int_det(m: list[list[int]]) -> int:
+    """Fraction-free determinant of an integer matrix; exact."""
+    n = len(m)
+    if n == 0:
+        return 1
+    m = [row[:] for row in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for r in range(k + 1, n):
+                if m[r][k] != 0:
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def determinant(rows, ring):
+    """Exact determinant of a square matrix: over Z/m, prime fields included,
+    by fraction-free Bareiss elimination on the lifted integers, reduced;
+    over the other fields by Gaussian elimination, the product of the
+    pivots negated once per row swap."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise PreconditionError("determinant needs a square matrix")
+    if isinstance(ring, Zmod):
+        return ring.from_int(_bareiss_int_det([[e.value for e in row] for row in rows]))
+    m = [row[:] for row in rows]
+    det = ring.one
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if not m[i][col].is_zero), None)
+        if pivot is None:
+            return ring.zero
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det = det * m[col][col]
+        inv = ring.inverse(m[col][col])
+        for i in range(col + 1, n):
+            factor = m[i][col] * inv
+            m[i] = [a - factor * b for a, b in zip(m[i], m[col])]
+    return det
 
 
 def perm_determinant(rows, ring):
@@ -159,10 +213,13 @@ def is_pointwise_affine(f) -> bool:
 
 
 def verify_properties_pairwise(candidate) -> BhReport:
-    """Reference for verify_properties: property (2) by comparing every pair
-    of h-fold products, in lexicographic pair order."""
+    """Reference for verify_properties: the lowest-h collision over every
+    1 <= h <= n, and property (2) by comparing every pair of h-fold
+    products, in lexicographic pair order.  A non-regular element is never
+    reached: for |S| >= 3 it makes a*b - a*c non-regular at h = 2 first."""
     ring, n = candidate.ring, len(candidate)
-    per_h = {h: verify_bh(candidate, h) for h in range(1, n + 1)}
+    collisions = (verify_bh(candidate, h) for h in range(1, n + 1))
+    collision = next(filter(None, collisions), None)
     for h in range(2, n):
         subsets = [tuple(candidate.elements[i] for i in c) for c in combinations(range(n), h)]
         prods = []
@@ -174,9 +231,20 @@ def verify_properties_pairwise(candidate) -> BhReport:
         for a, b in combinations(range(len(subsets)), 2):
             diff = prods[a] - prods[b]
             if not ring.is_regular(diff):
-                return BhReport(per_h, Property2Failure(h, subsets[a], subsets[b], diff), None)
-    nonregular = next((s for s in candidate.elements if not ring.is_regular(s)), None)
-    return BhReport(per_h, None, nonregular)
+                return BhReport(collision, Property2Failure(h, subsets[a], subsets[b], diff))
+    assert all(ring.is_regular(s) for s in candidate.elements), "non-regular element passed"
+    return BhReport(collision, None)
+
+
+def search_bh_reference(ring, n):
+    """Reference for search_bh: the first n-subset of all the ring's
+    elements, in lexicographic code order, passing verify_properties, or
+    None; no bound, no filter and no budget."""
+    for picks in combinations(ring.elements(), n):
+        candidate = BhCandidate(ring, picks)
+        if verify_properties(candidate).ok:
+            return candidate
+    return None
 
 
 def separation_failure(f):

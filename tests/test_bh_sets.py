@@ -5,6 +5,8 @@ import pytest
 
 from linaff import (
     BhCandidate,
+    BudgetSpent,
+    GaloisField,
     PreconditionError,
     PrimeField,
     Rationals,
@@ -18,7 +20,7 @@ from linaff import (
 )
 from linaff.rings import is_prime
 
-from helpers import verify_properties_pairwise
+from helpers import search_bh_reference, verify_properties_pairwise
 
 
 def _cand(ring, *vals):
@@ -83,17 +85,18 @@ def test_verify_properties_examples():
 
 
 def test_verify_properties_matches_pairwise_scan():
-    from linaff import GaloisField
-
+    # the pairwise reference asserts that no non-regular element survives
+    # property (2), so this also pins that `non-regular-element` is unreachable
     rng = random.Random(8080)
-    rings = [Zmod(m) for m in (4, 6, 8, 9, 10, 12, 15, 18, 30)] + [
-        PrimeField(7),
-        PrimeField(13),
+    rings = [Zmod(m) for m in (4, 6, 8, 9, 10, 12, 15, 30, 35)] + [
+        PrimeField(p) for p in (5, 7, 11, 13)
+    ] + [
         GaloisField(2, 2, [1, 1]),
+        GaloisField(2, 3, [1, 1, 0]),
         GaloisField(3, 2, [1, 0]),
     ]
     Q = Rationals()
-    for _ in range(300):
+    for _ in range(3000):
         ring = rng.choice(rings + [Q])
         if ring is Q:
             values = rng.sample(range(-6, 13), rng.randint(3, 5))
@@ -116,8 +119,9 @@ def test_property2_failures_imply_no_silent_collisions():
         cand = BhCandidate(ring, tuple(ring.element_from_encoding(c) for c in codes))
         report = verify_properties(cand)
         if report.property2 is None:
-            for h in range(2, size):
-                assert report.per_h[h] is None
+            assert report.collision is None
+            for h in range(1, size + 1):
+                assert verify_bh(cand, h) is None
 
 
 def test_construct_geometric_examples():
@@ -185,8 +189,29 @@ def test_search_bh_is_lexicographically_first():
 
 
 def test_search_bh_budget():
+    # the first regular candidate of F_7 passes; the first of Z/35, {1, 2, 3, 4},
+    # fails (2*4 = 3 mod 5 = 1*3), so one candidate spends the budget undecided
     F7 = PrimeField(7)
-    assert search_bh(F7, 3, budget=1) is None
+    assert [e.value for e in search_bh(F7, 3, budget=1).elements] == [1, 2, 3]
+    spent = search_bh(Zmod(35), 4, budget=1)
+    assert spent == BudgetSpent(1)
+    assert spent.document() == [("status", "inconclusive"), ("budget", "1")]
+
+
+def test_search_bh_matches_the_unfiltered_scan():
+    rings = [Zmod(m) for m in (4, 6, 8, 9, 10, 12, 15)] + [
+        PrimeField(p) for p in (2, 3, 5, 7, 11)
+    ] + [GaloisField(2, 2, [1, 1]), GaloisField(2, 3, [1, 1, 0]), GaloisField(3, 2, [1, 0])]
+    for ring in rings:
+        for n in (3, 4, 5):
+            assert search_bh(ring, n) == search_bh_reference(ring, n), (ring, n)
+
+
+def test_search_bh_answers_none_above_the_residue_bound():
+    # n elements pairwise distinct and nonzero modulo the least prime p | m need n < p
+    assert search_bh(Zmod(30), 4, budget=1) is None
+    assert search_bh(Zmod(35), 5, budget=1) is None
+    assert search_bh(GaloisField(2, 2, [1, 1]), 4, budget=1) is None
 
 
 def test_search_bh_rejects_a_budget_below_one():
@@ -219,3 +244,10 @@ def test_candidate_validation():
         BhCandidate(Z6, ())
     with pytest.raises(PreconditionError):
         verify_properties(_cand(Z6, 1, 2))
+    Q = Rationals()
+    with pytest.raises(PreconditionError, match="at most 16 elements, got 17"):
+        _cand(Q, *range(1, 18))
+    with pytest.raises(PreconditionError, match="at most 16 elements, got 17"):
+        construct_geometric(Q.elem(7), 17)
+    with pytest.raises(PreconditionError, match="at most 16 elements, got 17"):
+        search_bh(PrimeField(61), 17)

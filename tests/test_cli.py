@@ -211,6 +211,7 @@ def test_exit_code_matrix(tmp_path):
         (["bh", "verify", "--ring", "zmod 6", "--set", "1,2,3"], EXIT_NEGATIVE),
         (["bh", "search", "--ring", "zmod 4", "--n", "3"], EXIT_NEGATIVE),
         (["bh", "search", "--ring", "prime 5", "--n", "3"], EXIT_OK),
+        (["bh", "search", "--ring", "zmod 35", "--n", "4", "--budget", "1"], EXIT_CANNOT_CANCEL),
         (["bh", "geometric", "--ring", "prime 17", "--g", "3", "--n", "4"], EXIT_OK),
         (["bh", "geometric", "--ring", "prime 5", "--g", "4", "--n", "3"], EXIT_USAGE),
         (["sharpness", "bound", "--n", "4"], EXIT_OK),
@@ -312,16 +313,26 @@ def test_malformed_ring_literals_are_usage_errors(tmp_path, argv, body):
         (["sharpness", "witness", "--ring", "rational", "--n", "40",
           "--dirs", ",".join(["1"] * 40)],
          "arity must be at most 16, got 40"),
-        (["sharpness", "certify", "--ring", "prime 101", "--n", "40",
-          "--set", ",".join(str(v) for v in range(1, 41))],
+        (["sharpness", "certify", "--ring", "prime 101", "--n", "16",
+          "--set", ",".join(str(v) for v in range(1, 17))],
          "node set fails the B_h property bundle: "
          "status: collision; left: 1 6; right: 2 3; product: 6"),
         (["sharpness", "certify", "--ring", "zmod 6", "--n", "3", "--set", "1,2,3"],
          "node set fails the B_h property bundle: "
          "status: non-regular-difference; witness: 2; left: 1 2; right: 2 3"),
+        (["sharpness", "certify", "--ring", "prime 101", "--n", "40",
+          "--set", ",".join(str(v) for v in range(1, 41))],
+         "node set must have at most 16 elements, got 40"),
+        (["bh", "verify", "--ring", "rational", "--set",
+          "2,3,5,7,11,13,17,19,23,29,31,37,41,43,47,53,59,61,67,71,73,79,83,89"],
+         "node set must have at most 16 elements, got 24"),
+        (["bh", "geometric", "--ring", "rational", "--g", "7", "--n", "17"],
+         "node set must have at most 16 elements, got 17"),
+        (["sharpness", "bound", "--n", "100000"], "arity must be at most 16, got 100000"),
     ],
     ids=["family-n40", "moment-n-1", "dirs-arity", "moment-n40", "moment-count",
-         "witness-n0", "witness-n-2", "witness-n40", "certify-collision", "certify-difference"],
+         "witness-n0", "witness-n-2", "witness-n40", "certify-collision", "certify-difference",
+         "certify-n40", "verify-24-primes", "geometric-n17", "bound-n100000"],
 )
 def test_direction_set_errors(tmp_path, argv, message):
     path = _write(tmp_path, "affine.tbl", _affine_z7_table())
@@ -330,6 +341,24 @@ def test_direction_set_errors(tmp_path, argv, message):
     code, text = run_subcommand(argv)
     assert time.perf_counter() - start < 1.0
     assert (code, text) == (EXIT_USAGE, f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, answer, seconds",
+    [
+        (["bh", "search", "--ring", "prime 61", "--n", "5", "--budget", "200000"],
+         (EXIT_OK, "status: ok\nset: 1 2 3 4 5\n"), 1.0),
+        (["bh", "search", "--ring", "zmod 30", "--n", "4"], (EXIT_NEGATIVE, "status: none\n"), 0.5),
+        (["sharpness", "certify", "--ring", "rational", "--n", "8",
+          "--set", "2,3,5,7,11,13,17,19"], (EXIT_OK, "status: ok\n"), 1.0),
+    ],
+    ids=["search-prime61", "search-zmod30", "certify-rational-n8"],
+)
+def test_answers_decided_by_the_bh_maths_are_fast(argv, answer, seconds):
+    start = time.perf_counter()
+    code, text = run_subcommand(argv)
+    assert time.perf_counter() - start < seconds
+    assert (code, text[: text.index("version:")]) == answer
 
 
 def test_emit_certificate_examples():
@@ -391,6 +420,8 @@ _CONST_MAP = _vector_table_text(lambda v: (_F5.zero, _F5.zero), _F5, 2, 2)
          lambda _: verify_properties(_set("zmod 6", "1,2,3"))),
         (["bh", "search", "--ring", "prime 5", "--n", "3"], None,
          lambda _: search_bh(_F5, 3)),
+        (["bh", "search", "--ring", "zmod 35", "--n", "4", "--budget", "1"], None,
+         lambda _: search_bh(Zmod(35), 4, budget=1)),
         (["bh", "geometric", "--ring", "prime 17", "--g", "3", "--n", "4"], None,
          lambda _: construct_geometric(PrimeField(17).elem(3), 4)),
         (["sharpness", "witness", "--ring", "prime 7", "--n", "3", "--dirs", "1,1,1;1,2,4"],
@@ -404,7 +435,7 @@ _CONST_MAP = _vector_table_text(lambda v: (_F5.zero, _F5.zero), _F5, 2, 2)
     ],
     ids=["affine", "line-witness", "coefficient-witness", "cannot-cancel",
          "check-line-ok", "check-line-failed", "bh-ok", "bh-collision",
-         "bh-non-regular-difference", "bh-search", "bh-geometric", "sharpness-witness",
+         "bh-non-regular-difference", "bh-search", "bh-search-inconclusive", "bh-geometric", "sharpness-witness",
          "sharpness-certify", "vonstaudt-ok", "vonstaudt-violation", "vonstaudt-recover"],
 )
 def test_one_document_per_result(tmp_path, argv, body, result):

@@ -2,11 +2,12 @@ import math
 import random
 
 from linaff import GaloisField, PrimeField, Rationals, Zmod
-from linaff.linalg import determinant, kernel_vector, rref
+from linaff.linalg import kernel_vector, rref
 from linaff.recovery import factorial_det
 
 from helpers import (
     adjugate,
+    determinant,
     factorial_vandermonde,
     identity_matrix,
     mat_mul,
@@ -90,8 +91,8 @@ def test_rref_is_deterministic_and_reduced():
         [F7.elem(1), F7.elem(2), F7.elem(3)],
         [F7.elem(0), F7.elem(1), F7.elem(5)],
     ]
-    reduced1, pivots1, _ = rref(rows, 3, F7)
-    reduced2, pivots2, _ = rref(rows, 3, F7)
+    reduced1, pivots1 = rref(rows, 3, F7)
+    reduced2, pivots2 = rref(rows, 3, F7)
     assert reduced1 == reduced2 and pivots1 == pivots2
     for r, col in enumerate(pivots1):
         assert reduced1[r][col] == F7.one

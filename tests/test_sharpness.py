@@ -7,11 +7,14 @@ from linaff import (
     BhCandidate,
     CoefficientWitness,
     DirectionSet,
+    GaloisField,
     PreconditionError,
     PrimeField,
     Rationals,
     Zmod,
+    build_degree_systems,
     certify_directions,
+    construct_primes,
     is_affine_poly,
     line_affine_check,
     lower_bound_witness,
@@ -19,11 +22,12 @@ from linaff import (
     moment_directions,
     recover,
     restrict_radial,
+    search_bh,
+    verify_properties,
 )
-from linaff.linalg import determinant
 from linaff.multiaffine import Line, PolyOracle, zero_point
 
-from helpers import adjugate, mat_mul
+from helpers import adjugate, determinant, mat_mul
 
 
 def _vec(ring, *vals):
@@ -111,8 +115,6 @@ def test_witness_passes_all_line_hypotheses_yet_is_not_affine():
 
 
 def _first_nodes(F, n):
-    from linaff import search_bh
-
     found = search_bh(F, n)
     assert found is not None
     return found.elements
@@ -121,16 +123,51 @@ def _first_nodes(F, n):
 def test_certify_directions_f5_example():
     F5 = PrimeField(5)
     result = certify_directions(3, F5, _cand(F5, 1, 2, 4))
-    assert result.ok
-    assert result.dets[2] == F5.elem(3)  # (4-2)(3-2)(3-4) mod 5
-    assert len(result.directions) == 3
+    assert result.document() == [("status", "ok")]
+    assert [[e.value for e in v] for v in result.directions.dirs] == [
+        [1, 1, 1],
+        [1, 2, 4],
+        [1, 4, 1],  # 4^2 = 1 mod 5
+    ]
 
 
 def test_certify_directions_f17_example():
     F17 = PrimeField(17)
     result = certify_directions(4, F17, _cand(F17, 1, 3, 9, 13))
-    assert result.ok
+    assert result.document() == [("status", "ok")]
     assert len(result.directions) == 6
+
+
+def test_moment_systems_are_vandermonde_in_the_subset_products():
+    # the first C(n,k) rows of the degree-k system have determinant
+    # prod_{J < J'} (P_J' - P_J); with the B_h bundle every factor is regular
+    GF4 = GaloisField(2, 2, [1, 1])
+    GF9 = GaloisField(3, 2, [1, 0])
+    cases = [(F, n, search_bh(F, n).elements, True)
+             for F, n in ((PrimeField(5), 3), (PrimeField(11), 4), (PrimeField(17), 4),
+                          (GF4, 3), (GF9, 4), (PrimeField(37), 5))]
+    cases += [
+        (Rationals(), 5, construct_primes(5).elements, True),
+        (PrimeField(7), 4, _vec(PrimeField(7), 1, 2, 3, 6), False),  # 1*6 = 2*3
+        (GF9, 3, _vec(GF9, 0, 1, 5), False),  # a zero node
+    ]
+    for ring, n, nodes, bundle in cases:
+        assert verify_properties(BhCandidate(ring, tuple(nodes))).ok == bundle
+        systems = build_degree_systems(moment_directions(nodes, minimal_direction_count(n)))
+        for k in range(2, n + 1):
+            products = []
+            for mask in systems[k].masks:
+                acc = ring.one
+                for i in _mask_bits(mask):
+                    acc = acc * nodes[i - 1]
+                products.append(acc)
+            vandermonde = ring.one
+            for a, b in combinations(range(len(products)), 2):
+                vandermonde = vandermonde * (products[b] - products[a])
+            square = systems[k].rows[: len(products)]
+            assert determinant(square, ring) == vandermonde
+            if bundle:
+                assert ring.is_regular(vandermonde)
 
 
 def test_certify_directions_rejects_bad_node_set():
@@ -144,14 +181,12 @@ def test_certified_moment_matrices_satisfy_adjugate_identity():
         F = PrimeField(p)
         cand = _cand(F, *nodes)
         result = certify_directions(n, F, cand)
-        assert result.ok
-        from linaff import build_degree_systems
-
         systems = build_degree_systems(result.directions)
         for k in range(2, n):
             cols = math.comb(n, k)
             square = [systems[k].rows[i] for i in range(cols)]
             det = determinant(square, F)
+            assert F.is_regular(det)
             adj = adjugate(square, F)
             product = mat_mul(adj, square, F)
             for i in range(cols):
@@ -165,8 +200,8 @@ def test_duality_at_the_boundary():
     for p, n, nodes in ((11, 3, (1, 2, 4)), (17, 4, (1, 3, 9, 13))):
         F = PrimeField(p)
         result = certify_directions(n, F, _cand(F, *nodes))
-        assert result.ok
         count = minimal_direction_count(n)
+        assert len(result.directions) == count
         for keep in combinations(range(count), count - 1):
             subset = result.directions.subset(keep)
             witness = lower_bound_witness(n, subset, F)

@@ -13,7 +13,6 @@ from linaff import (
     Zmod,
     check_hypotheses,
     enumerate_affine_lines,
-    identify_automorphism,
     recover_semilinear,
 )
 
@@ -268,30 +267,6 @@ def test_recover_rejects_bad_hypotheses():
     F5 = PrimeField(5)
     with pytest.raises(PreconditionError):
         recover_semilinear(_table(F5, 2, 2, lambda v: (F5.zero, F5.zero)))
-
-
-def test_identify_automorphism_examples():
-    sq = {x: x * x for x in GF4.elements()}
-    assert identify_automorphism(sq).frobenius_power == 1
-
-    F7 = PrimeField(7)
-    ident = {x: x for x in F7.elements()}
-    assert identify_automorphism(ident).frobenius_power == 0
-
-    F5 = PrimeField(5)
-    cube = {x: x**3 for x in F5.elements()}
-    out = identify_automorphism(cube)
-    assert not out.ok
-    assert out.failed_law == "additivity"
-    assert out.witness == (F5.one, F5.one)
-
-
-def test_identify_automorphism_rejects_non_bijections():
-    F5 = PrimeField(5)
-    squash = {x: x * x for x in F5.elements()}  # 2^2 = 3^2 mod 5
-    out = identify_automorphism(squash)
-    assert not out.ok
-    assert out.failed_law == "bijectivity"
 
 
 def test_roundtrip_random_semilinear_maps():
