@@ -203,8 +203,10 @@ def construct_geometric(g: RingElem, n: int) -> BhCandidate:
     _check_size(n)
     if not ring.is_regular(g):
         raise PreconditionError("generator g is not regular")
+    # over Q, g^k = 1 forces g = 1 or g = -1, so g^2 = 1: k = 1, 2 decide
+    end = 2 ** (n - 1) if ring.is_finite else min(2 ** (n - 1), 3)
     power = ring.one
-    for k in range(1, 2 ** (n - 1)):
+    for k in range(1, end):
         power = power * g
         if not ring.is_regular(power - ring.one):
             raise PreconditionError(f"g^{k} - 1 is not regular")

@@ -70,7 +70,9 @@ def parse_function_table(text: str):
     rows = []  # (lineno, point_texts, value_texts)
     terms = []  # (lineno, coeff_text, index_texts)
     in_poly = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    values = None  # the map body's values once the column pass decides it
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
         line = _strip(raw)
         if not line:
             continue
@@ -102,6 +104,10 @@ def parse_function_table(text: str):
         elif head == "map":
             if ring is None or arity is None:
                 raise ParseError("map rows must follow ring and arity", lineno)
+            if not rows:
+                values = _map_columns(ring, arity, codomain_dim, lines[lineno - 1 :])
+                if values is not None:
+                    break
             body = toks[1:]
             if "->" not in body:
                 raise ParseError("map row needs '->'", lineno)
@@ -124,7 +130,8 @@ def parse_function_table(text: str):
         return _build_poly_oracle(ring, arity, terms)
     if isinstance(ring, Rationals):
         raise ParseError("rational oracles need a poly body, not map rows")
-    values = _collect_rows(ring, arity, rows, codomain_dim)
+    if values is None:
+        values = _collect_rows(ring, arity, rows, codomain_dim)
     if codomain_dim is None:
         return TableOracle.from_codes(ring, arity, values)
     try:
@@ -140,6 +147,61 @@ def _parse_codes(ring: Ring, texts, lineno, expected):
         return list(map(ring.parse_code, texts))
     except LinaffError as exc:
         raise ParseError(str(exc), lineno) from None
+
+
+@functools.cache
+def _codes_by_text(ring: Ring) -> dict:
+    """{str(code): code} for every element code of a finite ring."""
+    return {str(code): code for code in range(ring.size)}
+
+
+def _map_columns(ring, arity, width, body):
+    """The map body's values in point-index order, or None to run the row pass.
+
+    `body` holds the lines from the first map row on.  The body is split
+    into tokens once and read a column at a time: every row has the same
+    stride, `map`, `arity` codes, `->`, then one code (`width` codes for a
+    vector table).  The values are what `_collect_rows` returns when each
+    non-blank line is one such row, every code is written as `str(code)`
+    (so no token holds a `#`), and the rows cover each point once.
+    Anything else gets None, and the row pass decides it and names the
+    error.
+    """
+    # arity >= 1 bounds the ring size, and so the code dict, by the row count
+    if not ring.is_finite or arity < 1 or width == 0:
+        return None
+    q = ring.size
+    stride = arity + 2 + (1 if width is None else width)
+    text = "\n".join(body)
+    toks = text.split()
+    rows = len(toks) // stride
+    if (
+        len(toks) != rows * stride
+        or rows != q**arity
+        or toks[::stride].count("map") != rows
+        or toks[arity + 1 :: stride].count("->") != rows
+        # each row starts a line and no other line holds a token
+        or text.count("\nmap") + text.startswith("map") != rows
+        or len(body) - body.count("") != rows
+    ):
+        return None
+    lookup = _codes_by_text(ring).__getitem__
+    try:
+        cols = [list(map(lookup, toks[j::stride])) for j in range(1, stride) if j != arity + 1]
+    except KeyError:
+        return None
+    values = cols[arity] if width is None else list(zip(*cols[arity:]))
+    index = cols[0]
+    for col in cols[1:arity]:
+        index = [i * q + c for i, c in zip(index, col)]
+    if index == list(range(rows)):
+        return values
+    if len(set(index)) != rows:
+        return None
+    ordered = [None] * rows
+    for i, value in zip(index, values):
+        ordered[i] = value
+    return ordered
 
 
 def _collect_rows(ring, arity, rows, width=None):

@@ -155,9 +155,10 @@ def moment_directions(s_elements, count: int) -> DirectionSet:
     if count > MAX_DIRECTIONS:
         raise PreconditionError(f"direction count must be at most {MAX_DIRECTIONS}, got {count}")
     ring = s_elements[0].ring
-    dirs = []
-    for i in range(1, count + 1):
-        dirs.append(tuple(s ** (i - 1) for s in s_elements))
+    # v_{i+1} = v_i * s coordinatewise, so each power costs one product
+    dirs = [tuple(s.ring.one for s in s_elements)]
+    while len(dirs) < count:
+        dirs.append(tuple(p * s for p, s in zip(dirs[-1], s_elements)))
     return DirectionSet(ring, len(s_elements), tuple(dirs))
 
 

@@ -571,7 +571,14 @@ class Rationals(Ring):
 
     def format_element(self, x: RingElem) -> str:
         v = x.value
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+        try:
+            return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+        except ValueError:  # Python caps the digits of an int -> str conversion
+            bits = max(v.numerator.bit_length(), v.denominator.bit_length())
+            digits = int(bits * math.log10(2)) + 1
+            raise PreconditionError(
+                f"rational of about {digits} digits is too long to print"
+            ) from None
 
     def spec_text(self) -> str:
         return "rational"

@@ -18,6 +18,7 @@ from linaff import (
     enumerate_affine_lines,
     evaluate,
     line_affine_check,
+    parse_ring_spec,
     psi_extract,
     recover,
     verify_bh,
@@ -384,3 +385,28 @@ def field_tables_schoolbook(p, k, modulus):
         [[product(a, b) for b in digits] for a in digits],
         [code(-x for x in a) for a in digits],
     )
+
+
+def read_map_codes(text):
+    """Reference reader for a valid map table: its values in point-index order.
+
+    Reads line by line with no shortcut: `#` starts a comment, blank lines
+    are skipped, a directive sets its header field wherever it stands, and
+    each row `map x_1 .. x_n -> y_1 .. y_e` is read with int().  Scalar
+    values are codes, vector values tuples of codes.
+    """
+    header, table = {}, {}
+    for line in text.splitlines():
+        toks = line.split("#")[0].split()
+        if not toks:
+            continue
+        if toks[0] == "map":
+            sep = toks.index("->")
+            table[tuple(map(int, toks[1:sep]))] = tuple(map(int, toks[sep + 1 :]))
+        else:
+            header[toks[0]] = toks[1:]
+    size = parse_ring_spec(" ".join(header["ring"])).size
+    points = product(range(size), repeat=int(header["arity"][0]))
+    if header.get("codomain", ["scalar"]) == ["scalar"]:
+        return [table[point][0] for point in points]
+    return [table[point] for point in points]

@@ -1,5 +1,7 @@
 import json
+import random
 import time
+from itertools import product
 
 import pytest
 
@@ -8,6 +10,7 @@ from linaff import (
     DirectionSet,
     InconsistencyError,
     Line,
+    LinaffError,
     MultiAffinePoly,
     ParseError,
     PolyOracle,
@@ -42,7 +45,7 @@ from linaff.cli import (
 )
 from linaff.recovery import Affine
 
-from helpers import all_points, table_from_poly
+from helpers import all_points, read_map_codes, table_from_poly
 
 
 def _write(tmp_path, name, text):
@@ -70,8 +73,6 @@ def _2xy_z4_table():
 
 
 def _vector_table_text(func, fld, dim_in, dim_out):
-    from itertools import product
-
     mapping = {v: func(v) for v in product(fld.elements(), repeat=dim_in)}
     return format_function_table(VectorMapTable(fld, dim_in, dim_out, mapping))
 
@@ -149,6 +150,135 @@ def test_roundtrip_vector_table():
     table = parse_function_table(text)
     assert isinstance(table, VectorMapTable)
     assert format_function_table(table) == text
+
+
+# The differential parse corpus: every layout of every table must read as
+# the reference reader reads it, and every fault must give its exact error.
+
+
+def _corpus_table(spec, n, e):
+    """Header and in-order rows of a seeded map table; e is None for a scalar one."""
+    rng = random.Random(f"{spec}:{n}:{e}")
+    q = parse_ring_spec(spec).size
+    rows = []
+    for point in product(range(q), repeat=n):
+        image = [rng.randrange(q) for _ in range(e or 1)]
+        rows.append(f"map {' '.join(map(str, point))} -> {' '.join(map(str, image))}")
+    codomain = "scalar" if e is None else f"vector {e}"
+    return [f"ring {spec}", f"arity {n}", f"codomain {codomain}"], rows
+
+
+def _shuffled(rows):
+    rows = list(rows)
+    random.Random(len(rows)).shuffle(rows)
+    return rows
+
+
+def _recoded(row, prefix):
+    """The row with every code written with a prefix: `03`, `+1`."""
+    return " ".join(t if t in ("map", "->") else prefix + t for t in row.split())
+
+
+_CORPUS_TABLES = [
+    ("zmod 6", 2, None),
+    ("prime 5", 3, None),
+    ("gf 2 2 1 1", 2, None),
+    ("zmod 4", 1, None),
+    ("prime 5", 2, 2),
+    ("gf 3 2 2 1", 2, 1),
+]
+
+_LAYOUTS = {
+    "in-order": lambda h, r: "\n".join(h + r) + "\n",
+    "shuffled": lambda h, r: "\n".join(h + _shuffled(r)) + "\n",
+    "no-final-newline": lambda h, r: "\n".join(h + _shuffled(r)),
+    "blank-lines": lambda h, r: "\n\n".join(h + r[:3]) + "\n" + "\n\n".join(r[3:]) + "\n\n",
+    "whitespace-lines": lambda h, r: "\n \t\n".join(h + _shuffled(r)) + "\n",
+    "crlf": lambda h, r: "\r\n".join(h + r) + "\r\n",
+    "crlf-shuffled": lambda h, r: "\r\n".join(h + _shuffled(r)) + "\r\n",
+    "trailing-spaces": lambda h, r: "".join(line + " \t \n" for line in h + r),
+    "indented-tabs": lambda h, r: "".join("  " + line.replace(" ", "\t") + "\n" for line in h + r),
+    "comments": lambda h, r: "# table\n" + "\n".join(
+        h + [row + " # row" if i % 5 == 0 else row for i, row in enumerate(r)] + ["# end"]
+    ),
+    "non-canonical-codes": lambda h, r: "\n".join(
+        h + [_recoded(r[0], "+"), _recoded(r[1], "0")] + r[2:]
+    ),
+    "directive-after-rows": lambda h, r: "\n".join(h + _shuffled(r) + [h[1]]) + "\n",
+}
+
+
+@pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+def test_parse_matches_the_reference_reader(layout):
+    for spec, n, e in _CORPUS_TABLES:
+        text = _LAYOUTS[layout](*_corpus_table(spec, n, e))
+        parsed = parse_function_table(text)
+        assert isinstance(parsed, TableOracle if e is None else VectorMapTable)
+        assert parsed.codes == read_map_codes(text)
+
+
+_Z5_HEADER, _Z5_ROWS = ["ring zmod 5", "arity 2", "codomain scalar"], [
+    f"map {x} {y} -> {(x + 2 * y) % 5}" for x in range(5) for y in range(5)
+]
+_F5_HEADER, _F5_ROWS = _corpus_table("prime 5", 2, 2)
+
+
+def _faulty(at, *lines, rows=_Z5_ROWS, header=_Z5_HEADER):
+    """The table with row `at` replaced by `lines`; row 17 sits on line 21."""
+    return "\n".join(header + rows[:at] + list(lines) + rows[at + 1 :]) + "\n"
+
+
+def _appended(*lines):
+    return "\n".join(_Z5_HEADER + _Z5_ROWS + list(lines)) + "\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (_faulty(17, "map 3 2 -> 9"), "line 21: encoding 9 out of range for zmod 5"),
+        (_faulty(17, "map 3 2 -> -1"), "line 21: encoding -1 out of range for zmod 5"),
+        (_faulty(17, "map 3 2 -> x"), "line 21: invalid literal for int() with base 10: 'x'"),
+        (_faulty(17, "map 3 5 -> 2"), "line 21: encoding 5 out of range for zmod 5"),
+        (_faulty(17, "map 3 -> 2"), "line 21: expected 2 coordinates, got 1"),
+        (_faulty(17, "map 3 2 0 -> 2"), "line 21: expected 2 coordinates, got 3"),
+        (_faulty(17, "map 3 2 -> 2 2"), "line 21: expected 1 coordinates, got 2"),
+        (_faulty(17, "map 3 2 ->"), "line 21: expected 1 coordinates, got 0"),
+        (_faulty(17, "map 3 2 2"), "line 21: map row needs '->'"),
+        (_faulty(17, "map 3 2 => 2"), "line 21: map row needs '->'"),
+        (_faulty(17, "mapx 3 2 -> 2"), "line 21: unrecognized directive 'mapx'"),
+        (_faulty(17, "map 3 2 # -> 2"), "line 21: map row needs '->'"),
+        (_faulty(17, "map 3 1 -> 1"), "line 21: duplicate point 3 1"),
+        (_faulty(3, "map 0 0 -> 0", rows=_Z5_ROWS[::-1]), "line 28: duplicate point 0 0"),
+        (_faulty(17), "table is missing the point 3 2"),
+        (_faulty(0, rows=_Z5_ROWS[::-1]), "table is missing the point 4 4"),
+        (_faulty(17, "map 3 2 ->", "2"), "line 22: unrecognized directive '2'"),
+        (_faulty(17, "map 3", "2 -> 2"), "line 21: map row needs '->'"),
+        (_faulty(17, _Z5_ROWS[17] + " " + _Z5_ROWS[18], rows=_Z5_ROWS[:18] + _Z5_ROWS[19:]),
+         "line 21: expected 1 coordinates, got 6"),
+        (_faulty(17, _Z5_ROWS[17] + " map 3 3", "-> 4", rows=_Z5_ROWS[:18] + _Z5_ROWS[19:]),
+         "line 22: unrecognized directive '->'"),
+        (_appended("poly"), "cannot mix map rows with a poly body"),
+        (_appended("codomain vector 2"), "line 4: expected 2 coordinates, got 1"),
+        (_appended("ring zmod 3"), "line 6: encoding 4 out of range for zmod 3"),
+        (_appended("term 1"), "line 29: unrecognized directive 'term'"),
+        (_faulty(17, "map 3 2 -> 1", rows=_F5_ROWS, header=_F5_HEADER),
+         "line 21: expected 2 coordinates, got 1"),
+        (_faulty(17, "map 3 2 -> 1 5", rows=_F5_ROWS, header=_F5_HEADER),
+         "line 21: encoding 5 out of range for prime 5"),
+    ],
+    ids=["value-9", "value-negative", "value-malformed", "coordinate-out-of-range",
+         "too-few-coordinates", "too-many-coordinates", "two-values", "no-value",
+         "missing-arrow", "wrong-arrow", "misspelled-map", "comment-hides-arrow",
+         "duplicate-point", "duplicate-point-shuffled", "missing-point",
+         "missing-point-shuffled", "row-split-after-arrow", "row-split-before-arrow",
+         "two-rows-on-one-line", "row-split-and-merged", "poly-after-rows",
+         "codomain-after-rows", "ring-after-rows", "term-after-rows", "vector-one-value",
+         "vector-value-out-of-range"],
+)
+def test_parse_errors_name_the_fault(text, message):
+    with pytest.raises(LinaffError) as err:
+        parse_function_table(text)
+    assert str(err.value) == message
 
 
 def test_recover_cli_affine(tmp_path):
@@ -329,10 +459,17 @@ def test_malformed_ring_literals_are_usage_errors(tmp_path, argv, body):
         (["bh", "geometric", "--ring", "rational", "--g", "7", "--n", "17"],
          "node set must have at most 16 elements, got 17"),
         (["sharpness", "bound", "--n", "100000"], "arity must be at most 16, got 100000"),
+        (["bh", "geometric", "--ring", "rational", "--g", "7" * 3000, "--n", "3"],
+         "rational of about 6000 digits is too long to print"),
+        (["bh", "geometric", "--ring", "rational", "--g", "1", "--n", "16"],
+         "g^1 - 1 is not regular"),
+        (["bh", "geometric", "--ring", "rational", "--g", "-1", "--n", "16"],
+         "g^2 - 1 is not regular"),
     ],
     ids=["family-n40", "moment-n-1", "dirs-arity", "moment-n40", "moment-count",
          "witness-n0", "witness-n-2", "witness-n40", "certify-collision", "certify-difference",
-         "certify-n40", "verify-24-primes", "geometric-n17", "bound-n100000"],
+         "certify-n40", "verify-24-primes", "geometric-n17", "bound-n100000",
+         "geometric-3000-digits", "geometric-rational-g1", "geometric-rational-g-1"],
 )
 def test_direction_set_errors(tmp_path, argv, message):
     path = _write(tmp_path, "affine.tbl", _affine_z7_table())
@@ -351,8 +488,10 @@ def test_direction_set_errors(tmp_path, argv, message):
         (["bh", "search", "--ring", "zmod 30", "--n", "4"], (EXIT_NEGATIVE, "status: none\n"), 0.5),
         (["sharpness", "certify", "--ring", "rational", "--n", "8",
           "--set", "2,3,5,7,11,13,17,19"], (EXIT_OK, "status: ok\n"), 1.0),
+        (["sharpness", "certify", "--ring", "rational", "--n", "14",
+          "--set", "2,3,5,7,11,13,17,19,23,29,31,37,41,43"], (EXIT_OK, "status: ok\n"), 2.0),
     ],
-    ids=["search-prime61", "search-zmod30", "certify-rational-n8"],
+    ids=["search-prime61", "search-zmod30", "certify-rational-n8", "certify-rational-n14"],
 )
 def test_answers_decided_by_the_bh_maths_are_fast(argv, answer, seconds):
     start = time.perf_counter()

@@ -96,6 +96,20 @@ def test_moment_directions_examples():
     assert qdirs.dirs == (_vec(Q, 1, 1, 1), _vec(Q, 2, 3, 5))
 
 
+@pytest.mark.parametrize(
+    "nodes",
+    [
+        [Zmod(12).elem(v) for v in (1, 5, 7, 11, 3)],
+        [GaloisField(3, 2, [2, 1]).elem(v) for v in (1, 2, 4, 8)],
+        [Rationals().elem(v) for v in ("2", "-3/4", "5", "1/7")],
+    ],
+)
+def test_moment_directions_match_powers_from_scratch(nodes):
+    count = 20
+    dirs = moment_directions(nodes, count)
+    assert dirs.dirs == tuple(tuple(s ** (i - 1) for s in nodes) for i in range(1, count + 1))
+
+
 def test_direction_set_validation():
     Z5 = Zmod(5)
     with pytest.raises(PreconditionError):
