@@ -149,7 +149,7 @@ def _parse_codes(ring: Ring, texts, lineno, expected):
         raise ParseError(str(exc), lineno) from None
 
 
-@functools.cache
+@functools.lru_cache(maxsize=8)
 def _codes_by_text(ring: Ring) -> dict:
     """{str(code): code} for every element code of a finite ring."""
     return {str(code): code for code in range(ring.size)}
@@ -163,9 +163,9 @@ def _map_columns(ring, arity, width, body):
     stride, `map`, `arity` codes, `->`, then one code (`width` codes for a
     vector table).  The values are what `_collect_rows` returns when each
     non-blank line is one such row, every code is written as `str(code)`
-    (so no token holds a `#`), and the rows cover each point once.
-    Anything else gets None, and the row pass decides it and names the
-    error.
+    (so no token holds a `#`), and the rows come in point-index order,
+    as `format_function_table` writes them.  Anything else, shuffled rows
+    included, gets None, and the row pass decides it and names the error.
     """
     # arity >= 1 bounds the ring size, and so the code dict, by the row count
     if not ring.is_finite or arity < 1 or width == 0:
@@ -194,14 +194,7 @@ def _map_columns(ring, arity, width, body):
     index = cols[0]
     for col in cols[1:arity]:
         index = [i * q + c for i, c in zip(index, col)]
-    if index == list(range(rows)):
-        return values
-    if len(set(index)) != rows:
-        return None
-    ordered = [None] * rows
-    for i, value in zip(index, values):
-        ordered[i] = value
-    return ordered
+    return values if index == list(range(rows)) else None
 
 
 def _collect_rows(ring, arity, rows, width=None):
