@@ -34,9 +34,7 @@ from .multiaffine import (
     Line,
     LineCheck,
     MultiAffinePoly,
-    PolyOracle,
     TableOracle,
-    evaluate,
     is_affine_poly,
     line_affine_check,
     psi_extract,
@@ -47,10 +45,9 @@ from .recovery import (
     CannotCancel,
     Certificate,
     CoefficientWitness,
-    DegreeSystem,
     DirectionSet,
     LineWitness,
-    build_degree_systems,
+    degree_system,
     factorial_det,
     family_directions,
     moment_directions,
@@ -64,7 +61,6 @@ from .rings import (
     RingElem,
     Zmod,
     frobenius,
-    is_regular,
     parse_ring_spec,
 )
 from .sharpness import (

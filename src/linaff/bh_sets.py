@@ -212,6 +212,9 @@ def construct_geometric(g: RingElem, n: int) -> BhCandidate:
             raise PreconditionError(f"g^{k} - 1 is not regular")
     exponents = [0] + [2**j for j in range(n - 1)]
     elements = tuple(g**e for e in exponents)
+    # the set is reported as text, so one that cannot be printed fails
+    # before the bundle check forms its products
+    format_elements(elements)
     candidate = BhCandidate(ring, elements)
     if n >= 3 and not verify_properties(candidate).ok:
         raise InconsistencyError("geometric construction violated its own guarantee")

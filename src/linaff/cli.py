@@ -24,7 +24,6 @@ from .errors import InconsistencyError, LinaffError, ParseError, PreconditionErr
 from .multiaffine import (
     Line,
     MultiAffinePoly,
-    PolyOracle,
     TableOracle,
     flat_table,
     line_affine_check,
@@ -63,7 +62,7 @@ def _strip(line: str) -> str:
 
 
 def parse_function_table(text: str):
-    """Parse a table/poly file into a TableOracle, PolyOracle or VectorMapTable."""
+    """Parse a table/poly file into a TableOracle, MultiAffinePoly or VectorMapTable."""
     ring: Ring | None = None
     arity = None
     codomain_dim = None  # None for a scalar codomain
@@ -239,18 +238,18 @@ def _build_poly_oracle(ring, arity, terms):
         if mask in coeffs:
             raise ParseError("duplicate term for the same variable subset", lineno)
         coeffs[mask] = coeff
-    return PolyOracle(MultiAffinePoly(ring, arity, coeffs))
+    return MultiAffinePoly(ring, arity, coeffs)
 
 
 def format_function_table(oracle) -> str:
     """Canonical text for an oracle; parsing it back yields an equal oracle."""
-    if isinstance(oracle, PolyOracle):
+    if isinstance(oracle, MultiAffinePoly):
         lines = [
             f"ring {oracle.ring.spec_text()}",
             f"arity {oracle.arity}",
             "poly",
         ]
-        for mask, coeff in oracle.poly.terms():
+        for mask, coeff in oracle.terms():
             idx = " ".join(str(i) for i in mask_to_subset(mask))
             entry = f"term {oracle.ring.format_element(coeff)}"
             lines.append(entry + (f" {idx}" if idx else ""))

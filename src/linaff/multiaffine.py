@@ -9,8 +9,11 @@ decides whether a function restricted to one affine line is affine with
 a unique slope.
 
 Points are plain tuples of RingElem.  Function oracles come in two
-flavours: exhaustive tables over a finite ring, and symbolic multi-affine
-polynomials (the only option over the rationals).  A table stores its
+flavours: exhaustive tables over a finite ring, and multi-affine
+polynomials (the only option over the rationals), which are their own
+oracle.  Every line question about a polynomial is answered from its
+coefficients: along base + R*dir it restricts to a polynomial in the
+parameter, which `restriction_check` reads.  A table stores its
 values as a flat list of element codes (the `value` of a finite-ring
 element) in point-index order (see `point_index`), so scans over it are
 int arithmetic through the ring's value-level operations.
@@ -93,6 +96,15 @@ class MultiAffinePoly:
     def coeff(self, mask: int) -> RingElem:
         return self.coeffs.get(mask, self.ring.zero)
 
+    def value(self, x: Point) -> RingElem:
+        """Exact value of the polynomial at a point of matching arity."""
+        if len(x) != self.arity:
+            raise ArityError(f"point has arity {len(x)}, poly has {self.arity}")
+        total = self.ring.zero
+        for mask, c in self.coeffs.items():
+            total = total + monomial(c, mask, x)
+        return total
+
     def terms(self):
         """Coefficients in (popcount, subset-lex) order."""
         return sorted(
@@ -132,16 +144,6 @@ def monomial(c: RingElem, mask: int, x: Point) -> RingElem:
         mask >>= 1
         i += 1
     return c
-
-
-def evaluate(poly: MultiAffinePoly, x: Point) -> RingElem:
-    """Exact value of the polynomial at a point of matching arity."""
-    if len(x) != poly.arity:
-        raise ArityError(f"point has arity {len(x)}, poly has {poly.arity}")
-    total = poly.ring.zero
-    for mask, c in poly.coeffs.items():
-        total = total + monomial(c, mask, x)
-    return total
 
 
 def point_index(q: int, codes) -> int:
@@ -249,19 +251,7 @@ def _checked_index(ring: Ring, arity: int, x) -> int | None:
     return point_index(ring.size, (c.value for c in x))
 
 
-class PolyOracle:
-    """Function given symbolically by a multi-affine polynomial."""
-
-    def __init__(self, poly: MultiAffinePoly):
-        self.poly = poly
-        self.ring = poly.ring
-        self.arity = poly.arity
-
-    def value(self, x: Point) -> RingElem:
-        return evaluate(self.poly, x)
-
-
-FunctionOracle = TableOracle | PolyOracle
+FunctionOracle = TableOracle | MultiAffinePoly
 
 
 @dataclass(frozen=True)
@@ -306,39 +296,51 @@ def _check_arity(f: FunctionOracle, line: Line):
 def line_affine_check(f: FunctionOracle, line: Line) -> LineCheck:
     """Decide whether f restricted to the line is affine.
 
-    The candidate slope is forced to be f(base+dir) - f(base); over a
-    finite ring every parameter value is checked, over the rationals the
-    restriction is inspected symbolically.  On failure the witness is the
-    parameter triple (0, 1, r) with r the first refuting parameter in
-    canonical order.
+    The candidate slope is forced to be f(base+dir) - f(base).  A table is
+    checked at every parameter value; a polynomial's restriction is read
+    off its coefficients by `restriction_check`.  On failure the witness
+    is the parameter triple (0, 1, r) with r the first refuting parameter
+    in canonical order.
     """
     _check_arity(f, line)
     ring = f.ring
-    if ring.is_finite:
-        f0 = f.value(line.base)
-        slope = f.value(point_add(line.base, line.dir)) - f0
-        for r in ring.elements():
-            if f.value(point_add(line.base, point_scale(r, line.dir))) != f0 + slope * r:
-                return LineCheck(None, (ring.zero, ring.one, r))
-        return LineCheck(slope, None)
-    if not isinstance(f, PolyOracle):
-        raise UnsupportedRingError("line checks over the rationals need a poly oracle")
-    shifted = shift_poly(f.poly, line.base)
-    b = restrict_radial(shifted, line.dir)
-    if all(b[k].is_zero for k in range(2, len(b))):
-        return LineCheck(b[1], None)
-    # the residual polynomial vanishes at 0 and 1 and has degree <= n, so
-    # a refuting integer parameter is found within n+1 further tries
-    f0 = b[0]
+    if isinstance(f, MultiAffinePoly):
+        return restriction_check(ring, restrict_radial(shift_poly(f, line.base), line.dir))
+    f0 = f.value(line.base)
     slope = f.value(point_add(line.base, line.dir)) - f0
-    for t in range(2, len(b) + 2):
-        r = ring.from_int(t)
-        acc = ring.zero
-        for coef in reversed(b):
-            acc = acc * r + coef
-        if acc != f0 + slope * r:
+    for r in ring.elements():
+        if f.value(point_add(line.base, point_scale(r, line.dir))) != f0 + slope * r:
             return LineCheck(None, (ring.zero, ring.one, r))
-    raise InconsistencyError("nonzero residual polynomial refuted nowhere")
+    return LineCheck(slope, None)
+
+
+def restriction_check(ring: Ring, b: list, params=None) -> LineCheck:
+    """Whether g(r) = b_0 + b_1 r + ... + b_n r^n is affine in r.
+
+    The slope is g(1) - g(0) = b_1 + ... + b_n.  g is compared with
+    b_0 + slope*r at each of `params`, by Horner's rule and in the given
+    order; by default at every element of a finite ring in code order,
+    while over the rationals the default decides from b: g is affine iff
+    b_k = 0 for every k >= 2.  The witness is (0, 1, r) with r the first
+    refuting parameter.
+    """
+    slope = sum(b[2:], b[1])
+    decided = params is None and not ring.is_finite
+    if decided and all(c.is_zero for c in b[2:]):
+        return LineCheck(slope, None)
+    if params is None:
+        # over Q, g - b_0 - slope*r vanishes at 0 and 1 and has degree <= n,
+        # so a refuting integer parameter is found within n+1 further tries
+        params = ring.elements() if ring.is_finite else map(ring.from_int, range(2, len(b) + 2))
+    for r in params:
+        acc = b[-1]
+        for c in reversed(b[:-1]):
+            acc = acc * r + c
+        if acc != b[0] + slope * r:
+            return LineCheck(None, (ring.zero, ring.one, r))
+    if decided:
+        raise InconsistencyError("nonzero residual polynomial refuted nowhere")
+    return LineCheck(slope, None)
 
 
 def psi_extract(f: FunctionOracle, base: Point | None = None) -> MultiAffinePoly:
@@ -346,8 +348,9 @@ def psi_extract(f: FunctionOracle, base: Point | None = None) -> MultiAffinePoly
 
     The coefficient at subset J is the alternating sum of f over the
     sub-hypercube spanned by J (inclusion-exclusion); the empty subset
-    carries f(base).  Computed with an in-place finite-difference
-    transform over all 2^n vertex values.
+    carries f(base).  For a table this is an in-place finite-difference
+    transform over all 2^n vertex values; a polynomial is multi-affine,
+    so its coefficients at base are those of x -> f(base + x).
     """
     n = f.arity
     ring = f.ring
@@ -355,6 +358,8 @@ def psi_extract(f: FunctionOracle, base: Point | None = None) -> MultiAffinePoly
         base = zero_point(ring, n)
     if len(base) != n:
         raise ArityError(f"base point arity {len(base)} != oracle arity {n}")
+    if isinstance(f, MultiAffinePoly):
+        return shift_poly(f, base)
     vals = []
     for mask in range(1 << n):
         point = tuple(

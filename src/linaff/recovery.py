@@ -1,10 +1,11 @@
 """End-to-end recovery of global affine-linearity from line restrictions.
 
 The pipeline checks the function along every coordinate-parallel line,
-extracts the multi-affine hypercube coefficients at the origin, checks
-the supplied radial test directions, and then reads the verdict off the
-coefficients, the same way over every ring.  The outcome is one of four
-certificates, each with a `status` and a `document()`:
+extracts the multi-affine hypercube coefficients psi at the origin,
+reads each supplied radial test line off psi's restriction to it, and
+then reads the verdict off the coefficients, the same way over every
+ring.  The outcome is one of four certificates, each with a `status`
+and a `document()`:
 
   Affine              affine; its coefficients are re-verified against f
   LineWitness         non-affine: a refuted line
@@ -16,20 +17,21 @@ certificates, each with a `status` and a `document()`:
 
 A function that is affine along every coordinate line equals its
 multi-affine interpolant psi at every point, so f is affine iff psi has
-no coefficient of degree >= 2.  Whether the directions force those
-coefficients to zero for every f is a property of the degree-k systems:
-they force it iff each has full column rank, over Z/m modulo every
-prime p | m (McCoy, "Remarks on divisors of zero", 1942, with the
-Chinese remainder theorem).  A surviving coefficient whose radial
+no coefficient of degree >= 2, and along R*v it is the polynomial
+r -> sum_k b_k r^k with b = `restrict_radial(psi, v)`.  Whether the
+directions force those coefficients to zero for every f is a property of
+the degree-k systems: they force it iff each has full column rank, over
+Z/m modulo every prime p | m (McCoy, "Remarks on divisors of zero",
+1942, with the Chinese remainder theorem).  A surviving coefficient whose radial
 restrictions all vanish is a nonzero solution of its degree's system, so
 that system is consulted only then, as a consistency check.
 
-Two acquisition modes exist.  The default checks each radial line over
-every ring element (finite rings) or symbolically (rationals).  The
-"proof" mode instead samples the integer parameters 0..n and relies on
-the factorial determinant being regular, which is the weaker but
-historically primary route; it yields the same certificates on all the
-pinned cases.
+Two acquisition modes exist.  The default checks each radial line's
+restriction at every ring element (finite rings) or decides it from its
+coefficients (rationals).  The "proof" mode instead samples the integer
+parameters 0..n and relies on the factorial determinant being regular,
+which is the weaker but historically primary route; it yields the same
+certificates on all the pinned cases.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .errors import (
     InconsistencyError,
     PreconditionError,
     RingMismatchError,
-    UnsupportedRingError,
 )
 from .linalg import kernel_vector
 from .multiaffine import (
@@ -51,15 +52,13 @@ from .multiaffine import (
     FunctionOracle,
     Line,
     MultiAffinePoly,
-    PolyOracle,
     index_point,
     is_affine_poly,
-    line_affine_check,
     mask_to_subset,
     monomial,
-    point_scale,
     psi_extract,
     restrict_radial,
+    restriction_check,
     subset_to_mask,
     unit_point,
     zero_point,
@@ -162,30 +161,18 @@ def moment_directions(s_elements, count: int) -> DirectionSet:
     return DirectionSet(ring, len(s_elements), tuple(dirs))
 
 
-@dataclass
-class DegreeSystem:
-    """Homogeneous constraints on the degree-k coefficients.
+def degree_system(dirs: DirectionSet, k: int) -> tuple[tuple, list]:
+    """Homogeneous constraints on the degree-k coefficients, as (masks, rows).
 
     Row i corresponds to direction v_i and has entry prod_{j in J} (v_i)_j
-    at the column of subset J, whose bitmask is `masks[col]`; the
-    right-hand side is zero.  The rows depend on the directions only: the
-    values a function must meet are the degree-k coefficients of its
-    radial restrictions, which `recover` reads off psi.
+    at the column of subset J, whose bitmask is `masks[col]`; columns go in
+    subset-lex order and the right-hand side is zero.  The rows depend on
+    the directions only: the values a function must meet are the degree-k
+    coefficients of its radial restrictions, which `recover` reads off psi.
     """
-
-    masks: tuple
-    rows: list
-
-
-def build_degree_systems(dirs: DirectionSet) -> dict[int, DegreeSystem]:
-    """One system per degree k = 2..n, columns in subset-lex order."""
     n, one = dirs.arity, dirs.ring.one
-    systems = {}
-    for k in range(2, n + 1):
-        masks = tuple(subset_to_mask(s) for s in combinations(range(1, n + 1), k))
-        rows = [[monomial(one, mask, v) for mask in masks] for v in dirs.dirs]
-        systems[k] = DegreeSystem(masks, rows)
-    return systems
+    masks = tuple(subset_to_mask(s) for s in combinations(range(1, n + 1), k))
+    return masks, [[monomial(one, mask, v) for mask in masks] for v in dirs.dirs]
 
 
 def factorial_det(n: int, ring: Ring) -> RingElem:
@@ -270,10 +257,10 @@ def _coordinate_line_failure(f: FunctionOracle) -> LineWitness | None:
     codes: along axis a the line through the point with index b takes the
     values codes[b + r * q^(n-a)] for the element codes r = 0..q-1.
 
-    A poly oracle is multi-affine by construction, hence affine along all
+    A polynomial is multi-affine by construction, hence affine along all
     coordinate-parallel lines; no enumeration is needed there.
     """
-    if isinstance(f, PolyOracle):
+    if isinstance(f, MultiAffinePoly):
         return None
     ring, n, codes = f.ring, f.arity, f.codes
     q = ring.size
@@ -292,31 +279,13 @@ def _coordinate_line_failure(f: FunctionOracle) -> LineWitness | None:
     return None
 
 
-def _radial_failure(f: FunctionOracle, v, mode: str) -> LineWitness | None:
-    """Check f along the radial line R*v, exhaustively or at samples 0..n."""
-    ring, n = f.ring, f.arity
-    line = Line(zero_point(ring, n), v)
-    if mode == "exhaustive":
-        check = line_affine_check(f, line)
-        if not check.ok:
-            return LineWitness(line, check.witness)
-        return None
-    f0 = f.value(line.base)
-    slope = f.value(v) - f0
-    for t in range(2, n + 1):
-        r = ring.from_int(t)
-        if f.value(point_scale(r, v)) != f0 + slope * r:
-            return LineWitness(line, (ring.zero, ring.one, r))
-    return None
-
-
 def _verified_affine(f: FunctionOracle, psi: MultiAffinePoly) -> Affine:
     """Assemble the affine certificate and re-verify it against the oracle."""
     ring, n = f.ring, f.arity
     origin = zero_point(ring, n)
     c0 = f.value(origin)
     linear = tuple(f.value(unit_point(ring, n, i)) - c0 for i in range(1, n + 1))
-    if isinstance(f, PolyOracle):
+    if isinstance(f, MultiAffinePoly):
         # coefficient comparison: the extracted polynomial must be exactly
         # the affine candidate
         if not is_affine_poly(psi):
@@ -340,20 +309,20 @@ def recover(f: FunctionOracle, dirs: DirectionSet, mode: str = "exhaustive") -> 
     """Decide affine-linearity of f from coordinate and radial line data.
 
     Pipeline: (i) every coordinate-parallel line must be affine, else a
-    line witness is returned; (ii) the hypercube coefficients at the
+    line witness is returned; (ii) the hypercube coefficients psi at the
     origin are extracted; (iii) every direction's radial line must be
-    affine; (iv) proof mode answers cannot-cancel when the factorial
-    determinant is not regular; (v) the first coefficient of psi of
+    affine, which is read off psi's restriction to it; (iv) proof mode
+    answers cannot-cancel when the factorial determinant is not regular;
+    (v) the first coefficient of psi of
     degree k >= 2 decides: if the degree-k coefficient of some radial
     restriction is nonzero, the line passed only because the ring hid
     it, and the answer is cannot-cancel with the factorial determinant;
     otherwise the coefficient is the witness of a non-affine
     certificate.  With no such coefficient f is affine, and the
-    certificate is re-verified before being returned: a poly oracle by
+    certificate is re-verified before being returned: a polynomial by
     its coefficients, a table at every point.  On a table, step (i) and the
     re-verify run on the flat list of element codes through the ring's
-    value-level operations; the other steps read single values as
-    RingElem.
+    value-level operations.
     """
     if mode not in ("exhaustive", "proof"):
         raise PreconditionError(f"unknown mode {mode!r}")
@@ -362,25 +331,26 @@ def recover(f: FunctionOracle, dirs: DirectionSet, mode: str = "exhaustive") -> 
         raise RingMismatchError("direction set ring differs from the oracle ring")
     if dirs.arity != n:
         raise ArityError(f"direction arity {dirs.arity} != oracle arity {n}")
-    if not ring.is_finite and not isinstance(f, PolyOracle):
-        raise UnsupportedRingError("recovery over the rationals needs a poly oracle")
 
     failure = _coordinate_line_failure(f)
     if failure is not None:
         return failure
 
     psi = psi_extract(f)
+    # f = psi at every point, so f(r*v) = sum_k b_k r^k for b in radials
+    radials = [restrict_radial(psi, v) for v in dirs.dirs]
 
-    radial_mode = mode if ring.is_finite else "exhaustive"
-    for v in dirs.dirs:
-        failure = _radial_failure(f, v, radial_mode)
-        if failure is not None:
-            return failure
+    samples = None  # every ring element, or decided from b over Q
+    if mode == "proof" and ring.is_finite:
+        samples = [ring.from_int(t) for t in range(2, n + 1)]
+    for v, b in zip(dirs.dirs, radials):
+        check = restriction_check(ring, b, samples)
+        if not check.ok:
+            return LineWitness(Line(zero_point(ring, n), v), check.witness)
 
     if mode == "proof":
         fac_det = factorial_det(n, ring)
         if not ring.is_regular(fac_det):
-            radials = [restrict_radial(psi, v) for v in dirs.dirs]
             degree = next(
                 (k for k in range(2, n + 1) if any(not b[k].is_zero for b in radials)), 2
             )
@@ -394,13 +364,13 @@ def recover(f: FunctionOracle, dirs: DirectionSet, mode: str = "exhaustive") -> 
     mask, value = survivor
     k = mask.bit_count()
     # the degree-k coefficient of psi restricted to each radial line
-    if any(not restrict_radial(psi, v)[k].is_zero for v in dirs.dirs):
+    if any(not b[k].is_zero for b in radials):
         # the radial checks passed, so no node set with a regular
         # Vandermonde determinant can exist in this ring
         return CannotCancel(k, factorial_det(n, ring))
     # the degree-k coefficients solve their homogeneous system, so the
     # system must have a nonzero solution
-    system = build_degree_systems(dirs)[k]
-    if kernel_vector(system.rows, len(system.masks), ring) is None:
+    masks, rows = degree_system(dirs, k)
+    if kernel_vector(rows, len(masks), ring) is None:
         raise InconsistencyError(f"degree-{k} system forced zero but coefficients survive")
     return CoefficientWitness(k, mask_to_subset(mask), value)

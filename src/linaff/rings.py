@@ -589,11 +589,6 @@ def format_elements(elems) -> str:
     return " ".join(e.ring.format_element(e) for e in elems)
 
 
-def is_regular(x: RingElem) -> bool:
-    """Non-zerodivisor test for a ring element (0 is never regular)."""
-    return x.ring.is_regular(x)
-
-
 def frobenius(x: RingElem, j: int = 1) -> RingElem:
     """x^(p^j) on a finite field; j = 0 is the identity."""
     ring = x.ring

@@ -22,7 +22,7 @@ from .bh_sets import BhCandidate, verify_properties
 from .errors import PreconditionError, RingMismatchError
 from .linalg import kernel_vector
 from .multiaffine import MAX_ARITY, MultiAffinePoly, is_affine_poly, restrict_radial
-from .recovery import DirectionSet, build_degree_systems, moment_directions
+from .recovery import DirectionSet, degree_system, moment_directions
 from .rings import Ring
 
 
@@ -82,11 +82,11 @@ def lower_bound_witness(n: int, dirs: DirectionSet, fld: Ring) -> SharpnessWitne
     if dirs.arity != n:
         raise PreconditionError(f"direction arity {dirs.arity} != n = {n}")
     k = (n + 1) // 2
-    system = build_degree_systems(dirs)[k]
-    vector = kernel_vector(system.rows, len(system.masks), fld)
+    masks, rows = degree_system(dirs, k)
+    vector = kernel_vector(rows, len(masks), fld)
     if vector is None:
         raise PreconditionError("direction set already forces the binding degree")
-    poly = MultiAffinePoly(fld, n, dict(zip(system.masks, vector)))
+    poly = MultiAffinePoly(fld, n, dict(zip(masks, vector)))
     witness = SharpnessWitness(poly, dirs, fld, k)
     _validate_witness(witness)
     return witness

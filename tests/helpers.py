@@ -11,12 +11,10 @@ from linaff import (
     Line,
     LineWitness,
     MultiAffinePoly,
-    PolyOracle,
     PreconditionError,
     TableOracle,
     Zmod,
     enumerate_affine_lines,
-    evaluate,
     line_affine_check,
     parse_ring_spec,
     psi_extract,
@@ -25,7 +23,7 @@ from linaff import (
     verify_properties,
 )
 from linaff.bh_sets import Property2Failure
-from linaff.multiaffine import unit_point
+from linaff.multiaffine import unit_point, zero_point
 
 
 def rand_elem(ring, rng):
@@ -69,7 +67,7 @@ def all_points(ring, n):
 
 
 def table_from_poly(poly) -> TableOracle:
-    table = {pt: evaluate(poly, pt) for pt in all_points(poly.ring, poly.arity)}
+    table = {pt: poly.value(pt) for pt in all_points(poly.ring, poly.arity)}
     return TableOracle(poly.ring, poly.arity, table)
 
 
@@ -328,15 +326,34 @@ def coordinate_line_failure_reference(f):
 def recover_reference(f, dirs, mode="exhaustive"):
     """Reference for recover on a table, on the RingElem path.
 
-    A table that passes the reference coordinate-line scan equals its
-    hypercube interpolant psi at every point (induction on the arity), so
-    the rest of the pipeline must answer as it does for the poly oracle of
+    Each radial line is checked on the table's own values: at every ring
+    element by line_affine_check in exhaustive mode, at t = 2..n in proof
+    mode.  A table that passes the reference coordinate-line scan equals
+    its hypercube interpolant psi at every point (induction on the arity),
+    so the rest of the pipeline must answer as it does for the polynomial
     psi, whose affine check compares coefficients instead of table codes.
     """
     failure = coordinate_line_failure_reference(f)
     if failure is not None:
         return failure
-    return recover(PolyOracle(psi_extract(f)), dirs, mode)
+    ring, n = f.ring, f.arity
+    origin = zero_point(ring, n)
+    for v in dirs.dirs:
+        line = Line(origin, v)
+        if mode == "exhaustive":
+            witness = line_affine_check(f, line).witness
+        else:
+            f0 = f.value(origin)
+            slope = f.value(v) - f0
+            witness = None
+            for t in range(2, n + 1):
+                r = ring.from_int(t)
+                if f.value(tuple(r * c for c in v)) != f0 + slope * r:
+                    witness = (ring.zero, ring.one, r)
+                    break
+        if witness is not None:
+            return LineWitness(line, witness)
+    return recover(psi_extract(f), dirs, mode)
 
 
 def factorial_vandermonde(n, ring):

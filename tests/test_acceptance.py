@@ -14,17 +14,15 @@ from linaff import (
     DirectionSet,
     GaloisField,
     MultiAffinePoly,
-    PolyOracle,
     PrimeField,
     TableOracle,
     VectorMapTable,
     Zmod,
-    build_degree_systems,
+    degree_system,
     certify_directions,
     check_hypotheses,
     construct_geometric,
     construct_primes,
-    evaluate,
     family_directions,
     is_affine_poly,
     line_affine_check,
@@ -92,17 +90,17 @@ def _sharpness_drill(fld, n, nodes, cases, seed):
     dirs = moment_directions(candidate.elements, count)
     rng = random.Random(seed)
     for _ in range(cases):
-        cert = recover(PolyOracle(rand_affine_poly(fld, n, rng)), dirs)
+        cert = recover(rand_affine_poly(fld, n, rng), dirs)
         assert cert.status == "affine"
     for _ in range(cases):
-        cert = recover(PolyOracle(rand_nonaffine_poly(fld, n, rng)), dirs)
+        cert = recover(rand_nonaffine_poly(fld, n, rng), dirs)
         assert cert.status == "non-affine"
     # every direction subset one short of N is defeated by a witness
     for keep in combinations(range(count), count - 1):
         subset = dirs.subset(keep)
         witness = lower_bound_witness(n, subset, fld)
         assert not is_affine_poly(witness.poly)
-        oracle = PolyOracle(witness.poly)
+        oracle = witness.poly
         for v in subset.dirs:
             assert line_affine_check(oracle, Line(zero_point(fld, n), v)).ok
             assert restrict_radial(witness.poly, v)[witness.degree].is_zero
@@ -132,7 +130,7 @@ def test_criterion_3_n2_exhaustive_completeness():
         affine_count = 0
         for c0, c1, c2, c12 in product(elems, repeat=4):
             poly = MultiAffinePoly(Z7, 2, {0: c0, 0b01: c1, 0b10: c2, 0b11: c12})
-            cert = recover(PolyOracle(poly), dirs)
+            cert = recover(poly, dirs)
             if cert.status == "affine":
                 affine_count += 1
                 assert c12.is_zero
@@ -159,7 +157,7 @@ def test_criterion_4_zerodivisor_correction():
         for c0, c1, c2 in product(Z4.elements(), repeat=3):
             candidate = MultiAffinePoly(Z4, 2, {0: c0, 0b01: c1, 0b10: c2})
             if all(
-                evaluate(candidate, pt) == f.value(pt) for pt in all_points(Z4, 2)
+                candidate.value(pt) == f.value(pt) for pt in all_points(Z4, 2)
             ):
                 matches_some_affine = True
         assert not matches_some_affine
@@ -174,7 +172,7 @@ def test_criterion_4_cancellation_is_polynomial_over_zmod():
         Z9 = Zmod(9)
         dirs = moment_directions([Z9.elem(v) for v in (1, 2, 4, 5, 7)], 20)
         poly = MultiAffinePoly(Z9, 5, {0: Z9.one, 0b1: Z9.elem(4)})
-        cert = recover(PolyOracle(poly), dirs)
+        cert = recover(poly, dirs)
         # f = 1 + 4x_1 is affine, and the answer follows f
         assert cert.status == "affine"
         assert cert.constant == Z9.one
@@ -182,11 +180,11 @@ def test_criterion_4_cancellation_is_polynomial_over_zmod():
         # mod 3 the nodes take two values, so the degree-2 system has rank
         # at most 2 there and the ring blocks the cancellation: the system
         # has a nonzero solution, a kernel vector mod 3 lifted by 9/3
-        system = build_degree_systems(dirs)[2]
-        vector = kernel_vector(system.rows, len(system.masks), Z9)
+        masks, rows = degree_system(dirs, 2)
+        vector = kernel_vector(rows, len(masks), Z9)
         assert vector is not None and any(not c.is_zero for c in vector)
         assert all(c.value % 3 == 0 for c in vector)
-        for row in system.rows:
+        for row in rows:
             assert sum(a.value * c.value for a, c in zip(row, vector)) % 9 == 0
 
 
@@ -311,7 +309,7 @@ def test_criterion_8_property_suites():
             ring = rng.choice(small)
             n = rng.randint(1, 4)
             poly = rand_poly(ring, n, rng)
-            assert psi_extract(PolyOracle(poly)) == poly
+            assert psi_extract(poly) == poly
 
         # hypercube identity over every coordinate-affine table on Z/3 x Z/3
         Z3 = Zmod(3)
@@ -333,7 +331,7 @@ def test_criterion_8_property_suites():
                 continue
             passing += 1
             psi = psi_extract(f)
-            assert all(evaluate(psi, pt) == f.value(pt) for pt in points)
+            assert all(psi.value(pt) == f.value(pt) for pt in points)
         assert passing == 3**4
 
         # slope uniqueness on 500 random passing lines
@@ -358,10 +356,9 @@ def test_criterion_8_property_suites():
             F = PrimeField(p)
             result = certify_directions(n, F, BhCandidate(F, tuple(F.elem(v) for v in nodes)))
             assert len(result.directions) == minimal_direction_count(n)
-            systems = build_degree_systems(result.directions)
             for k in range(2, n):
                 cols = math.comb(n, k)
-                square = [systems[k].rows[i] for i in range(cols)]
+                square = degree_system(result.directions, k)[1][:cols]
                 det = determinant(square, F)
                 prod_mat = mat_mul(adjugate(square, F), square, F)
                 assert all(
@@ -376,7 +373,7 @@ def test_criterion_8_property_suites():
             n = rng.randint(1, 2)
             poly = rand_poly(ring, n, rng)
             if rng.random() < 0.5:
-                oracle = PolyOracle(poly)
+                oracle = poly
             else:
                 oracle = table_from_poly(poly)
             text = format_function_table(oracle)

@@ -13,7 +13,6 @@ from linaff import (
     LinaffError,
     MultiAffinePoly,
     ParseError,
-    PolyOracle,
     PrimeField,
     Rationals,
     TableOracle,
@@ -99,11 +98,11 @@ def test_parse_poly_body():
         ]
     )
     oracle = parse_function_table(text)
-    assert isinstance(oracle, PolyOracle)
+    assert isinstance(oracle, MultiAffinePoly)
     Q = Rationals()
-    assert oracle.poly.coeff(0) == Q.parse_element("-2/3")
-    assert oracle.poly.coeff(0b01) == Q.from_int(3)
-    assert oracle.poly.coeff(0b11) == Q.one
+    assert oracle.coeff(0) == Q.parse_element("-2/3")
+    assert oracle.coeff(0b01) == Q.from_int(3)
+    assert oracle.coeff(0b11) == Q.one
 
 
 def test_parse_errors_carry_line_numbers():
@@ -139,9 +138,9 @@ def test_roundtrip_table_and_poly():
 
     Q = Rationals()
     poly = MultiAffinePoly(Q, 3, {0: Q.parse_element("1/2"), 0b101: Q.from_int(-4)})
-    text = format_function_table(PolyOracle(poly))
+    text = format_function_table(poly)
     again = parse_function_table(text)
-    assert isinstance(again, PolyOracle) and again.poly == poly
+    assert again == poly
 
 
 def test_roundtrip_vector_table():
@@ -465,11 +464,14 @@ def test_malformed_ring_literals_are_usage_errors(tmp_path, argv, body):
          "g^1 - 1 is not regular"),
         (["bh", "geometric", "--ring", "rational", "--g", "-1", "--n", "16"],
          "g^2 - 1 is not regular"),
+        (["bh", "geometric", "--ring", "rational", "--g", "2", "--n", "16"],
+         "rational of about 4933 digits is too long to print"),
     ],
     ids=["family-n40", "moment-n-1", "dirs-arity", "moment-n40", "moment-count",
          "witness-n0", "witness-n-2", "witness-n40", "certify-collision", "certify-difference",
          "certify-n40", "verify-24-primes", "geometric-n17", "bound-n100000",
-         "geometric-3000-digits", "geometric-rational-g1", "geometric-rational-g-1"],
+         "geometric-3000-digits", "geometric-rational-g1", "geometric-rational-g-1",
+         "geometric-rational-g2-n16"],
 )
 def test_direction_set_errors(tmp_path, argv, message):
     path = _write(tmp_path, "affine.tbl", _affine_z7_table())

@@ -8,36 +8,40 @@ from linaff import (
     Line,
     MissingPointError,
     MultiAffinePoly,
-    PolyOracle,
     PreconditionError,
     PrimeField,
     Rationals,
     TableOracle,
     UnsupportedRingError,
     Zmod,
-    evaluate,
     is_affine_poly,
     line_affine_check,
     psi_extract,
     restrict_radial,
 )
-from linaff.multiaffine import shift_poly, subset_to_mask, zero_point
+from linaff.multiaffine import subset_to_mask, zero_point
 from linaff.rings import GaloisField
 
-from helpers import all_points, psi_by_inclusion_exclusion, rand_poly, table_from_poly
+from helpers import (
+    all_points,
+    psi_by_inclusion_exclusion,
+    rand_nonzero,
+    rand_poly,
+    table_from_poly,
+)
 
 
 def test_evaluate_examples():
     Z5 = Zmod(5)
     xy = MultiAffinePoly(Z5, 2, {0b11: Z5.one})
-    assert evaluate(xy, (Z5.elem(2), Z5.elem(3))) == Z5.one  # 6 mod 5
+    assert xy.value((Z5.elem(2), Z5.elem(3))) == Z5.one  # 6 mod 5
     empty = MultiAffinePoly(Z5, 2, {})
-    assert evaluate(empty, (Z5.elem(4), Z5.elem(4))).is_zero
+    assert empty.value((Z5.elem(4), Z5.elem(4))).is_zero
     Z7 = Zmod(7)
     p = MultiAffinePoly(Z7, 2, {0: Z7.one, 1: Z7.elem(2)})
-    assert evaluate(p, (Z7.elem(3), Z7.zero)).is_zero  # 1 + 6 mod 7
+    assert p.value((Z7.elem(3), Z7.zero)).is_zero  # 1 + 6 mod 7
     with pytest.raises(ArityError):
-        evaluate(p, (Z7.one,))
+        p.value((Z7.one,))
 
 
 def test_psi_extract_examples():
@@ -87,19 +91,19 @@ def test_mobius_duality():
         ring = rng.choice(rings)
         n = rng.randint(1, 4)
         poly = rand_poly(ring, n, rng)
-        oracle = PolyOracle(poly)
+        oracle = poly
         assert psi_extract(oracle) == poly
         cases += 1
 
 
-def test_psi_extract_at_shifted_base_matches_shift_poly():
+def test_psi_extract_of_a_poly_matches_inclusion_exclusion():
     rng = random.Random(2718)
     Z9 = Zmod(9)
     for _ in range(40):
         n = rng.randint(1, 3)
         poly = rand_poly(Z9, n, rng)
         base = tuple(Z9.element_from_encoding(rng.randrange(9)) for _ in range(n))
-        assert psi_extract(PolyOracle(poly), base) == shift_poly(poly, base)
+        assert psi_extract(poly, base).coeffs == psi_by_inclusion_exclusion(poly, base)
 
 
 def test_hypercube_identity_after_coordinate_checks():
@@ -117,7 +121,7 @@ def test_hypercube_identity_after_coordinate_checks():
             passing += 1
             psi = psi_extract(f)
             for pt in points:
-                assert evaluate(psi, pt) == f.value(pt)
+                assert psi.value(pt) == f.value(pt)
         # the passing tables are exactly the multi-affine polynomials
         assert passing == ring.size ** (2**n)
 
@@ -169,11 +173,34 @@ def test_line_check_slope_holds_from_every_base_point():
                 assert f.value(pt) == f.value(m1) + check.slope * r
 
 
+@pytest.mark.parametrize(
+    "ring",
+    [Zmod(4), Zmod(6), Zmod(9), PrimeField(5), GaloisField(2, 2, [1, 1]), GaloisField(3, 2, [1, 0])],
+    ids=lambda r: r.spec_text(),
+)
+def test_poly_line_check_matches_its_table(ring):
+    # a polynomial's line check reads its restriction; its table's scans
+    # every point of the line: same slope, same first refuting parameter
+    rng = random.Random(f"line check {ring.spec_text()}")
+    outcomes = set()
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        poly = rand_poly(ring, n, rng)
+        table = table_from_poly(poly)
+        base = tuple(rand_nonzero(ring, rng) for _ in range(n))
+        direction = tuple(rand_nonzero(ring, rng) for _ in range(n))
+        line = Line(base, direction)
+        check = line_affine_check(poly, line)
+        assert check == line_affine_check(table, line)
+        outcomes.add(check.ok)
+    assert outcomes == {True, False}
+
+
 def test_line_check_symbolic_over_rationals():
     Q = Rationals()
     # 2*x1*x3 + x2 restricted to r*(1,1,1) is 2r^2 + r: not affine
     poly = MultiAffinePoly(Q, 3, {subset_to_mask((1, 3)): Q.from_int(2), subset_to_mask((2,)): Q.one})
-    oracle = PolyOracle(poly)
+    oracle = poly
     line = Line(zero_point(Q, 3), (Q.one, Q.one, Q.one))
     check = line_affine_check(oracle, line)
     assert not check.ok
@@ -187,7 +214,7 @@ def test_line_check_symbolic_over_rationals():
     assert vals[2] != vals[0] + slope * r3
 
     affine = MultiAffinePoly(Q, 2, {0: Q.from_int(5), 1: Q.from_int(-3)})
-    check = line_affine_check(PolyOracle(affine), Line((Q.from_int(2), Q.zero), (Q.one, Q.from_int(4))))
+    check = line_affine_check(affine, Line((Q.from_int(2), Q.zero), (Q.one, Q.from_int(4))))
     assert check.ok and check.slope == Q.from_int(-3)
 
 
@@ -251,7 +278,7 @@ def test_restrict_radial_consistency():
             acc = Z6.zero
             for coef in reversed(b):
                 acc = acc * r + coef
-            assert acc == evaluate(poly, tuple(r * c for c in v))
+            assert acc == poly.value(tuple(r * c for c in v))
 
 
 def test_is_affine_poly():

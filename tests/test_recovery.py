@@ -9,15 +9,13 @@ from linaff import (
     GaloisField,
     InconsistencyError,
     MultiAffinePoly,
-    PolyOracle,
     PreconditionError,
     PrimeField,
     Rationals,
     RingMismatchError,
     TableOracle,
     Zmod,
-    build_degree_systems,
-    evaluate,
+    degree_system,
     family_directions,
     is_affine_poly,
     moment_directions,
@@ -118,23 +116,22 @@ def test_direction_set_validation():
         DirectionSet(Z5, 1, ((Zmod(7).one,),))
 
 
-def test_build_degree_systems_examples():
+def test_degree_system_examples():
     Z5 = Zmod(5)
     dirs = DirectionSet(Z5, 2, (_vec(Z5, 1, 1),))
-    systems = build_degree_systems(dirs)
-    assert systems[2].rows == [[Z5.one]]
+    assert degree_system(dirs, 2) == ((0b11,), [[Z5.one]])
 
     F5 = PrimeField(5)
     moments = moment_directions([F5.one, F5.elem(2), F5.elem(4)], 3)
-    sys3 = build_degree_systems(moments)
-    assert [[e.value for e in row] for row in sys3[2].rows] == [
+    masks, rows = degree_system(moments, 2)
+    assert [[e.value for e in row] for row in rows] == [
         [1, 1, 1],
         [2, 4, 3],
         [4, 1, 4],
     ]
     # degree-3 row of the all-ones direction is [1]
-    assert sys3[3].rows[0] == [F5.one]
-    assert sys3[2].masks == (
+    assert degree_system(moments, 3)[1][0] == [F5.one]
+    assert masks == (
         subset_to_mask((1, 2)),
         subset_to_mask((1, 3)),
         subset_to_mask((2, 3)),
@@ -231,7 +228,7 @@ def test_recover_cancels_across_the_primes_of_m():
     Z6 = Zmod(6)
     poly = MultiAffinePoly(Z6, 2, {0: Z6.one, 0b01: Z6.elem(2), 0b10: Z6.elem(5)})
     dirs = DirectionSet(Z6, 2, (_vec(Z6, 1, 3), _vec(Z6, 1, 2)))
-    for oracle in (table_from_poly(poly), PolyOracle(poly)):
+    for oracle in (table_from_poly(poly), poly):
         cert = recover(oracle, dirs)
         assert cert.status == "affine"
         assert cert.constant == Z6.one
@@ -275,7 +272,7 @@ def test_recover_modes_agree_on_field_cases():
     dirs = moment_directions([F11.one, F11.elem(2), F11.elem(4)], 3)
     for _ in range(25):
         poly = rand_poly(F11, 3, rng)
-        oracle = PolyOracle(poly)
+        oracle = poly
         a = recover(oracle, dirs, mode="exhaustive")
         b = recover(oracle, dirs, mode="proof")
         assert a.status == b.status
@@ -344,7 +341,7 @@ def test_completeness_at_boundary_moment_directions():
         dirs = moment_directions([fld.elem(v) for v in nodes], minimal_direction_count(n))
         for _ in range(500):
             poly = rand_poly(fld, n, rng)
-            cert = recover(PolyOracle(poly), dirs)
+            cert = recover(poly, dirs)
             assert cert.status == ("affine" if is_affine_poly(poly) else "non-affine")
 
 
@@ -352,7 +349,7 @@ def test_cannot_cancel_agrees_across_oracle_backends():
     Z4 = Zmod(4)
     poly = MultiAffinePoly(Z4, 2, {0b11: Z4.elem(2)})
     dirs = DirectionSet(Z4, 2, (_vec(Z4, 1, 1),))
-    for oracle in (table_from_poly(poly), PolyOracle(poly)):
+    for oracle in (table_from_poly(poly), poly):
         cert = recover(oracle, dirs)
         assert cert.status == "cannot-cancel"
         assert cert.degree == 2 and cert.det == Z4.elem(2)
@@ -366,7 +363,7 @@ def test_recover_family_variant_completeness():
     dirs = family_directions(Z7, 3)
     for _ in range(60):
         poly = rand_poly(Z7, 3, rng)
-        cert = recover(PolyOracle(poly), dirs)
+        cert = recover(poly, dirs)
         if is_affine_poly(poly):
             assert cert.status == "affine"
         else:
@@ -381,7 +378,7 @@ def test_recover_with_regular_coefficients_over_zmod25():
     dirs = family_directions(Z25, 2, coeffs)
     for _ in range(40):
         poly = rand_poly(Z25, 2, rng)
-        cert = recover(PolyOracle(poly), dirs)
+        cert = recover(poly, dirs)
         if is_affine_poly(poly):
             assert cert.status == "affine"
         else:
@@ -393,7 +390,7 @@ def test_recover_kernel_branch_reports_surviving_coefficient():
     Z7 = Zmod(7)
     poly = MultiAffinePoly(Z7, 3, {subset_to_mask((1, 2)): Z7.elem(3)})
     dirs = DirectionSet(Z7, 3, ())
-    cert = recover(PolyOracle(poly), dirs)
+    cert = recover(poly, dirs)
     assert cert.status == "non-affine"
     assert cert.degree == 2
     assert cert.mask == (1, 2)
@@ -404,7 +401,7 @@ def test_recover_affine_with_insufficient_directions_still_verifies():
     Z7 = Zmod(7)
     poly = MultiAffinePoly(Z7, 3, {0: Z7.elem(4), 0b100: Z7.elem(2)})
     dirs = DirectionSet(Z7, 3, ())
-    cert = recover(PolyOracle(poly), dirs)
+    cert = recover(poly, dirs)
     assert cert.status == "affine"
     assert cert.constant == Z7.elem(4)
 
@@ -413,13 +410,13 @@ def test_recover_over_rationals_symbolically():
     Q = Rationals()
     poly = MultiAffinePoly(Q, 2, {0: Q.parse_element("1/2"), 0b01: Q.from_int(-3)})
     dirs = DirectionSet(Q, 2, (_vec(Q, 1, 1),))
-    cert = recover(PolyOracle(poly), dirs)
+    cert = recover(poly, dirs)
     assert cert.status == "affine"
     assert cert.constant == Q.parse_element("1/2")
     assert cert.linear == (Q.from_int(-3), Q.zero)
 
     bad = MultiAffinePoly(Q, 2, {0b11: Q.parse_element("2/3")})
-    cert = recover(PolyOracle(bad), dirs)
+    cert = recover(bad, dirs)
     assert cert.status == "non-affine"
 
 
@@ -440,13 +437,13 @@ def test_monotone_degree_stripping():
     dirs = moment_directions([F11.one, F11.elem(2), F11.elem(4)], 3)
     for _ in range(40):
         poly = rand_poly(F11, 3, rng)
-        oracle = PolyOracle(poly)
+        oracle = poly
         psi = psi_extract(oracle)
-        systems = build_degree_systems(dirs)
+        systems = {k: degree_system(dirs, k) for k in range(2, 4)}
         if all(
-            kernel_vector(systems[k].rows, len(systems[k].masks), F11) is None
+            kernel_vector(rows, len(masks), F11) is None
             and all(restrict_radial(psi, v)[k].is_zero for v in dirs.dirs)
-            for k in systems
+            for k, (masks, rows) in systems.items()
         ):
             assert is_affine_poly(psi)
 
@@ -473,7 +470,7 @@ def test_recover_randomized_sweep_is_total_and_sound():
         n = rng.randint(1, 3)
         poly = rand_poly(ring, n, rng)
         use_table = rng.random() < 0.4 and ring.size**n <= 1000
-        oracle = table_from_poly(poly) if use_table else PolyOracle(poly)
+        oracle = table_from_poly(poly) if use_table else poly
         dirs = []
         while len(dirs) < rng.randint(0, 3):
             v = tuple(
@@ -518,7 +515,7 @@ def _seeded_tables(ring, n, rng):
             polys.append(MultiAffinePoly(ring, n, {**rand_affine_poly(ring, n, rng).coeffs, **half}))
     tables = []
     for poly in polys:
-        values = {pt: evaluate(poly, pt) for pt in all_points(ring, n)}
+        values = {pt: poly.value(pt) for pt in all_points(ring, n)}
         tables.append(values)
         bumped = dict(values)
         point = rng.choice(list(bumped))
@@ -566,10 +563,10 @@ def test_affine_reverify_checks_every_point():
     for ring in (Zmod(6), GaloisField(3, 2, [1, 0])):
         rng = random.Random(ring.spec_text())
         poly = rand_affine_poly(ring, 3, rng)
-        values = {pt: evaluate(poly, pt) for pt in all_points(ring, 3)}
-        _verified_affine(TableOracle(ring, 3, values), psi_extract(PolyOracle(poly)))
+        values = {pt: poly.value(pt) for pt in all_points(ring, 3)}
+        _verified_affine(TableOracle(ring, 3, values), psi_extract(poly))
         for point in rng.sample([pt for pt in values if sum(not c.is_zero for c in pt) >= 2], 5):
             bumped = dict(values)
             bumped[point] = bumped[point] + ring.one
             with pytest.raises(InconsistencyError):
-                _verified_affine(TableOracle(ring, 3, bumped), psi_extract(PolyOracle(poly)))
+                _verified_affine(TableOracle(ring, 3, bumped), psi_extract(poly))

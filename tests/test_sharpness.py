@@ -12,7 +12,7 @@ from linaff import (
     PrimeField,
     Rationals,
     Zmod,
-    build_degree_systems,
+    degree_system,
     certify_directions,
     construct_primes,
     is_affine_poly,
@@ -25,7 +25,7 @@ from linaff import (
     search_bh,
     verify_properties,
 )
-from linaff.multiaffine import Line, PolyOracle, zero_point
+from linaff.multiaffine import Line, zero_point
 
 from helpers import adjugate, determinant, mat_mul
 
@@ -100,7 +100,7 @@ def test_witness_passes_all_line_hypotheses_yet_is_not_affine():
         subset = dirs.subset(range(count - 1))
         witness = lower_bound_witness(n, subset, F)
         assert not is_affine_poly(witness.poly)
-        oracle = PolyOracle(witness.poly)
+        oracle = witness.poly
         for v in subset.dirs:
             assert line_affine_check(oracle, Line(zero_point(F, n), v)).ok
         for k in range(n + 1):
@@ -153,10 +153,11 @@ def test_moment_systems_are_vandermonde_in_the_subset_products():
     ]
     for ring, n, nodes, bundle in cases:
         assert verify_properties(BhCandidate(ring, tuple(nodes))).ok == bundle
-        systems = build_degree_systems(moment_directions(nodes, minimal_direction_count(n)))
+        dirs = moment_directions(nodes, minimal_direction_count(n))
         for k in range(2, n + 1):
+            masks, rows = degree_system(dirs, k)
             products = []
-            for mask in systems[k].masks:
+            for mask in masks:
                 acc = ring.one
                 for i in _mask_bits(mask):
                     acc = acc * nodes[i - 1]
@@ -164,7 +165,7 @@ def test_moment_systems_are_vandermonde_in_the_subset_products():
             vandermonde = ring.one
             for a, b in combinations(range(len(products)), 2):
                 vandermonde = vandermonde * (products[b] - products[a])
-            square = systems[k].rows[: len(products)]
+            square = rows[: len(products)]
             assert determinant(square, ring) == vandermonde
             if bundle:
                 assert ring.is_regular(vandermonde)
@@ -181,10 +182,9 @@ def test_certified_moment_matrices_satisfy_adjugate_identity():
         F = PrimeField(p)
         cand = _cand(F, *nodes)
         result = certify_directions(n, F, cand)
-        systems = build_degree_systems(result.directions)
         for k in range(2, n):
             cols = math.comb(n, k)
-            square = [systems[k].rows[i] for i in range(cols)]
+            square = degree_system(result.directions, k)[1][:cols]
             det = determinant(square, F)
             assert F.is_regular(det)
             adj = adjugate(square, F)
