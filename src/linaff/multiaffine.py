@@ -13,10 +13,10 @@ flavours: exhaustive tables over a finite ring, and multi-affine
 polynomials (the only option over the rationals), which are their own
 oracle.  Every line question about a polynomial is answered from its
 coefficients: along base + R*dir it restricts to a polynomial in the
-parameter, which `restriction_check` reads.  A table stores its
-values as a flat list of element codes (the `value` of a finite-ring
-element) in point-index order (see `point_index`), so scans over it are
-int arithmetic through the ring's value-level operations.
+parameter, which `restriction_check` decides by `Ring.is_null`.  A table
+stores its values as a flat list of element codes (the `value` of a
+finite-ring element) in point-index order (see `point_index`), so scans
+over it are int arithmetic through the ring's value-level operations.
 """
 
 from __future__ import annotations
@@ -317,20 +317,19 @@ def line_affine_check(f: FunctionOracle, line: Line) -> LineCheck:
 def restriction_check(ring: Ring, b: list, params=None) -> LineCheck:
     """Whether g(r) = b_0 + b_1 r + ... + b_n r^n is affine in r.
 
-    The slope is g(1) - g(0) = b_1 + ... + b_n.  g is compared with
-    b_0 + slope*r at each of `params`, by Horner's rule and in the given
-    order; by default at every element of a finite ring in code order,
-    while over the rationals the default decides from b: g is affine iff
-    b_k = 0 for every k >= 2.  The witness is (0, 1, r) with r the first
-    refuting parameter.
+    The slope is g(1) - g(0) = b_1 + ... + b_n.  By default g is affine iff
+    `ring.is_null` holds for the residual g(r) - b_0 - slope*r, whose
+    coefficients are [0, -(b_2 + ... + b_n), b_2, ..., b_n]; a line that
+    fails is scanned only to name the witness: every element of a finite
+    ring in code order, t = 2..n+2 over Q.  Given `params`, g is compared
+    with b_0 + slope*r at each of them in order, by Horner's rule.  The
+    witness is (0, 1, r) with r the first refuting parameter.
     """
     slope = sum(b[2:], b[1])
-    decided = params is None and not ring.is_finite
-    if decided and all(c.is_zero for c in b[2:]):
-        return LineCheck(slope, None)
-    if params is None:
-        # over Q, g - b_0 - slope*r vanishes at 0 and 1 and has degree <= n,
-        # so a refuting integer parameter is found within n+1 further tries
+    decided = params is None
+    if decided:
+        if ring.is_null([c.value for c in (ring.zero, b[1] - slope, *b[2:])]):
+            return LineCheck(slope, None)
         params = ring.elements() if ring.is_finite else map(ring.from_int, range(2, len(b) + 2))
     for r in params:
         acc = b[-1]
@@ -339,7 +338,7 @@ def restriction_check(ring: Ring, b: list, params=None) -> LineCheck:
         if acc != b[0] + slope * r:
             return LineCheck(None, (ring.zero, ring.one, r))
     if decided:
-        raise InconsistencyError("nonzero residual polynomial refuted nowhere")
+        raise InconsistencyError("residual polynomial is not null yet refuted nowhere")
     return LineCheck(slope, None)
 
 
@@ -349,8 +348,9 @@ def psi_extract(f: FunctionOracle, base: Point | None = None) -> MultiAffinePoly
     The coefficient at subset J is the alternating sum of f over the
     sub-hypercube spanned by J (inclusion-exclusion); the empty subset
     carries f(base).  For a table this is an in-place finite-difference
-    transform over all 2^n vertex values; a polynomial is multi-affine,
-    so its coefficients at base are those of x -> f(base + x).
+    transform on the codes of its 2^n vertex values, read by point index;
+    a polynomial is multi-affine, so its coefficients at base are those
+    of x -> f(base + x).
     """
     n = f.arity
     ring = f.ring
@@ -360,18 +360,22 @@ def psi_extract(f: FunctionOracle, base: Point | None = None) -> MultiAffinePoly
         raise ArityError(f"base point arity {len(base)} != oracle arity {n}")
     if isinstance(f, MultiAffinePoly):
         return shift_poly(f, base)
-    vals = []
-    for mask in range(1 << n):
-        point = tuple(
-            base[i] + ring.one if mask >> i & 1 else base[i] for i in range(n)
-        )
-        vals.append(f.value(point))
+    start = _checked_index(ring, n, base)
+    if start is None:
+        raise MissingPointError(f"no table entry for point {format_elements(base)}")
+    # moving coordinate i from base_i to base_i + 1 moves the point index
+    # by the difference of their codes times q^(n-1-i)
+    index = [start]
+    for i, c in enumerate(base):
+        step = (ring.add(c.value, ring.one.value) - c.value) * ring.size ** (n - 1 - i)
+        index += [j + step for j in index]
+    vals = [f.codes[j] for j in index]
     for i in range(n):
         bit = 1 << i
         for mask in range(1 << n):
             if mask & bit:
-                vals[mask] = vals[mask] - vals[mask ^ bit]
-    return MultiAffinePoly(ring, n, {m: v for m, v in enumerate(vals) if not v.is_zero})
+                vals[mask] = ring.sub(vals[mask], vals[mask ^ bit])
+    return MultiAffinePoly(ring, n, {m: RingElem(ring, v) for m, v in enumerate(vals) if v})
 
 
 def restrict_radial(poly: MultiAffinePoly, v: Point) -> list[RingElem]:

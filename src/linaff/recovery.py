@@ -18,20 +18,22 @@ and a `document()`:
 A function that is affine along every coordinate line equals its
 multi-affine interpolant psi at every point, so f is affine iff psi has
 no coefficient of degree >= 2, and along R*v it is the polynomial
-r -> sum_k b_k r^k with b = `restrict_radial(psi, v)`.  Whether the
-directions force those coefficients to zero for every f is a property of
-the degree-k systems: they force it iff each has full column rank, over
-Z/m modulo every prime p | m (McCoy, "Remarks on divisors of zero",
-1942, with the Chinese remainder theorem).  A surviving coefficient whose radial
-restrictions all vanish is a nonzero solution of its degree's system, so
-that system is consulted only then, as a consistency check.
+r -> sum_k b_k r^k with b = `restrict_radial(psi, v)`.  The line is
+affine iff sum_{k>=2} b_k (r^k - r) is zero at every element, which
+forces b_k = 0 over Q but not over Z/m or GF(q): over Z/6, f = 3xy is
+3r^2 = 3r along (1,3).  `recover` answers for the given f only; whether
+the directions force every f to be affine is not decided here (full
+column rank of the degree systems mod every p | m does not decide it:
+(1,3) and (1,2) have it over Z/6).  A surviving coefficient whose
+radial restrictions all vanish is a nonzero solution of its degree's
+system, so that system is consulted only then, as a consistency check.
 
-Two acquisition modes exist.  The default checks each radial line's
-restriction at every ring element (finite rings) or decides it from its
-coefficients (rationals).  The "proof" mode instead samples the integer
-parameters 0..n and relies on the factorial determinant being regular,
-which is the weaker but historically primary route; it yields the same
-certificates on all the pinned cases.
+Two acquisition modes exist.  The default decides each radial line by
+`Ring.is_null` and scans its parameters only to name the first refuting
+one.  The "proof" mode instead samples the integer parameters 0..n and
+relies on the factorial determinant being regular, which is the weaker
+but historically primary route; it yields the same certificates on all
+the pinned cases.
 """
 
 from __future__ import annotations
@@ -340,7 +342,7 @@ def recover(f: FunctionOracle, dirs: DirectionSet, mode: str = "exhaustive") -> 
     # f = psi at every point, so f(r*v) = sum_k b_k r^k for b in radials
     radials = [restrict_radial(psi, v) for v in dirs.dirs]
 
-    samples = None  # every ring element, or decided from b over Q
+    samples = None  # decided from b by ring.is_null
     if mode == "proof" and ring.is_finite:
         samples = [ring.from_int(t) for t in range(2, n + 1)]
     for v, b in zip(dirs.dirs, radials):

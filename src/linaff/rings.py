@@ -11,7 +11,9 @@ sum(d_i * p^i) of the coefficients d_i of its polynomial for Galois
 fields.  A rational is a reduced fraction.  Each ring has one set of
 value-level operations (`add`, `sub`, `mul`, `neg`, and for finite rings
 `line`) that both the RingElem operators and the code scans over table
-oracles call: `%` for Z/m, add/mul/neg tables for Galois fields.
+oracles call: `%` for Z/m, add/mul/neg tables for Galois fields.  One
+value-level test, `is_null`, decides whether a polynomial is the zero
+function of the ring.
 
 The regularity predicate follows the non-zerodivisor convention in which
 0 is never regular, so cancelling a regular factor is always legitimate.
@@ -205,6 +207,10 @@ class Ring:
         """Codes of c + s*r for every element code r, in code order (finite rings)."""
         raise NotImplementedError
 
+    def is_null(self, coeffs) -> bool:
+        """Whether r -> sum_k coeffs[k] * r^k is zero at every element (values)."""
+        raise NotImplementedError
+
     def is_regular(self, x: RingElem) -> bool:
         """True iff multiplication by x is injective; 0 is never regular."""
         raise NotImplementedError
@@ -312,6 +318,17 @@ class Zmod(Ring):
     def line(self, c, s):
         m = self.m
         return [(c + s * r) % m for r in range(m)]
+
+    def is_null(self, coeffs):
+        # Kempner: g = sum_j d_j (x)_j is zero on Z/m iff m | j! d_j for every j,
+        # and j! d_j is the forward difference D^j g(0): iff g(0..deg g) = 0
+        for x in range(min(len(coeffs), self.m)):
+            acc = 0
+            for c in reversed(coeffs):
+                acc = acc * x + c
+            if acc % self.m:
+                return False
+        return True
 
     def is_regular(self, x: RingElem) -> bool:
         return math.gcd(x.value, self.m) == 1
@@ -454,6 +471,15 @@ class GaloisField(Ring):
         row = self._tables.add[c]
         return [row[x] for x in self._tables.mul[s]]
 
+    def is_null(self, coeffs):
+        # r^q = r at every element, so exponent k >= 1 folds to ((k-1) mod (q-1)) + 1;
+        # a polynomial of degree < q is the zero function iff it is zero
+        folded = list(coeffs[: self.size])
+        for k in range(self.size, len(coeffs)):
+            e = (k - 1) % (self.size - 1) + 1
+            folded[e] = self.add(folded[e], coeffs[k])
+        return not any(folded)
+
     def is_regular(self, x: RingElem) -> bool:
         return x.value != 0
 
@@ -552,6 +578,9 @@ class Rationals(Ring):
 
     def neg(self, a):
         return -a
+
+    def is_null(self, coeffs):
+        return not any(coeffs)
 
     def is_regular(self, x: RingElem) -> bool:
         return x.value != 0

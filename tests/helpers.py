@@ -1,6 +1,7 @@
 """Shared helpers for the test suite: random generators and brute oracles."""
 
 import functools
+import math
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -8,7 +9,9 @@ from linaff import (
     BhCandidate,
     BhReport,
     HypothesisCheck,
+    GaloisField,
     Line,
+    LineCheck,
     LineWitness,
     MultiAffinePoly,
     PreconditionError,
@@ -354,6 +357,50 @@ def recover_reference(f, dirs, mode="exhaustive"):
         if witness is not None:
             return LineWitness(line, witness)
     return recover(psi_extract(f), dirs, mode)
+
+
+def rand_null_codes(ring, length, rng):
+    """Codes of a random polynomial with `length` coefficients that is zero
+    at every element of a finite ring, a random combination of generators:
+    over GF(q) the multiples r^e (r^q - r); over Z/m, prime fields included,
+    the falling factorials (r)_j = r(r-1)...(r-j+1), each scaled by
+    m / gcd(m, j!) (the product of j consecutive integers is divisible by j!)."""
+    q = ring.size
+    if isinstance(ring, GaloisField):
+        gens = [[0] * (e + 1) + [ring.neg(1)] + [0] * (q - 2) + [1] for e in range(length - q)]
+    else:
+        gens, falling = [], [1]
+        for j in range(length):
+            scale = q // math.gcd(q, math.factorial(j))
+            gens.append([scale * c % q for c in falling])
+            falling = [(a - j * b) % q for a, b in zip([0] + falling, falling + [0])]
+    out = [0] * length
+    for gen in gens:
+        t = rng.randrange(q)
+        for k, c in enumerate(gen):
+            out[k] = ring.add(out[k], ring.mul(t, c))
+    return out
+
+
+def restriction_check_reference(ring, b):
+    """Reference for restriction_check with its default parameters: g(r) =
+    sum_k b_k r^k, summed term by term in RingElem arithmetic, against
+    b_0 + slope*r at every element of a finite ring in code order.  Over Q
+    a line with b_k = 0 for every k >= 2 is affine; any other is compared at
+    t = 2..n+2, where a nonzero residual of degree <= n vanishing at 0 and 1
+    cannot vanish everywhere."""
+    slope = sum(b[2:], b[1])
+    if ring.is_finite:
+        params = ring.elements()
+    elif all(c.is_zero for c in b[2:]):
+        return LineCheck(slope, None)
+    else:
+        params = [ring.from_int(t) for t in range(2, len(b) + 2)]
+    for r in params:
+        g = sum((c * r**k for k, c in enumerate(b)), ring.zero)
+        if g != b[0] + slope * r:
+            return LineCheck(None, (ring.zero, ring.one, r))
+    return LineCheck(slope, None)
 
 
 def factorial_vandermonde(n, ring):

@@ -19,14 +19,17 @@ from linaff import (
     psi_extract,
     restrict_radial,
 )
-from linaff.multiaffine import subset_to_mask, zero_point
+from linaff.multiaffine import restriction_check, subset_to_mask, zero_point
 from linaff.rings import GaloisField
 
 from helpers import (
     all_points,
     psi_by_inclusion_exclusion,
+    rand_elem,
     rand_nonzero,
+    rand_null_codes,
     rand_poly,
+    restriction_check_reference,
     table_from_poly,
 )
 
@@ -302,3 +305,27 @@ def test_poly_arity_cap():
         MultiAffinePoly(Z5, 17, {})
     with pytest.raises(PreconditionError):
         MultiAffinePoly(Z5, 0, {})
+
+
+# every function on a two-element ring is affine, so Z/2 has no refuted line
+RESTRICTION_RINGS = [Zmod(m) for m in (4, 6, 8, 9, 12, 30)] + [
+    PrimeField(p) for p in (3, 5)
+] + [GaloisField(2, 2, [1, 1]), GaloisField(3, 2, [1, 0]), Rationals()]
+
+
+@pytest.mark.parametrize("ring", RESTRICTION_RINGS, ids=lambda ring: ring.spec_text())
+def test_restriction_check_matches_full_scan(ring):
+    rng = random.Random(ring.spec_text())
+    outcomes = set()
+    for _ in range(60):
+        b = [rand_elem(ring, rng) for _ in range(rng.randint(2, 9))]
+        if ring.is_finite and rng.random() < 0.5:
+            # the residual of b is then a null polynomial: an affine line
+            null = rand_null_codes(ring, len(b), rng)
+            b[2:] = [ring.element_from_encoding(c) for c in null[2:]]
+        elif not ring.is_finite and rng.random() < 0.3:
+            b[2:] = [ring.zero] * (len(b) - 2)
+        check = restriction_check(ring, b)
+        assert check == restriction_check_reference(ring, b), (ring, b)
+        outcomes.add(check.ok)
+    assert outcomes == {True, False}

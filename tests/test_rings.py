@@ -16,7 +16,7 @@ from linaff import (
 )
 from linaff.rings import _field_tables, is_prime, prime_factors
 
-from helpers import characteristic_regular_upto, field_tables_schoolbook
+from helpers import characteristic_regular_upto, field_tables_schoolbook, rand_null_codes
 
 GF4 = GaloisField(2, 2, [1, 1])  # x^2 + x + 1
 GF8 = GaloisField(2, 3, [1, 1, 0])  # x^3 + x + 1
@@ -242,3 +242,51 @@ def test_element_parse_format_roundtrip():
     Q = Rationals()
     for text in ("0", "5", "-5", "2/3", "-11/4"):
         assert Q.format_element(Q.parse_element(text)) == text
+
+
+NULL_TEST_RINGS = [Zmod(m) for m in (2, 4, 6, 8, 9, 12, 15, 16, 30)] + [
+    PrimeField(p) for p in (2, 3, 5, 7)
+] + [GF4, GF8, GF9]
+
+
+def _zero_everywhere(ring, coeffs) -> bool:
+    """Evaluate sum_k coeffs[k] r^k at every element, power by power."""
+    terms = [ring.element_from_encoding(c) for c in coeffs]
+    for r in ring.elements():
+        acc, power = ring.zero, ring.one
+        for c in terms:
+            acc = acc + c * power
+            power = power * r
+        if not acc.is_zero:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("ring", NULL_TEST_RINGS, ids=lambda ring: ring.spec_text())
+def test_is_null_matches_evaluation_at_every_element(ring):
+    # lengths up to 17 reach degree p and q - 1 in every ring listed
+    rng = random.Random(ring.spec_text())
+    outcomes = set()
+    for length in range(1, 18):
+        for _ in range(8):
+            if rng.random() < 0.5:
+                coeffs = rand_null_codes(ring, length, rng)
+            else:
+                coeffs = [rng.randrange(ring.size) for _ in range(length)]
+            null = ring.is_null(coeffs)
+            assert null == _zero_everywhere(ring, coeffs), (ring, coeffs)
+            outcomes.add((null, any(coeffs)))
+    assert {(True, True), (False, True)} <= outcomes  # a nonzero null one, and a non-null one
+
+
+def test_is_null_pins():
+    # the residuals of 3r^2 on Z/6 and 2r^2 on Z/4: each equals its linear
+    # part at every element, so the line is affine though b_2 != 0
+    assert Zmod(6).is_null([0, 3, 3]) and not Zmod(6).is_null([0, 0, 3])
+    assert Zmod(4).is_null([0, 2, 2]) and not Zmod(4).is_null([0, 0, 2])
+    assert PrimeField(3).is_null([0, 2, 0, 1])  # r^3 - r
+    assert GF4.is_null([0, 1, 0, 0, 1])  # r^4 - r (= r^4 + r)
+    assert not GF4.is_null([0, 1, 0, 1])
+    Q = Rationals()
+    assert Q.is_null([Q.zero.value] * 4)
+    assert not Q.is_null([0, -1, 1])
