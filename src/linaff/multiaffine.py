@@ -198,11 +198,7 @@ class TableOracle:
         _check_table_domain(ring, arity)
         by_index = {}
         for point, value in table.items():
-            index = _checked_index(ring, arity, point)
-            if index is None:
-                raise PreconditionError(
-                    f"table key {point!r} is not a point of {ring.spec_text()} of arity {arity}"
-                )
+            index = _key_index(ring, arity, point)
             if not (isinstance(value, RingElem) and value.ring == ring):
                 raise PreconditionError(f"table value {value!r} is not in {ring.spec_text()}")
             by_index[index] = value.value
@@ -249,6 +245,16 @@ def _checked_index(ring: Ring, arity: int, x) -> int | None:
         if not (isinstance(c, RingElem) and c.ring == ring):
             return None
     return point_index(ring.size, (c.value for c in x))
+
+
+def _key_index(ring: Ring, arity: int, key) -> int:
+    """`point_index` of a table key, which must be a point of ring^arity."""
+    index = _checked_index(ring, arity, key)
+    if index is None:
+        raise PreconditionError(
+            f"table key {key!r} is not a point of {ring.spec_text()} of arity {arity}"
+        )
+    return index
 
 
 FunctionOracle = TableOracle | MultiAffinePoly

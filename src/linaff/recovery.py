@@ -1,13 +1,15 @@
 """End-to-end recovery of global affine-linearity from line restrictions.
 
-The pipeline checks the function along every coordinate-parallel line,
-extracts the multi-affine hypercube coefficients psi at the origin,
+On a table, the pipeline checks the function along every
+coordinate-parallel line and extracts the multi-affine hypercube
+coefficients psi at the origin; a polynomial is its own psi.  It then
 reads each supplied radial test line off psi's restriction to it, and
-then reads the verdict off the coefficients, the same way over every
-ring.  The outcome is one of four certificates, each with a `status`
-and a `document()`:
+the verdict off the coefficients, the same way over every ring.  The
+outcome is one of four certificates, each with a `status` and a
+`document()`:
 
-  Affine              affine; its coefficients are re-verified against f
+  Affine              affine: psi's constant and linear coefficients,
+                      re-verified at every point of a table
   LineWitness         non-affine: a refuted line
   CoefficientWitness  non-affine: a surviving coefficient of degree >= 2
   CannotCancel        cannot-cancel: the ring hides a nonzero degree-k
@@ -54,8 +56,8 @@ from .multiaffine import (
     FunctionOracle,
     Line,
     MultiAffinePoly,
+    TableOracle,
     index_point,
-    is_affine_poly,
     mask_to_subset,
     monomial,
     psi_extract,
@@ -188,7 +190,7 @@ def factorial_det(n: int, ring: Ring) -> RingElem:
 
 @dataclass(frozen=True)
 class Affine:
-    """f(x) = constant + sum_i linear[i-1] * x_i, re-verified against f."""
+    """f(x) = constant + sum_i linear[i-1] * x_i, read off psi."""
 
     status = "affine"
     constant: RingElem
@@ -250,20 +252,15 @@ class CannotCancel:
 Certificate = Affine | LineWitness | CoefficientWitness | CannotCancel
 
 
-def _coordinate_line_failure(f: FunctionOracle) -> LineWitness | None:
-    """Exhaustive check of every line parallel to a basis vector (tables only).
+def _coordinate_line_failure(f: TableOracle) -> LineWitness | None:
+    """Exhaustive check of every line parallel to a basis vector of a table.
 
     Lines go axis by axis, bases in enumeration order with the axis
     coordinate zero, and the witness is the first refuting parameter, as
     `line_affine_check` would give.  The scan runs on the table's element
     codes: along axis a the line through the point with index b takes the
     values codes[b + r * q^(n-a)] for the element codes r = 0..q-1.
-
-    A polynomial is multi-affine by construction, hence affine along all
-    coordinate-parallel lines; no enumeration is needed there.
     """
-    if isinstance(f, MultiAffinePoly):
-        return None
     ring, n, codes = f.ring, f.arity, f.codes
     q = ring.size
     for axis in range(1, n + 1):
@@ -282,49 +279,40 @@ def _coordinate_line_failure(f: FunctionOracle) -> LineWitness | None:
 
 
 def _verified_affine(f: FunctionOracle, psi: MultiAffinePoly) -> Affine:
-    """Assemble the affine certificate and re-verify it against the oracle."""
-    ring, n = f.ring, f.arity
-    origin = zero_point(ring, n)
-    c0 = f.value(origin)
-    linear = tuple(f.value(unit_point(ring, n, i)) - c0 for i in range(1, n + 1))
-    if isinstance(f, MultiAffinePoly):
-        # coefficient comparison: the extracted polynomial must be exactly
-        # the affine candidate
-        if not is_affine_poly(psi):
-            raise InconsistencyError("affine certificate with higher-degree coefficients")
-        ok = psi.coeff(0) == c0 and all(
-            psi.coeff(1 << (i - 1)) == linear[i - 1] for i in range(1, n + 1)
-        )
-    else:
+    """The affine certificate from psi's constant and linear coefficients.
+
+    A polynomial is its own psi, so its coefficients are the certificate;
+    a table is re-verified against it at every point.
+    """
+    cert = Affine(psi.coeff(0), tuple(psi.coeff(1 << i) for i in range(f.arity)))
+    if isinstance(f, TableOracle):
         # the candidate's value at every point, in the table's index order:
         # axis by axis, each value v becomes the line v + c_i * r
-        want = [c0.value]
-        for c in linear:
-            want = [x for v in want for x in ring.line(v, c.value)]
-        ok = want == f.codes
-    if not ok:
-        raise InconsistencyError("affine certificate failed pointwise verification")
-    return Affine(c0, linear)
+        want = [cert.constant.value]
+        for c in cert.linear:
+            want = [x for v in want for x in f.ring.line(v, c.value)]
+        if want != f.codes:
+            raise InconsistencyError("affine certificate failed pointwise verification")
+    return cert
 
 
 def recover(f: FunctionOracle, dirs: DirectionSet, mode: str = "exhaustive") -> Certificate:
     """Decide affine-linearity of f from coordinate and radial line data.
 
-    Pipeline: (i) every coordinate-parallel line must be affine, else a
-    line witness is returned; (ii) the hypercube coefficients psi at the
-    origin are extracted; (iii) every direction's radial line must be
-    affine, which is read off psi's restriction to it; (iv) proof mode
-    answers cannot-cancel when the factorial determinant is not regular;
-    (v) the first coefficient of psi of
-    degree k >= 2 decides: if the degree-k coefficient of some radial
-    restriction is nonzero, the line passed only because the ring hid
-    it, and the answer is cannot-cancel with the factorial determinant;
-    otherwise the coefficient is the witness of a non-affine
-    certificate.  With no such coefficient f is affine, and the
-    certificate is re-verified before being returned: a polynomial by
-    its coefficients, a table at every point.  On a table, step (i) and the
-    re-verify run on the flat list of element codes through the ring's
-    value-level operations.
+    Pipeline: (i) on a table, every coordinate-parallel line must be
+    affine, else a line witness is returned, and (ii) the hypercube
+    coefficients psi at the origin are extracted; a polynomial is
+    multi-affine, so it passes (i) and is its own psi; (iii) every
+    direction's radial line must be affine, which is read off psi's
+    restriction to it; (iv) proof mode answers cannot-cancel when the
+    factorial determinant is not regular; (v) the first coefficient of
+    psi of degree k >= 2 decides: if the degree-k coefficient of some
+    radial restriction is nonzero, the line passed only because the ring
+    hid it, and the answer is cannot-cancel with the factorial
+    determinant; otherwise the coefficient is the witness of a
+    non-affine certificate.  With no such coefficient f is affine: the
+    certificate is psi's constant and linear coefficients, and a table
+    is re-verified against it at every point, on its element codes.
     """
     if mode not in ("exhaustive", "proof"):
         raise PreconditionError(f"unknown mode {mode!r}")
@@ -334,11 +322,14 @@ def recover(f: FunctionOracle, dirs: DirectionSet, mode: str = "exhaustive") -> 
     if dirs.arity != n:
         raise ArityError(f"direction arity {dirs.arity} != oracle arity {n}")
 
-    failure = _coordinate_line_failure(f)
-    if failure is not None:
-        return failure
-
-    psi = psi_extract(f)
+    if isinstance(f, MultiAffinePoly):
+        # multi-affine, hence affine on every coordinate line, and its own psi
+        psi = f
+    else:
+        failure = _coordinate_line_failure(f)
+        if failure is not None:
+            return failure
+        psi = psi_extract(f)
     # f = psi at every point, so f(r*v) = sum_k b_k r^k for b in radials
     radials = [restrict_radial(psi, v) for v in dirs.dirs]
 

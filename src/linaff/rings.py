@@ -35,7 +35,7 @@ from .errors import (
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# Desk-scale caps for Galois fields: keeps irreducibility checking trivial.
+# Desk-scale caps for Galois fields: their tables have at most 81^2 entries.
 GF_MAX_DEGREE = 4
 GF_MAX_SIZE = 81
 
@@ -369,9 +369,10 @@ class GaloisField(Ring):
     The d_i are the coefficients of the element's polynomial in t, lowest
     first; elem() takes either the code or that digit vector.  The modulus
     is monic of degree k with the low-to-high coefficient list supplied by
-    the caller; irreducibility is verified exhaustively.  Only desk-scale
-    fields are accepted (k <= 4 and p^k <= 81).  Arithmetic is by
-    add/mul/neg tables on codes, built on first use (see `_field_tables`).
+    the caller.  Only desk-scale fields are accepted (k <= 4 and
+    p^k <= 81).  Arithmetic is by add/mul/neg tables on codes, built at
+    construction by `_field_tables`, whose search for a primitive element
+    also rejects a reducible modulus.
     """
 
     kind = "gf"
@@ -393,7 +394,8 @@ class GaloisField(Ring):
         self.is_field = True
         self.size = p**k
         self.characteristic = p
-        if not self._irreducible():
+        self._tables = _field_tables(p, k, modulus)
+        if self._tables is None:
             raise PreconditionError(
                 f"x^{k} + {list(modulus)[::-1]}... is reducible over F_{p}"
             )
@@ -402,38 +404,6 @@ class GaloisField(Ring):
 
     def _identity(self):
         return (self.kind, self.p, self.k, self.modulus)
-
-    def _irreducible(self) -> bool:
-        # roots catch all degree-1 factors; for k = 4, also try every
-        # monic quadratic divisor (a quartic splits as 1+3, 2+2 or 1+1+2).
-        if self.k == 1:
-            return True
-        for r in range(self.p):
-            acc = 0
-            for c in reversed(self._full_modulus()):
-                acc = (acc * r + c) % self.p
-            if acc == 0:
-                return False
-        if self.k == 4:
-            for c0 in range(self.p):
-                for c1 in range(self.p):
-                    if self._divisible_by_quadratic(c0, c1):
-                        return False
-        return True
-
-    def _full_modulus(self):
-        return list(self.modulus) + [1]
-
-    def _divisible_by_quadratic(self, c0, c1) -> bool:
-        # long division of the monic modulus by x^2 + c1 x + c0 over F_p
-        rem = self._full_modulus()
-        for i in range(len(rem) - 1, 1, -1):
-            coef = rem[i]
-            if coef:
-                rem[i] = 0
-                rem[i - 1] = (rem[i - 1] - coef * c1) % self.p
-                rem[i - 2] = (rem[i - 2] - coef * c0) % self.p
-        return rem[0] == 0 and rem[1] == 0
 
     def elem(self, raw) -> RingElem:
         if isinstance(raw, RingElem):
@@ -449,10 +419,6 @@ class GaloisField(Ring):
 
     def from_int(self, n: int) -> RingElem:
         return RingElem(self, n % self.p)
-
-    @functools.cached_property
-    def _tables(self) -> "_FieldTables":
-        return _field_tables(self.p, self.k, self.modulus)
 
     def add(self, a, b):
         return self._tables.add[a][b]
@@ -496,17 +462,19 @@ _FieldTables = namedtuple("_FieldTables", "add mul neg")
 
 
 @functools.cache
-def _field_tables(p: int, k: int, modulus: tuple) -> _FieldTables:
-    """Add, mul and neg tables on the codes of F_p[t]/(t^k + modulus).
+def _field_tables(p: int, k: int, modulus: tuple) -> _FieldTables | None:
+    """Add, mul and neg tables on the codes of F_p[t]/(t^k + modulus), or
+    None when that ring is not a field.
 
     This is the one place Galois-field arithmetic happens.  Sums are taken
     digit by digit mod p.  Products come from the powers of the least
     primitive element g: each power is the previous one times g, as
     polynomials over F_p reduced by the monic modulus, and then
-    a*b = g^(log a + log b).  That is O(p^k) polynomial products per
-    candidate g, where a schoolbook table forms (p^k)^2.  The tables have
-    (p^k)^2 entries, at most 81^2 = 6,561 under the size cap; each field
-    builds them once, on first arithmetic.
+    a*b = g^(log a + log b).  That is at most q - 1 polynomial products
+    per candidate g (q = p^k), where a schoolbook table forms q^2.  The
+    ring is a field iff some g has multiplicative order q - 1, so the
+    search is also the irreducibility test.  The tables have q^2 entries,
+    at most 81^2 = 6,561 under the size cap.
     """
     q = p**k
     digits = [[c // p**i % p for i in range(k)] for c in range(q)]
@@ -522,19 +490,22 @@ def _field_tables(p: int, k: int, modulus: tuple) -> _FieldTables:
                 prod[i - k + j] -= prod[i] * c
         return sum(d % p * p**i for i, d in enumerate(prod[:k]))
 
+    # a zero divisor never returns to 1, so each walk stops after q - 1 products
+    for g in range(1, q):
+        powers = [1]
+        x = g
+        while x != 1 and len(powers) < q - 1:
+            powers.append(x)
+            x = product(digits[x], digits[g])
+        if x == 1 and len(powers) == q - 1:
+            break
+    else:
+        return None
     # codes a = a_0 + p*a' and b alike: the low digits add mod p, a' and b' recursively
     add = [[0]]
     for _ in range(k):
         size = p * len(add)
         add = [[(a + b) % p + p * add[a // p][b // p] for b in range(size)] for a in range(size)]
-    for g in range(1, q):
-        powers = [1]
-        x = g
-        while x != 1:
-            powers.append(x)
-            x = product(digits[x], digits[g])
-        if len(powers) == q - 1:
-            break
     log = {x: i for i, x in enumerate(powers)}
     cycle = powers * 2
     mul = [[0] * q] + [[0] + [cycle[log[a] + log[b]] for b in range(1, q)] for a in range(1, q)]

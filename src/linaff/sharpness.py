@@ -42,14 +42,12 @@ class SharpnessWitness:
     """A non-affine polynomial invisible to the given directions.
 
     Every stored coefficient has the binding degree k = ceil(n/2); the
-    radial restriction along each direction in `directions` has zero
-    degree-k coefficient, so all line hypotheses hold, yet the polynomial
-    is not affine.
+    radial restriction along each given direction has zero degree-k
+    coefficient, so all line hypotheses hold, yet the polynomial is not
+    affine.
     """
 
     poly: MultiAffinePoly
-    directions: DirectionSet
-    field: Ring
     degree: int
 
     def document(self) -> list[tuple[str, str]]:
@@ -62,7 +60,8 @@ def lower_bound_witness(n: int, dirs: DirectionSet, fld: Ring) -> SharpnessWitne
     Solves the homogeneous degree-k system over the field by exact
     elimination; fewer equations than unknowns guarantee a nonzero
     kernel, and the first reduced-echelon kernel vector (lexicographic
-    subset order on the columns) is returned as a polynomial.
+    subset order on the columns) is returned as a polynomial, checked to
+    be non-affine and invisible along every direction.
     """
     if n < 3:
         raise PreconditionError(f"need n >= 3, got {n}")
@@ -87,17 +86,12 @@ def lower_bound_witness(n: int, dirs: DirectionSet, fld: Ring) -> SharpnessWitne
     if vector is None:
         raise PreconditionError("direction set already forces the binding degree")
     poly = MultiAffinePoly(fld, n, dict(zip(masks, vector)))
-    witness = SharpnessWitness(poly, dirs, fld, k)
-    _validate_witness(witness)
-    return witness
-
-
-def _validate_witness(w: SharpnessWitness):
-    if w.poly.is_zero or is_affine_poly(w.poly):
+    if poly.is_zero or is_affine_poly(poly):
         raise PreconditionError("degenerate witness polynomial")
-    for v in w.directions.dirs:
-        if not restrict_radial(w.poly, v)[w.degree].is_zero:
+    for v in dirs.dirs:
+        if not restrict_radial(poly, v)[k].is_zero:
             raise PreconditionError("witness is visible along a supplied direction")
+    return SharpnessWitness(poly, k)
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ from .errors import (
     MissingPointError,
     PreconditionError,
 )
-from .multiaffine import Line, _checked_index, point_add, point_index, point_scale
+from .multiaffine import Line, _checked_index, _key_index, point_add, point_index, point_scale
 from .rings import Ring, RingElem, format_elements, frobenius
 
 MAX_FIELD_SIZE = 9
@@ -85,16 +85,21 @@ class VectorMapTable:
     The images are stored as one flat list `codes` of tuples of element
     codes, position i holding the image of the point with `point_index`
     i, as in `TableOracle`.  `from_codes` takes that list, as the
-    table-file parser does; the dict constructor converts its dict to it.
+    table-file parser does; the dict constructor checks every key and
+    image, as `TableOracle`'s does, and converts its dict to it.
     """
 
     def __init__(self, fld: Ring, dim_in: int, dim_out: int, mapping: dict):
         _check_table_shape(fld, dim_in, dim_out, len(mapping))
+        codes = [None] * len(mapping)  # q^d distinct points fill every index
         for point, image in mapping.items():
-            if len(point) != dim_in or len(image) != dim_out:
-                raise PreconditionError("table entry with wrong arity")
-        points = product(fld.elements(), repeat=dim_in)
-        self._store(fld, dim_in, dim_out, [tuple(c.value for c in mapping[p]) for p in points])
+            index = _key_index(fld, dim_in, point)
+            if _checked_index(fld, dim_out, image) is None:
+                raise PreconditionError(
+                    f"table image {image!r} is not in {fld.spec_text()}^{dim_out}"
+                )
+            codes[index] = tuple(c.value for c in image)
+        self._store(fld, dim_in, dim_out, codes)
 
     @classmethod
     def from_codes(cls, fld: Ring, dim_in: int, dim_out: int, codes: list) -> "VectorMapTable":
@@ -212,9 +217,6 @@ def check_hypotheses(f: VectorMapTable) -> HypothesisCheck:
 class SemilinearCert:
     """Decomposition f(v) = offset + sum_i tau(v_i) * basis_images[i]."""
 
-    field: Ring
-    dim_in: int
-    dim_out: int
     tau_power: int
     basis_images: tuple
     offset: tuple
@@ -266,7 +268,7 @@ def _decompose(f: VectorMapTable) -> SemilinearCert | None:
     if want != codes:
         return None
     basis_images = tuple(_elements(fld, col) for col in cols)
-    return SemilinearCert(fld, d, f.dim_out, power, basis_images, _elements(fld, offset))
+    return SemilinearCert(power, basis_images, _elements(fld, offset))
 
 
 def recover_semilinear(f: VectorMapTable) -> SemilinearCert:

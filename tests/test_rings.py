@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -201,6 +202,26 @@ def test_field_tables_match_schoolbook_products():
     for p, k, modulus in specs:
         GaloisField(p, k, modulus)
         assert tuple(_field_tables(p, k, modulus)) == field_tables_schoolbook(p, k, modulus)
+
+
+def test_galois_field_accepts_exactly_the_moduli_that_give_a_field():
+    # differential: F_p[t]/(modulus) is a field iff every nonzero element has
+    # an inverse in the schoolbook mul table; all 155 monic moduli with
+    # p^k <= 49, and every (p, k) with k >= 2 has both outcomes
+    outcomes = {}
+    for p, k in [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3),
+                 (5, 1), (5, 2), (7, 1), (7, 2)]:
+        for modulus in product(range(p), repeat=k):
+            mul = field_tables_schoolbook(p, k, modulus)[1]
+            is_field = all(1 in row for row in mul[1:])
+            if is_field:
+                GaloisField(p, k, modulus)
+            else:
+                with pytest.raises(PreconditionError, match=f"is reducible over F_{p}$"):
+                    GaloisField(p, k, modulus)
+            outcomes.setdefault((p, k), set()).add(is_field)
+    assert sum(p**k for p, k in outcomes) == 155
+    assert all(seen == {True, False} for (p, k), seen in outcomes.items() if k >= 2)
 
 
 def test_inverse_on_fields():

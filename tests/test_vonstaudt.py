@@ -232,6 +232,18 @@ def test_table_validation():
         VectorMapTable(Zmod(11), 2, 2, {})
     with pytest.raises(PreconditionError):
         VectorMapTable(Zmod(6), 2, 2, {})  # not a field
+    # a key or image outside the spaces is a usage error, never a bare
+    # KeyError or AttributeError, nor a verdict about some other map
+    F3, F7 = PrimeField(3), PrimeField(7)
+    points = list(product(F3.elements(), repeat=2))
+    int_key = {(0, 0): points[0]} | {v: v for v in points[1:]}
+    with pytest.raises(PreconditionError, match="table key"):
+        VectorMapTable(F3, 2, 2, int_key)
+    for int_image in (0, (0,)):
+        with pytest.raises(PreconditionError, match="table image"):
+            VectorMapTable(F3, 2, 1, {v: int_image for v in points})
+    with pytest.raises(PreconditionError, match="table image"):
+        VectorMapTable(F3, 2, 2, {v: (F7.elem(5), F7.one) for v in points})
 
 
 def test_recover_affine_over_prime_field():
@@ -339,7 +351,7 @@ def test_non_surjective_codomain():
     assert check_hypotheses(f).ok
     cert = recover_semilinear(f)
     assert cert.basis_images == cols
-    assert cert.dim_out == 3
+    assert len(cert.offset) == 3
 
 
 def test_scalar_codomain_fails_naturally():
