@@ -20,12 +20,12 @@ arity the direction machinery accepts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from math import prod
 
 from .errors import InconsistencyError, PreconditionError, UnsupportedRingError
 from .multiaffine import MAX_ARITY
-from .rings import Ring, RingElem, Rationals, Zmod, format_elements, is_prime
+from .rings import Rationals, Record, Ring, RingElem, Zmod, format_elements, is_prime, setfield
 
 
 def _check_size(n: int):
@@ -33,22 +33,22 @@ def _check_size(n: int):
         raise PreconditionError(f"node set must have at most {MAX_ARITY} elements, got {n}")
 
 
-@dataclass(frozen=True)
-class BhCandidate:
+class BhCandidate(Record):
     """A list of pairwise distinct ring elements, kept in the given order."""
 
-    ring: Ring
-    elements: tuple
+    __slots__ = ("ring", "elements")
 
-    def __post_init__(self):
-        if not self.elements:
+    def __init__(self, ring: Ring, elements: tuple):
+        if not elements:
             raise PreconditionError("candidate set must be nonempty")
-        _check_size(len(self.elements))
-        for s in self.elements:
-            if s.ring != self.ring:
+        _check_size(len(elements))
+        for s in elements:
+            if s.ring != ring:
                 raise PreconditionError("element from a different ring")
-        if len(set(self.elements)) != len(self.elements):
+        if len(set(elements)) != len(elements):
             raise PreconditionError("candidate elements must be pairwise distinct")
+        setfield(self, "ring", ring)
+        setfield(self, "elements", elements)
 
     def __len__(self):
         return len(self.elements)
@@ -57,13 +57,15 @@ class BhCandidate:
         return [("status", "ok"), ("set", format_elements(self.elements))]
 
 
-@dataclass(frozen=True)
-class Collision:
+class Collision(Record):
     """Two distinct h-subsets with the same product."""
 
-    left: tuple
-    right: tuple
-    product: RingElem
+    __slots__ = ("left", "right", "product")
+
+    def __init__(self, left: tuple, right: tuple, product: RingElem):
+        setfield(self, "left", left)
+        setfield(self, "right", right)
+        setfield(self, "product", product)
 
     def document(self) -> list[tuple[str, str]]:
         return [
@@ -74,26 +76,30 @@ class Collision:
         ]
 
 
-@dataclass(frozen=True)
-class Property2Failure:
+class Property2Failure(Record):
     """Two h-fold products whose difference is a zerodivisor."""
 
-    h: int
-    left: tuple
-    right: tuple
-    difference: RingElem
+    __slots__ = ("h", "left", "right", "difference")
+
+    def __init__(self, h: int, left: tuple, right: tuple, difference: RingElem):
+        setfield(self, "h", h)
+        setfield(self, "left", left)
+        setfield(self, "right", right)
+        setfield(self, "difference", difference)
 
 
-@dataclass(frozen=True)
-class BhReport:
+class BhReport(Record):
     """The first failures of the B_h property bundle: the lowest-h collision
     of h-fold products, and the first non-regular difference (property (2)).
 
     A collision is a zero difference, so it never comes without the other.
     """
 
-    collision: Collision | None
-    property2: Property2Failure | None
+    __slots__ = ("collision", "property2")
+
+    def __init__(self, collision: Collision | None, property2: Property2Failure | None):
+        setfield(self, "collision", collision)
+        setfield(self, "property2", property2)
 
     @property
     def ok(self) -> bool:
@@ -114,21 +120,16 @@ class BhReport:
         return [("status", "ok")]
 
 
-@dataclass(frozen=True)
-class BudgetSpent:
+class BudgetSpent(Record):
     """A search that tried its whole budget of candidates without deciding."""
 
-    budget: int
+    __slots__ = ("budget",)
+
+    def __init__(self, budget: int):
+        setfield(self, "budget", budget)
 
     def document(self) -> list[tuple[str, str]]:
         return [("status", "inconclusive"), ("budget", str(self.budget))]
-
-
-def _product(ring: Ring, elems) -> RingElem:
-    acc = ring.one
-    for e in elems:
-        acc = acc * e
-    return acc
 
 
 def verify_bh(candidate: BhCandidate, h: int) -> Collision | None:
@@ -144,10 +145,10 @@ def verify_bh(candidate: BhCandidate, h: int) -> Collision | None:
     seen: dict[RingElem, tuple] = {}
     for picks in combinations(range(n), h):
         subset = tuple(candidate.elements[i] for i in picks)
-        prod = _product(ring, subset)
-        if prod in seen:
-            return Collision(seen[prod], subset, prod)
-        seen[prod] = subset
+        product = prod(subset, start=ring.one)
+        if product in seen:
+            return Collision(seen[product], subset, product)
+        seen[product] = subset
     return None
 
 
@@ -184,7 +185,7 @@ def verify_properties(candidate: BhCandidate) -> BhReport:
     ring = candidate.ring
     for h in range(2, n):
         subsets = [tuple(candidate.elements[i] for i in c) for c in combinations(range(n), h)]
-        prods = [_product(ring, s) for s in subsets]
+        prods = [prod(s, start=ring.one) for s in subsets]
         pair = _first_nonregular_pair(ring, prods)
         if pair is not None:
             a, b = pair

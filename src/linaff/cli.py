@@ -8,6 +8,9 @@ Exit codes: 0 for affirmative certificates, 1 for usage or parse errors,
 2 for negative certificates (non-affine, collision, violation, witness
 produced), 3 for undecided answers (cannot-cancel, or a search whose
 budget ran out), 4 for a failed internal cross-check (a bug).
+
+A call imports only the modules its subcommand runs, and `json` only
+under `--json`, so that a cold process compiles nothing it does not use.
 """
 
 from __future__ import annotations
@@ -15,13 +18,13 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import json
 import sys
 from itertools import product
 
-from . import __version__, bh_sets, recovery, sharpness, vonstaudt
+from . import __version__
 from .errors import InconsistencyError, LinaffError, ParseError, PreconditionError
 from .multiaffine import (
+    FunctionOracle,
     Line,
     MultiAffinePoly,
     TableOracle,
@@ -33,7 +36,6 @@ from .multiaffine import (
     subset_to_mask,
 )
 from .rings import Rationals, Ring, format_elements, parse_ring_spec
-from .vonstaudt import VectorMapTable
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -133,8 +135,9 @@ def parse_function_table(text: str):
         values = _collect_rows(ring, arity, rows, codomain_dim)
     if codomain_dim is None:
         return TableOracle.from_codes(ring, arity, values)
+    from . import vonstaudt
     try:
-        return VectorMapTable.from_codes(ring, arity, codomain_dim, values)
+        return vonstaudt.VectorMapTable.from_codes(ring, arity, codomain_dim, values)
     except LinaffError as exc:
         raise ParseError(str(exc)) from None
 
@@ -254,12 +257,12 @@ def format_function_table(oracle) -> str:
             entry = f"term {oracle.ring.format_element(coeff)}"
             lines.append(entry + (f" {idx}" if idx else ""))
         return "\n".join(lines) + "\n"
-    if isinstance(oracle, VectorMapTable):
-        ring, arity, images = oracle.field, oracle.dim_in, oracle.codes
-        codomain = f"vector {oracle.dim_out}"
-    else:
+    if isinstance(oracle, TableOracle):
         ring, arity, images = oracle.ring, oracle.arity, [(c,) for c in oracle.codes]
         codomain = "scalar"
+    else:
+        ring, arity, images = oracle.field, oracle.dim_in, oracle.codes
+        codomain = f"vector {oracle.dim_out}"
     header = [f"ring {ring.spec_text()}", f"arity {arity}", f"codomain {codomain}"]
     elements = ring.elements()
     body = [
@@ -382,7 +385,8 @@ def _parse_vector(ring: Ring, text: str):
         raise ParseError(f"bad vector {text!r}: {exc}") from None
 
 
-def _parse_dirs(ring: Ring, arity: int, text: str) -> recovery.DirectionSet:
+def _parse_dirs(ring: Ring, arity: int, text: str):
+    from . import recovery
     vectors = [
         _parse_vector(ring, chunk) for chunk in text.split(";") if chunk.strip() != ""
     ]
@@ -399,18 +403,19 @@ def _load_oracle(path: str):
 
 
 def _scalar_oracle(oracle):
-    if isinstance(oracle, VectorMapTable):
+    if not isinstance(oracle, FunctionOracle):
         raise ParseError("this subcommand needs a scalar-valued oracle")
     return oracle
 
 
 def _vector_table(oracle):
-    if not isinstance(oracle, VectorMapTable):
+    if isinstance(oracle, FunctionOracle):
         raise ParseError("this subcommand needs a 'codomain vector' table")
     return oracle
 
 
-def _direction_set(args, ring, arity) -> recovery.DirectionSet:
+def _direction_set(args, ring, arity):
+    from . import recovery
     dirs_text = getattr(args, "dirs", None)
     family = getattr(args, "family", False)
     moment = getattr(args, "moment", None)
@@ -427,7 +432,7 @@ def _direction_set(args, ring, arity) -> recovery.DirectionSet:
         raise ParseError(f"--moment needs {arity} node values")
     count = getattr(args, "count", None)
     if count is None:
-        count = sharpness.minimal_direction_count(arity) if arity >= 2 else 1
+        count = recovery.minimal_direction_count(arity) if arity >= 2 else 1
     return recovery.moment_directions(nodes, count)
 
 
@@ -450,6 +455,7 @@ def _run(args) -> tuple[list[tuple[str, str]], str]:
         base = _parse_vector(oracle.ring, args.base) if args.base else None
         return [("status", "ok"), ("coeffs", repr(psi_extract(oracle, base)))], text
     if cmd == "recover":
+        from . import recovery
         text, oracle = _load_oracle(args.input)
         oracle = _scalar_oracle(oracle)
         dirs = _direction_set(args, oracle.ring, oracle.arity)
@@ -469,6 +475,7 @@ def _run(args) -> tuple[list[tuple[str, str]], str]:
             raise ParseError("vonstaudt needs a subcommand: check or recover")
         text, oracle = _load_oracle(args.input)
         table = _vector_table(oracle)
+        from . import vonstaudt
         if sub == "check":
             return vonstaudt.check_hypotheses(table).document(), text
         return vonstaudt.recover_semilinear(table).document(), text
@@ -479,6 +486,7 @@ def _run_bh(args):
     sub = args.bh_command
     if sub is None:
         raise ParseError("bh needs a subcommand: verify, search or geometric")
+    from . import bh_sets
     ring = parse_ring_spec(args.ring)
     if sub == "verify":
         elements = _parse_vector(ring, args.set)
@@ -502,8 +510,10 @@ def _run_sharpness(args):
     if sub is None:
         raise ParseError("sharpness needs a subcommand: bound, witness or certify")
     if sub == "bound":
-        n = sharpness.minimal_direction_count(args.n)
+        from . import recovery
+        n = recovery.minimal_direction_count(args.n)
         return [("status", "ok"), ("N", str(n))], str(args.n)
+    from . import bh_sets, sharpness
     ring = parse_ring_spec(args.ring)
     if sub == "witness":
         dirs = _parse_dirs(ring, args.n, args.dirs)
@@ -527,6 +537,7 @@ def run_subcommand(argv) -> tuple[int, str]:
     digest = hashlib.sha256(digest_source.encode("utf-8")).hexdigest()
     doc = doc + [("version", __version__), ("digest", digest)]
     if args.json:
+        import json
         text = json.dumps(dict(doc), indent=None, separators=(", ", ": ")) + "\n"
     else:
         text = _text(doc)

@@ -21,8 +21,6 @@ over it are int arithmetic through the ring's value-level operations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     ArityError,
     InconsistencyError,
@@ -30,7 +28,7 @@ from .errors import (
     PreconditionError,
     UnsupportedRingError,
 )
-from .rings import Ring, RingElem, format_elements
+from .rings import Record, Ring, RingElem, format_elements, setfield
 
 MAX_ARITY = 16
 
@@ -73,7 +71,7 @@ def point_scale(r: RingElem, v: Point) -> Point:
     return tuple(r * x for x in v)
 
 
-class MultiAffinePoly:
+class MultiAffinePoly(Record):
     """Sparse multi-affine polynomial: sum over subsets J of a_J * prod_{j in J} x_j."""
 
     __slots__ = ("ring", "arity", "coeffs")
@@ -89,9 +87,9 @@ class MultiAffinePoly:
                 raise PreconditionError("coefficient ring mismatch")
             if not c.is_zero:
                 clean[mask] = c
-        self.ring = ring
-        self.arity = arity
-        self.coeffs = clean
+        setfield(self, "ring", ring)
+        setfield(self, "arity", arity)
+        setfield(self, "coeffs", clean)
 
     def coeff(self, mask: int) -> RingElem:
         return self.coeffs.get(mask, self.ring.zero)
@@ -114,14 +112,6 @@ class MultiAffinePoly:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MultiAffinePoly)
-            and self.ring == other.ring
-            and self.arity == other.arity
-            and self.coeffs == other.coeffs
-        )
 
     def __repr__(self):
         if not self.coeffs:
@@ -260,29 +250,31 @@ def _key_index(ring: Ring, arity: int, key) -> int:
 FunctionOracle = TableOracle | MultiAffinePoly
 
 
-@dataclass(frozen=True)
-class Line:
+class Line(Record):
     """Affine line base + R*dir; the direction must be nonzero."""
 
-    base: Point
-    dir: Point
+    __slots__ = ("base", "dir")
 
-    def __post_init__(self):
-        if len(self.base) != len(self.dir):
+    def __init__(self, base: Point, dir: Point):
+        if len(base) != len(dir):
             raise ArityError("line base and direction have different arities")
-        if all(c.is_zero for c in self.dir):
+        if all(c.is_zero for c in dir):
             raise PreconditionError("line direction must be nonzero")
+        setfield(self, "base", base)
+        setfield(self, "dir", dir)
 
     def text(self) -> str:
         return f"line base {format_elements(self.base)} dir {format_elements(self.dir)}"
 
 
-@dataclass(frozen=True)
-class LineCheck:
+class LineCheck(Record):
     """Outcome of a per-line affinity check: a slope, or a refuting triple."""
 
-    slope: RingElem | None
-    witness: tuple[RingElem, RingElem, RingElem] | None
+    __slots__ = ("slope", "witness")
+
+    def __init__(self, slope: RingElem | None, witness: tuple | None):
+        setfield(self, "slope", slope)
+        setfield(self, "witness", witness)
 
     @property
     def ok(self) -> bool:

@@ -41,7 +41,6 @@ the pinned cases.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import (
@@ -67,35 +66,33 @@ from .multiaffine import (
     unit_point,
     zero_point,
 )
-from .rings import Ring, RingElem, format_elements
+from .rings import Record, Ring, RingElem, format_elements, setfield
 
 
-@dataclass(frozen=True)
-class DirectionSet:
+class DirectionSet(Record):
     """Nonzero test directions of one arity over one ring, in the given order.
 
     `family_directions` and `moment_directions` build the two standard
     shapes; any other tuple of nonzero vectors is accepted as well.
     """
 
-    ring: Ring
-    arity: int
-    dirs: tuple
+    __slots__ = ("ring", "arity", "dirs")
 
-    def __post_init__(self):
-        if self.arity < 1:
-            raise PreconditionError(f"arity must be >= 1, got {self.arity}")
-        for v in self.dirs:
-            if len(v) != self.arity:
+    def __init__(self, ring: Ring, arity: int, dirs: tuple):
+        if arity < 1:
+            raise PreconditionError(f"arity must be >= 1, got {arity}")
+        for v in dirs:
+            if len(v) != arity:
                 coords = ", ".join(c.ring.format_element(c) for c in v)
-                raise ArityError(
-                    f"direction ({coords}) has arity {len(v)}, expected {self.arity}"
-                )
+                raise ArityError(f"direction ({coords}) has arity {len(v)}, expected {arity}")
             if all(c.is_zero for c in v):
                 raise PreconditionError("directions must be nonzero")
             for c in v:
-                if c.ring != self.ring:
+                if c.ring != ring:
                     raise RingMismatchError("direction coordinate from a different ring")
+        setfield(self, "ring", ring)
+        setfield(self, "arity", arity)
+        setfield(self, "dirs", dirs)
 
     def __len__(self):
         return len(self.dirs)
@@ -143,6 +140,17 @@ def family_directions(ring: Ring, n: int, coeffs=None) -> DirectionSet:
 MAX_DIRECTIONS = math.comb(MAX_ARITY, MAX_ARITY // 2)
 
 
+def minimal_direction_count(n: int) -> int:
+    """Exact minimal number of radial test directions over R^n, 2 <= n <= MAX_ARITY."""
+    if n < 2:
+        raise PreconditionError(f"need n >= 2, got {n}")
+    if n > MAX_ARITY:
+        raise PreconditionError(f"arity must be at most {MAX_ARITY}, got {n}")
+    if n == 2:
+        return 1
+    return math.comb(n, (n + 1) // 2)
+
+
 def moment_directions(s_elements, count: int) -> DirectionSet:
     """Directions v_i = (s_1^{i-1}, ..., s_n^{i-1}) for i = 1..count.
 
@@ -182,46 +190,49 @@ def degree_system(dirs: DirectionSet, k: int) -> tuple[tuple, list]:
 def factorial_det(n: int, ring: Ring) -> RingElem:
     """Image in the ring of prod_{i=1..n} i!, the determinant of the n x n
     matrix with row i = (i, i^2, ..., i^n)."""
-    prod = 1
-    for i in range(1, n + 1):
-        prod *= math.factorial(i)
-    return ring.from_int(prod)
+    return ring.from_int(math.prod(math.factorial(i) for i in range(1, n + 1)))
 
 
-@dataclass(frozen=True)
-class Affine:
+class Affine(Record):
     """f(x) = constant + sum_i linear[i-1] * x_i, read off psi."""
 
     status = "affine"
-    constant: RingElem
-    linear: tuple
+    __slots__ = ("constant", "linear")
+
+    def __init__(self, constant: RingElem, linear: tuple):
+        setfield(self, "constant", constant)
+        setfield(self, "linear", linear)
 
     def document(self) -> list[tuple[str, str]]:
         coeffs = format_elements((self.constant, *self.linear))
         return [("status", self.status), ("coeffs", coeffs)]
 
 
-@dataclass(frozen=True)
-class LineWitness:
+class LineWitness(Record):
     """A line on which f is not affine, with the refuting parameter triple."""
 
     status = "non-affine"
-    line: Line
-    params: tuple
+    __slots__ = ("line", "params")
+
+    def __init__(self, line: Line, params: tuple):
+        setfield(self, "line", line)
+        setfield(self, "params", params)
 
     def document(self) -> list[tuple[str, str]]:
         witness = f"{self.line.text()} params {format_elements(self.params)}"
         return [("status", self.status), ("witness", witness)]
 
 
-@dataclass(frozen=True)
-class CoefficientWitness:
+class CoefficientWitness(Record):
     """A coefficient of psi of degree >= 2 that survives: `mask` is its subset."""
 
     status = "non-affine"
-    degree: int
-    mask: tuple
-    coeff: RingElem
+    __slots__ = ("degree", "mask", "coeff")
+
+    def __init__(self, degree: int, mask: tuple, coeff: RingElem):
+        setfield(self, "degree", degree)
+        setfield(self, "mask", mask)
+        setfield(self, "coeff", coeff)
 
     def document(self) -> list[tuple[str, str]]:
         subset = ",".join(str(i) for i in self.mask)
@@ -232,14 +243,16 @@ class CoefficientWitness:
         ]
 
 
-@dataclass(frozen=True)
-class CannotCancel:
+class CannotCancel(Record):
     """The ring hides a degree-k coefficient from the lines; det is the
     factorial determinant."""
 
     status = "cannot-cancel"
-    degree: int
-    det: RingElem
+    __slots__ = ("degree", "det")
+
+    def __init__(self, degree: int, det: RingElem):
+        setfield(self, "degree", degree)
+        setfield(self, "det", det)
 
     def document(self) -> list[tuple[str, str]]:
         return [

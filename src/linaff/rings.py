@@ -24,7 +24,6 @@ from __future__ import annotations
 import functools
 import math
 from collections import namedtuple
-from fractions import Fraction
 
 from .errors import (
     NotEnumerableError,
@@ -95,6 +94,36 @@ def prime_factors(m: int) -> tuple[int, ...]:
                 d = 1
         rest += [d, n // d]
     return tuple(sorted(found))
+
+
+# each Record's own __init__ sets its fields through this; assignment raises
+setfield = object.__setattr__
+
+
+class Record:
+    """Base of the immutable result types.  The fields are the class's own
+    `__slots__`, set by its positional `__init__` with `setfield`; records
+    are equal by type and fields, hash by the fields and show them."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"field {name!r} of {type(self).__name__} cannot be changed")
+
+    __delattr__ = __setattr__
+
+    def _fields(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._fields()))
+        return f"{type(self).__name__}({fields})"
 
 
 class RingElem:
@@ -173,6 +202,8 @@ class Ring:
     is_finite = False
     size: int | None = None
     characteristic: int = 0
+    zero: RingElem  # each ring's __init__ sets its zero and one
+    one: RingElem
 
     def elem(self, raw) -> RingElem:
         raise NotImplementedError
@@ -180,14 +211,6 @@ class Ring:
     def from_int(self, n: int) -> RingElem:
         """Image of the integer n under the unique map Z -> ring."""
         raise NotImplementedError
-
-    @property
-    def zero(self) -> RingElem:
-        return self._zero
-
-    @property
-    def one(self) -> RingElem:
-        return self._one
 
     # value-level operations: on codes for finite rings, on fractions for Q
 
@@ -283,8 +306,8 @@ class Zmod(Ring):
         self.size = m
         self.characteristic = m
         self.is_field = is_prime(m)
-        self._zero = RingElem(self, 0)
-        self._one = RingElem(self, 1)
+        self.zero = RingElem(self, 0)
+        self.one = RingElem(self, 1)
 
     @functools.cached_property
     def primes(self) -> tuple[int, ...]:
@@ -399,8 +422,8 @@ class GaloisField(Ring):
             raise PreconditionError(
                 f"x^{k} + {list(modulus)[::-1]}... is reducible over F_{p}"
             )
-        self._zero = RingElem(self, 0)
-        self._one = RingElem(self, 1)
+        self.zero = RingElem(self, 0)
+        self.one = RingElem(self, 1)
 
     def _identity(self):
         return (self.kind, self.p, self.k, self.modulus)
@@ -516,14 +539,14 @@ class Rationals(Ring):
     """The field Q with fully reduced arbitrary-precision fractions."""
 
     kind = "rational"
-    is_field = True
-    is_finite = False
-    size = None
-    characteristic = 0
+    is_field = True  # infinite, of characteristic 0: the Ring defaults
 
     def __init__(self):
-        self._zero = RingElem(self, Fraction(0))
-        self._one = RingElem(self, Fraction(1))
+        # imported here, not at start-up: fractions also loads decimal
+        from fractions import Fraction
+        self.fraction = Fraction
+        self.zero = RingElem(self, Fraction(0))
+        self.one = RingElem(self, Fraction(1))
 
     def _identity(self):
         return (self.kind,)
@@ -533,10 +556,10 @@ class Rationals(Ring):
             if raw.ring != self:
                 raise RingMismatchError(f"{raw!r} is not in {self.spec_text()}")
             return raw
-        return RingElem(self, Fraction(raw))
+        return RingElem(self, self.fraction(raw))
 
     def from_int(self, n: int) -> RingElem:
-        return RingElem(self, Fraction(n))
+        return RingElem(self, self.fraction(n))
 
     def add(self, a, b):
         return a + b
@@ -563,7 +586,7 @@ class Rationals(Ring):
 
     def parse_element(self, text: str) -> RingElem:
         try:
-            return RingElem(self, Fraction(text))
+            return RingElem(self, self.fraction(text))
         except ValueError as exc:
             raise PreconditionError(str(exc)) from None
         except ZeroDivisionError:

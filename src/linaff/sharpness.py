@@ -1,6 +1,7 @@
 """Sharpness of the direction-count bound N = C(n, ceil(n/2)).
 
-`minimal_direction_count` is the exact minimal number of radial test
+`minimal_direction_count` (kept in `recovery`, which builds the moment
+directions, and re-exported here) is the exact minimal number of radial test
 directions (1 for n = 2, the central binomial coefficient for n >= 3;
 the latter grows like 2^(n + 1/2) / sqrt(pi * n), far below the 2^n -
 (n + 1) directions of the one-per-subset family).  `lower_bound_witness`
@@ -15,30 +16,15 @@ is the whole proof.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 from .bh_sets import BhCandidate, verify_properties
 from .errors import PreconditionError, RingMismatchError
 from .linalg import kernel_vector
 from .multiaffine import MAX_ARITY, MultiAffinePoly, is_affine_poly, restrict_radial
-from .recovery import DirectionSet, degree_system, moment_directions
-from .rings import Ring
+from .recovery import DirectionSet, degree_system, minimal_direction_count
+from .rings import Record, Ring, setfield
 
 
-def minimal_direction_count(n: int) -> int:
-    """Exact minimal number of radial test directions over R^n, 2 <= n <= MAX_ARITY."""
-    if n < 2:
-        raise PreconditionError(f"need n >= 2, got {n}")
-    if n > MAX_ARITY:
-        raise PreconditionError(f"arity must be at most {MAX_ARITY}, got {n}")
-    if n == 2:
-        return 1
-    return math.comb(n, (n + 1) // 2)
-
-
-@dataclass
-class SharpnessWitness:
+class SharpnessWitness(Record):
     """A non-affine polynomial invisible to the given directions.
 
     Every stored coefficient has the binding degree k = ceil(n/2); the
@@ -47,8 +33,11 @@ class SharpnessWitness:
     affine.
     """
 
-    poly: MultiAffinePoly
-    degree: int
+    __slots__ = ("poly", "degree")
+
+    def __init__(self, poly: MultiAffinePoly, degree: int):
+        setfield(self, "poly", poly)
+        setfield(self, "degree", degree)
 
     def document(self) -> list[tuple[str, str]]:
         return [("status", "witness"), ("witness", repr(self.poly)), ("degree", str(self.degree))]
@@ -94,11 +83,11 @@ def lower_bound_witness(n: int, dirs: DirectionSet, fld: Ring) -> SharpnessWitne
     return SharpnessWitness(poly, k)
 
 
-@dataclass(frozen=True)
-class CertifyResult:
-    """The N moment directions of a node set that passes the B_h bundle."""
+class CertifyResult(Record):
+    """The N moment directions `moment_directions(nodes, N)` are complete; the
+    B_h bundle the nodes pass is the certificate, so they are not built."""
 
-    directions: DirectionSet
+    __slots__ = ()
 
     def document(self) -> list[tuple[str, str]]:
         return [("status", "ok")]
@@ -126,4 +115,4 @@ def certify_directions(n: int, ring: Ring, candidate: BhCandidate) -> CertifyRes
     if not report.ok:
         failure = "; ".join(f"{k}: {v}" for k, v in report.document())
         raise PreconditionError(f"node set fails the B_h property bundle: {failure}")
-    return CertifyResult(moment_directions(candidate.elements, minimal_direction_count(n)))
+    return CertifyResult()

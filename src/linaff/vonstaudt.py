@@ -30,7 +30,6 @@ fields), which are beyond table oracles and noted here only for context.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from .errors import (
@@ -40,7 +39,7 @@ from .errors import (
     PreconditionError,
 )
 from .multiaffine import Line, _checked_index, _key_index, point_add, point_index, point_scale
-from .rings import Ring, RingElem, format_elements, frobenius
+from .rings import Record, Ring, RingElem, format_elements, frobenius, setfield
 
 MAX_FIELD_SIZE = 9
 MAX_DIM_PRODUCT = 6
@@ -172,12 +171,14 @@ def enumerate_affine_lines(fld: Ring, dim: int) -> list[Line]:
     return [line for line, _ in _lines_with_points(fld, dim)]
 
 
-@dataclass
-class HypothesisCheck:
+class HypothesisCheck(Record):
     """Verdict of the line hypotheses, with the first line whose image is not a line."""
 
-    ok: bool
-    line: Line | None = None
+    __slots__ = ("ok", "line")
+
+    def __init__(self, ok: bool, line: Line | None = None):
+        setfield(self, "ok", ok)
+        setfield(self, "line", line)
 
     def document(self) -> list[tuple[str, str]]:
         if self.ok:
@@ -213,13 +214,15 @@ def check_hypotheses(f: VectorMapTable) -> HypothesisCheck:
     return HypothesisCheck(line is None, line)
 
 
-@dataclass
-class SemilinearCert:
+class SemilinearCert(Record):
     """Decomposition f(v) = offset + sum_i tau(v_i) * basis_images[i]."""
 
-    tau_power: int
-    basis_images: tuple
-    offset: tuple
+    __slots__ = ("tau_power", "basis_images", "offset")
+
+    def __init__(self, tau_power: int, basis_images: tuple, offset: tuple):
+        setfield(self, "tau_power", tau_power)
+        setfield(self, "basis_images", basis_images)
+        setfield(self, "offset", offset)
 
     def document(self) -> list[tuple[str, str]]:
         return [

@@ -354,11 +354,13 @@ def test_criterion_8_property_suites():
         # adjugate identity on every certified moment matrix
         for p, n, nodes in ((5, 3, (1, 2, 4)), (11, 3, (1, 2, 4)), (17, 4, (1, 3, 9, 13))):
             F = PrimeField(p)
-            result = certify_directions(n, F, BhCandidate(F, tuple(F.elem(v) for v in nodes)))
-            assert len(result.directions) == minimal_direction_count(n)
+            candidate = BhCandidate(F, tuple(F.elem(v) for v in nodes))
+            assert certify_directions(n, F, candidate).document() == [("status", "ok")]
+            directions = moment_directions(candidate.elements, minimal_direction_count(n))
+            assert len(directions) == minimal_direction_count(n)
             for k in range(2, n):
                 cols = math.comb(n, k)
-                square = degree_system(result.directions, k)[1][:cols]
+                square = degree_system(directions, k)[1][:cols]
                 det = determinant(square, F)
                 prod_mat = mat_mul(adjugate(square, F), square, F)
                 assert all(

@@ -622,7 +622,8 @@ def test_internal_errors_have_their_own_exit_code(tmp_path, monkeypatch, capsys)
     def broken(*args, **kwargs):
         raise InconsistencyError("cross-check failed")
 
-    monkeypatch.setattr("linaff.cli.recovery.recover", broken)
+    # the CLI imports recovery on dispatch and calls recover through it
+    monkeypatch.setattr("linaff.recovery.recover", broken)
     path = _write(tmp_path, "affine.tbl", _affine_z7_table())
     argv = ["recover", "--input", path, "--dirs", "1,1"]
     assert run_subcommand(argv) == (EXIT_INTERNAL, "internal error: cross-check failed\n")

@@ -38,6 +38,13 @@ def _cand(ring, *vals):
     return BhCandidate(ring, tuple(ring.elem(v) for v in vals))
 
 
+def _certified_directions(n, ring, cand):
+    # certify_directions answers ok and builds no directions: these are the
+    # N moment directions that its answer certifies
+    assert certify_directions(n, ring, cand).document() == [("status", "ok")]
+    return moment_directions(cand.elements, minimal_direction_count(n))
+
+
 def test_minimal_direction_count():
     assert minimal_direction_count(2) == 1
     assert minimal_direction_count(3) == 3
@@ -122,9 +129,8 @@ def _first_nodes(F, n):
 
 def test_certify_directions_f5_example():
     F5 = PrimeField(5)
-    result = certify_directions(3, F5, _cand(F5, 1, 2, 4))
-    assert result.document() == [("status", "ok")]
-    assert [[e.value for e in v] for v in result.directions.dirs] == [
+    directions = _certified_directions(3, F5, _cand(F5, 1, 2, 4))
+    assert [[e.value for e in v] for v in directions.dirs] == [
         [1, 1, 1],
         [1, 2, 4],
         [1, 4, 1],  # 4^2 = 1 mod 5
@@ -133,9 +139,8 @@ def test_certify_directions_f5_example():
 
 def test_certify_directions_f17_example():
     F17 = PrimeField(17)
-    result = certify_directions(4, F17, _cand(F17, 1, 3, 9, 13))
-    assert result.document() == [("status", "ok")]
-    assert len(result.directions) == 6
+    directions = _certified_directions(4, F17, _cand(F17, 1, 3, 9, 13))
+    assert len(directions) == 6
 
 
 def test_moment_systems_are_vandermonde_in_the_subset_products():
@@ -181,10 +186,10 @@ def test_certified_moment_matrices_satisfy_adjugate_identity():
     for p, n, nodes in ((5, 3, (1, 2, 4)), (11, 3, (1, 2, 4)), (17, 4, (1, 3, 9, 13))):
         F = PrimeField(p)
         cand = _cand(F, *nodes)
-        result = certify_directions(n, F, cand)
+        directions = _certified_directions(n, F, cand)
         for k in range(2, n):
             cols = math.comb(n, k)
-            square = degree_system(result.directions, k)[1][:cols]
+            square = degree_system(directions, k)[1][:cols]
             det = determinant(square, F)
             assert F.is_regular(det)
             adj = adjugate(square, F)
@@ -199,11 +204,11 @@ def test_duality_at_the_boundary():
     # every (N-1)-subset of the certified directions is defeated by a witness
     for p, n, nodes in ((11, 3, (1, 2, 4)), (17, 4, (1, 3, 9, 13))):
         F = PrimeField(p)
-        result = certify_directions(n, F, _cand(F, *nodes))
+        directions = _certified_directions(n, F, _cand(F, *nodes))
         count = minimal_direction_count(n)
-        assert len(result.directions) == count
+        assert len(directions) == count
         for keep in combinations(range(count), count - 1):
-            subset = result.directions.subset(keep)
+            subset = directions.subset(keep)
             witness = lower_bound_witness(n, subset, F)
             for v in subset.dirs:
                 assert restrict_radial(witness.poly, v)[witness.degree].is_zero
