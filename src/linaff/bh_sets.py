@@ -155,16 +155,16 @@ def verify_bh(candidate: BhCandidate, h: int) -> Collision | None:
 def _first_nonregular_pair(ring: Ring, prods: list) -> tuple[int, int] | None:
     """Lexicographically first (a, b), a < b, with prods[a] - prods[b] not regular.
 
-    Over Z/m a difference is a zerodivisor iff it vanishes mod some prime
-    p | m, over a field iff it is zero: either way the two products share
-    a residue class, so one dict pass per prime, keyed by residue, finds
-    the first such pair.
+    The products are values.  Over Z/m a difference is a zerodivisor iff
+    it vanishes mod some prime p | m, over a field iff it is zero: either
+    way the two products share a residue class, so one dict pass per
+    prime, keyed by residue, finds the first such pair.
     """
     best = None
     for p in ring.primes if isinstance(ring, Zmod) else (None,):
         first: dict = {}
         for b, x in enumerate(prods):
-            a = first.setdefault(x.value if p is None else x.value % p, b)
+            a = first.setdefault(x if p is None else x % p, b)
             if a != b and (best is None or (a, b) < best):
                 best = (a, b)
     return best
@@ -174,24 +174,31 @@ def verify_properties(candidate: BhCandidate) -> BhReport:
     """The B_h property bundle, decided by property (2) alone.
 
     The bundle holds iff every difference of two h-fold products is regular
-    for 1 < h < n (see the module docstring).  Only a failure runs the
-    per-h collision scan, from the failing h up, since no collision lies
-    below it; the report then names the lowest-h collision, if any, and the
-    first non-regular difference.
+    for 1 < h < n (see the module docstring).  The products of all 2^n
+    subsets form one table on values, and each h is decided on its subsets
+    in mask order.  Only a failure scans the h-subsets in combination
+    order, to name the first non-regular difference, and the collisions
+    from the failing h up, since none lies below it.
     """
     n = len(candidate)
     if n < 3:
         raise PreconditionError(f"property verification needs |S| >= 3, got {n}")
-    ring = candidate.ring
+    ring, elements = candidate.ring, candidate.elements
+    table = [ring.one.value]
+    for s in elements:
+        table += [ring.mul(x, s.value) for x in table]
+    levels = [[] for _ in range(n + 1)]
+    for mask, x in enumerate(table):
+        levels[mask.bit_count()].append(x)
     for h in range(2, n):
-        subsets = [tuple(candidate.elements[i] for i in c) for c in combinations(range(n), h)]
-        prods = [prod(s, start=ring.one) for s in subsets]
-        pair = _first_nonregular_pair(ring, prods)
-        if pair is not None:
-            a, b = pair
-            failure = Property2Failure(h, subsets[a], subsets[b], prods[a] - prods[b])
-            collisions = (verify_bh(candidate, k) for k in range(h, n))
-            return BhReport(next(filter(None, collisions), None), failure)
+        if _first_nonregular_pair(ring, levels[h]) is None:
+            continue
+        masks = [sum(1 << i for i in c) for c in combinations(range(n), h)]
+        a, b = (masks[j] for j in _first_nonregular_pair(ring, [table[m] for m in masks]))
+        left, right = (tuple(s for i, s in enumerate(elements) if m >> i & 1) for m in (a, b))
+        failure = Property2Failure(h, left, right, RingElem(ring, ring.sub(table[a], table[b])))
+        collisions = (verify_bh(candidate, k) for k in range(h, n))
+        return BhReport(next(filter(None, collisions), None), failure)
     return BhReport(None, None)
 
 
@@ -249,7 +256,9 @@ def search_bh(ring: Ring, n: int, budget: int = 1_000_000) -> BhCandidate | Budg
     regular elements, pairwise distinct modulo every prime p | m: over Z/m
     it has at most p_min - 1 elements, over GF(q) at most q - 1.  Larger n
     is answered at once, and only regular elements are enumerated, which
-    skips exactly the candidates that always fail.
+    skips exactly the candidates that always fail.  Property (2) is a
+    residue condition mod each p | m, so by the CRT Z/m has a set iff
+    every F_p does, and Z/m is searched only then, each with the budget.
     """
     if not ring.is_finite:
         raise UnsupportedRingError("search needs a finite ring; use construct_primes over Q")
@@ -258,8 +267,12 @@ def search_bh(ring: Ring, n: int, budget: int = 1_000_000) -> BhCandidate | Budg
     _check_size(n)
     if budget < 1:
         raise PreconditionError(f"budget must be >= 1, got {budget}")
-    if isinstance(ring, Zmod) and n >= ring.primes[0]:
-        return None
+    if isinstance(ring, Zmod):
+        if n >= ring.primes[0]:
+            return None
+        fields = () if ring.is_field else map(Zmod, ring.primes)
+        if any(search_bh(fld, n, budget) is None for fld in fields):
+            return None
     regular = [e for e in ring.elements() if ring.is_regular(e)]
     for tried, picks in enumerate(combinations(regular, n)):
         if tried == budget:

@@ -43,14 +43,7 @@ EXIT_NEGATIVE = 2
 EXIT_CANNOT_CANCEL = 3
 EXIT_INTERNAL = 4
 
-_NEGATIVE = {
-    "non-affine",
-    "collision",
-    "non-regular-difference",
-    "none",
-    "violation",
-    "witness",
-}
+_NEGATIVE = {"non-affine", "collision", "non-regular-difference", "none", "violation", "witness"}
 
 
 # ---------------------------------------------------------------------------

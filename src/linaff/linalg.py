@@ -1,12 +1,13 @@
 """Exact dense linear algebra over the supported rings.
 
-Matrices are plain lists of rows of RingElem.  `rref` is the one echelon
-reduction over a field.  `kernel_vector` decides whether a homogeneous
-system forces its unknowns to zero, and returns a nonzero solution when
-it does not.  Over Z/m it works modulo each prime p | m: the system has
-only the zero solution iff it has full column rank mod every such p
-(McCoy, "Remarks on divisors of zero", 1942, with the Chinese remainder
-theorem).
+`rref` is the one echelon reduction over a field; its matrices are lists
+of rows of element values, reduced through the ring's value-level
+operations.  `kernel_vector` decides whether a homogeneous system of
+RingElem rows forces its unknowns to zero, and returns a nonzero solution
+when it does not.  Over Z/m it reduces the codes modulo each prime p | m:
+the system has only the zero solution iff it has full column rank mod
+every such p (McCoy, "Remarks on divisors of zero", 1942, with the
+Chinese remainder theorem).
 """
 
 from __future__ import annotations
@@ -16,32 +17,26 @@ from .rings import PrimeField, Ring, RingElem
 
 
 def rref(rows, cols: int, ring: Ring):
-    """Reduced row echelon form over a field: (matrix, pivot columns)."""
+    """Reduced row echelon form over a field, on values: (matrix, pivot columns)."""
     if not ring.is_field:
         raise PreconditionError("echelon reduction needs a field")
+    add, mul, neg = ring.add, ring.mul, ring.neg
     m = [row[:] for row in rows]
     pivots = []
     r = 0
     for col in range(cols):
-        pivot = None
-        for i in range(r, len(m)):
-            if not m[i][col].is_zero:
-                pivot = i
-                break
+        pivot = next((i for i in range(r, len(m)) if m[i][col]), None)
         if pivot is None:
             continue
-        if pivot != r:
-            m[r], m[pivot] = m[pivot], m[r]
-        inv = ring.inverse(m[r][col])
-        m[r] = [e * inv for e in m[r]]
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = ring.inverse(RingElem(ring, m[r][col])).value
+        m[r] = [mul(e, inv) for e in m[r]]
         for i in range(len(m)):
-            if i != r and not m[i][col].is_zero:
-                factor = m[i][col]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+            if i != r and m[i][col]:
+                factor = neg(m[i][col])
+                m[i] = [add(a, mul(factor, b)) for a, b in zip(m[i], m[r])]
         pivots.append(col)
         r += 1
-        if r == len(m):
-            break
     return m, pivots
 
 
@@ -56,20 +51,17 @@ def kernel_vector(rows, cols: int, ring: Ring) -> list[RingElem] | None:
     (m/p) v: rows * x = 0 forces x = 0 iff the system has full column
     rank modulo every such p (McCoy, with the CRT).
     """
-    if not ring.is_field:
-        for p in ring.primes:
-            fp = PrimeField(p)
-            vec = kernel_vector([[fp.from_int(e.value) for e in row] for row in rows], cols, fp)
-            if vec is not None:
-                return [ring.from_int(ring.m // p * e.value) for e in vec]
-        return None
-    reduced, pivots = rref(rows, cols, ring)
-    # the pivot columns ascend, so the first free column is the first gap
-    free = next((c for c, pc in enumerate(pivots) if c != pc), len(pivots))
-    if free == cols:
-        return None
-    vec = [ring.zero] * cols
-    vec[free] = ring.one
-    for r, pc in enumerate(pivots):
-        vec[pc] = -reduced[r][free]
-    return vec
+    values = [[e.value for e in row] for row in rows]
+    for fld in [ring] if ring.is_field else map(PrimeField, ring.primes):
+        projected = values if fld is ring else [[x % fld.p for x in row] for row in values]
+        reduced, pivots = rref(projected, cols, fld)
+        # the pivot columns ascend, so the first free column is the first gap
+        free = next((c for c, pc in enumerate(pivots) if c != pc), len(pivots))
+        if free < cols:
+            vec = [fld.zero.value] * cols
+            vec[free] = fld.one.value
+            for r, pc in enumerate(pivots):
+                vec[pc] = fld.neg(reduced[r][free])
+            lift = ring.one.value if fld is ring else ring.m // fld.p
+            return [RingElem(ring, ring.mul(lift, x)) for x in vec]
+    return None

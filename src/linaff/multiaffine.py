@@ -14,18 +14,23 @@ polynomials (the only option over the rationals), which are their own
 oracle.  Every line question about a polynomial is answered from its
 coefficients: along base + R*dir it restricts to a polynomial in the
 parameter, which `restriction_check` decides by `Ring.is_null`.  A table
-stores its values as a flat list of element codes (the `value` of a
-finite-ring element) in point-index order (see `point_index`), so scans
-over it are int arithmetic through the ring's value-level operations.
+stores its values as a flat list of element codes (`RingElem.value`) in
+point-index order (see `point_index`).  Scans over a table, and the
+polynomial arithmetic (evaluation, shift, radial restriction, the
+restriction check), run on element values through the ring's value-level
+operations; each returned coefficient is wrapped once.
 """
 
 from __future__ import annotations
+
+from functools import reduce
 
 from .errors import (
     ArityError,
     InconsistencyError,
     MissingPointError,
     PreconditionError,
+    RingMismatchError,
     UnsupportedRingError,
 )
 from .rings import Record, Ring, RingElem, format_elements, setfield
@@ -98,10 +103,7 @@ class MultiAffinePoly(Record):
         """Exact value of the polynomial at a point of matching arity."""
         if len(x) != self.arity:
             raise ArityError(f"point has arity {len(x)}, poly has {self.arity}")
-        total = self.ring.zero
-        for mask, c in self.coeffs.items():
-            total = total + monomial(c, mask, x)
-        return total
+        return sum(restrict_radial(self, x), self.ring.zero)
 
     def terms(self):
         """Coefficients in (popcount, subset-lex) order."""
@@ -125,14 +127,20 @@ class MultiAffinePoly(Record):
         return " + ".join(parts)
 
 
-def monomial(c: RingElem, mask: int, x: Point) -> RingElem:
-    """c * prod_{i in mask} x_i, with bit i of the mask standing for x_{i+1}."""
-    i = 0
+def point_values(ring: Ring, x: Point) -> list:
+    """The values of a point's coordinates, which must lie in the ring."""
+    for c in x:
+        if not (isinstance(c, RingElem) and c.ring == ring):
+            raise RingMismatchError(f"coordinate {c!r} is not in {ring.spec_text()}")
+    return [c.value for c in x]
+
+
+def subset_product(ring: Ring, c, mask: int, vals: list):
+    """c * prod_{i in mask} x_i on values, bit i of the mask standing for x_{i+1}."""
     while mask:
-        if mask & 1:
-            c = c * x[i]
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        c = ring.mul(c, vals[low.bit_length() - 1])
+        mask ^= low
     return c
 
 
@@ -303,7 +311,7 @@ def line_affine_check(f: FunctionOracle, line: Line) -> LineCheck:
     _check_arity(f, line)
     ring = f.ring
     if isinstance(f, MultiAffinePoly):
-        return restriction_check(ring, restrict_radial(shift_poly(f, line.base), line.dir))
+        return restriction_check(ring, radial_values(shift_poly(f, line.base), line.dir))
     f0 = f.value(line.base)
     slope = f.value(point_add(line.base, line.dir)) - f0
     for r in ring.elements():
@@ -313,7 +321,7 @@ def line_affine_check(f: FunctionOracle, line: Line) -> LineCheck:
 
 
 def restriction_check(ring: Ring, b: list, params=None) -> LineCheck:
-    """Whether g(r) = b_0 + b_1 r + ... + b_n r^n is affine in r.
+    """Whether g(r) = b_0 + b_1 r + ... + b_n r^n, b given as values, is affine in r.
 
     The slope is g(1) - g(0) = b_1 + ... + b_n.  By default g is affine iff
     `ring.is_null` holds for the residual g(r) - b_0 - slope*r, whose
@@ -323,21 +331,22 @@ def restriction_check(ring: Ring, b: list, params=None) -> LineCheck:
     with b_0 + slope*r at each of them in order, by Horner's rule.  The
     witness is (0, 1, r) with r the first refuting parameter.
     """
-    slope = sum(b[2:], b[1])
+    add, mul = ring.add, ring.mul
+    slope = reduce(add, b[2:], b[1])
     decided = params is None
     if decided:
-        if ring.is_null([c.value for c in (ring.zero, b[1] - slope, *b[2:])]):
-            return LineCheck(slope, None)
+        if ring.is_null([ring.zero.value, ring.sub(b[1], slope), *b[2:]]):
+            return LineCheck(RingElem(ring, slope), None)
         params = ring.elements() if ring.is_finite else map(ring.from_int, range(2, len(b) + 2))
     for r in params:
         acc = b[-1]
         for c in reversed(b[:-1]):
-            acc = acc * r + c
-        if acc != b[0] + slope * r:
+            acc = add(mul(acc, r.value), c)
+        if acc != add(b[0], mul(slope, r.value)):
             return LineCheck(None, (ring.zero, ring.one, r))
     if decided:
         raise InconsistencyError("residual polynomial is not null yet refuted nowhere")
-    return LineCheck(slope, None)
+    return LineCheck(RingElem(ring, slope), None)
 
 
 def psi_extract(f: FunctionOracle, base: Point | None = None) -> MultiAffinePoly:
@@ -376,16 +385,22 @@ def psi_extract(f: FunctionOracle, base: Point | None = None) -> MultiAffinePoly
     return MultiAffinePoly(ring, n, {m: RingElem(ring, v) for m, v in enumerate(vals) if v})
 
 
-def restrict_radial(poly: MultiAffinePoly, v: Point) -> list[RingElem]:
-    """Coefficients (b_0..b_n) of r -> poly(r*v): b_k = sum over |J|=k of a_J prod_{j in J} v_j."""
+def radial_values(poly: MultiAffinePoly, v: Point) -> list:
+    """Values of the coefficients b_0..b_n of r -> poly(r*v), v a point of
+    the poly's arity: b_k = sum over |J|=k of a_J prod_{j in J} v_j."""
     if len(v) != poly.arity:
         raise ArityError(f"direction arity {len(v)} != poly arity {poly.arity}")
-    ring = poly.ring
-    b = [ring.zero] * (poly.arity + 1)
+    ring, vals = poly.ring, point_values(poly.ring, v)
+    b = [ring.zero.value] * (poly.arity + 1)
     for mask, c in poly.coeffs.items():
         k = mask.bit_count()
-        b[k] = b[k] + monomial(c, mask, v)
+        b[k] = ring.add(b[k], subset_product(ring, c.value, mask, vals))
     return b
+
+
+def restrict_radial(poly: MultiAffinePoly, v: Point) -> list[RingElem]:
+    """The coefficients b_0..b_n of r -> poly(r*v), as ring elements."""
+    return [RingElem(poly.ring, x) for x in radial_values(poly, v)]
 
 
 def is_affine_poly(poly: MultiAffinePoly) -> bool:
@@ -397,16 +412,15 @@ def shift_poly(poly: MultiAffinePoly, base: Point) -> MultiAffinePoly:
     """The polynomial x -> poly(base + x), again multi-affine."""
     if len(base) != poly.arity:
         raise ArityError("shift base arity mismatch")
-    n = poly.arity
-    ring = poly.ring
-    dense = [ring.zero] * (1 << n)
+    n, ring = poly.arity, poly.ring
+    dense = [ring.zero.value] * (1 << n)
     for mask, c in poly.coeffs.items():
-        dense[mask] = c
-    for i in range(n):
-        if base[i].is_zero:
+        dense[mask] = c.value
+    for i, x in enumerate(point_values(ring, base)):
+        if not x:
             continue
         bit = 1 << i
         for mask in range(1 << n):
             if not mask & bit:
-                dense[mask] = dense[mask] + dense[mask | bit] * base[i]
-    return MultiAffinePoly(ring, n, {m: v for m, v in enumerate(dense) if not v.is_zero})
+                dense[mask] = ring.add(dense[mask], ring.mul(dense[mask | bit], x))
+    return MultiAffinePoly(ring, n, {m: RingElem(ring, v) for m, v in enumerate(dense) if v})

@@ -1,41 +1,32 @@
 """End-to-end recovery of global affine-linearity from line restrictions.
 
-On a table, the pipeline checks the function along every
-coordinate-parallel line and extracts the multi-affine hypercube
-coefficients psi at the origin; a polynomial is its own psi.  It then
-reads each supplied radial test line off psi's restriction to it, and
-the verdict off the coefficients, the same way over every ring.  The
-outcome is one of four certificates, each with a `status` and a
-`document()`:
+On a table, `recover` checks f along every coordinate-parallel line and
+extracts the multi-affine hypercube coefficients psi at the origin; a
+polynomial is its own psi.  A function affine on every coordinate line
+equals psi at every point, so f is affine iff psi has no coefficient of
+degree >= 2, and along R*v it is r -> sum_k b_k r^k with
+b = `restrict_radial(psi, v)`.  The line is affine iff the residual
+sum_{k>=2} b_k (r^k - r) is zero at every element, and only psi's
+coefficients of degree >= 2 feed it: with none, no direction is touched;
+otherwise each line is decided by `Ring.is_null` on the values of
+b_2..b_n, and scanned only to name its first refuting parameter.  The
+residual forces b_k = 0 over Q but not over Z/m or GF(q): over Z/6,
+f = 3xy is 3r^2 = 3r along (1,3).
 
-  Affine              affine: psi's constant and linear coefficients,
-                      re-verified at every point of a table
-  LineWitness         non-affine: a refuted line
-  CoefficientWitness  non-affine: a surviving coefficient of degree >= 2
-  CannotCancel        cannot-cancel: the ring hides a nonzero degree-k
-                      coefficient from an affine radial line, or proof
-                      mode meets a factorial determinant that is not
-                      regular (the factorial determinant is reported)
-
-A function that is affine along every coordinate line equals its
-multi-affine interpolant psi at every point, so f is affine iff psi has
-no coefficient of degree >= 2, and along R*v it is the polynomial
-r -> sum_k b_k r^k with b = `restrict_radial(psi, v)`.  The line is
-affine iff sum_{k>=2} b_k (r^k - r) is zero at every element, which
-forces b_k = 0 over Q but not over Z/m or GF(q): over Z/6, f = 3xy is
-3r^2 = 3r along (1,3).  `recover` answers for the given f only; whether
-the directions force every f to be affine is not decided here (full
-column rank of the degree systems mod every p | m does not decide it:
-(1,3) and (1,2) have it over Z/6).  A surviving coefficient whose
-radial restrictions all vanish is a nonzero solution of its degree's
-system, so that system is consulted only then, as a consistency check.
-
-Two acquisition modes exist.  The default decides each radial line by
-`Ring.is_null` and scans its parameters only to name the first refuting
-one.  The "proof" mode instead samples the integer parameters 0..n and
-relies on the factorial determinant being regular, which is the weaker
-but historically primary route; it yields the same certificates on all
-the pinned cases.
+The outcome is one of four certificates, each with a `status` and a
+`document()`: `Affine`, `LineWitness`, `CoefficientWitness` (a surviving
+coefficient of degree >= 2) and `CannotCancel` (the ring hides a nonzero
+degree-k coefficient from an affine radial line, or proof mode meets a
+factorial determinant that is not regular).  `recover` answers for the
+given f only; whether the directions force every f to be affine is not
+decided here (full column rank of the degree systems mod every p | m
+does not decide it: (1,3) and (1,2) have it over Z/6).  A surviving
+coefficient whose radial restrictions all vanish is a nonzero solution
+of its degree's system, so that system is consulted only then, as a
+consistency check.  The "proof" mode samples the integer parameters
+0..n instead and relies on the factorial determinant being regular, the
+historically primary route; it yields the same certificates on all the
+pinned cases.
 """
 
 from __future__ import annotations
@@ -49,7 +40,6 @@ from .errors import (
     PreconditionError,
     RingMismatchError,
 )
-from .linalg import kernel_vector
 from .multiaffine import (
     MAX_ARITY,
     FunctionOracle,
@@ -58,10 +48,11 @@ from .multiaffine import (
     TableOracle,
     index_point,
     mask_to_subset,
-    monomial,
+    point_values,
     psi_extract,
-    restrict_radial,
+    radial_values,
     restriction_check,
+    subset_product,
     subset_to_mask,
     unit_point,
     zero_point,
@@ -85,11 +76,10 @@ class DirectionSet(Record):
             if len(v) != arity:
                 coords = ", ".join(c.ring.format_element(c) for c in v)
                 raise ArityError(f"direction ({coords}) has arity {len(v)}, expected {arity}")
-            if all(c.is_zero for c in v):
+            if not any(c.value for c in v):
                 raise PreconditionError("directions must be nonzero")
-            for c in v:
-                if c.ring != ring:
-                    raise RingMismatchError("direction coordinate from a different ring")
+            if any(c.ring != ring for c in v):
+                raise RingMismatchError("direction coordinate from a different ring")
         setfield(self, "ring", ring)
         setfield(self, "arity", arity)
         setfield(self, "dirs", dirs)
@@ -166,10 +156,13 @@ def moment_directions(s_elements, count: int) -> DirectionSet:
     if count > MAX_DIRECTIONS:
         raise PreconditionError(f"direction count must be at most {MAX_DIRECTIONS}, got {count}")
     ring = s_elements[0].ring
-    # v_{i+1} = v_i * s coordinatewise, so each power costs one product
-    dirs = [tuple(s.ring.one for s in s_elements)]
+    nodes = point_values(ring, s_elements)
+    # v_{i+1} = v_i * s coordinatewise on values, so each power costs one product
+    powers = [ring.one.value] * len(nodes)
+    dirs = [tuple(RingElem(ring, p) for p in powers)]
     while len(dirs) < count:
-        dirs.append(tuple(p * s for p, s in zip(dirs[-1], s_elements)))
+        powers = [ring.mul(p, s) for p, s in zip(powers, nodes)]
+        dirs.append(tuple(RingElem(ring, p) for p in powers))
     return DirectionSet(ring, len(s_elements), tuple(dirs))
 
 
@@ -182,9 +175,10 @@ def degree_system(dirs: DirectionSet, k: int) -> tuple[tuple, list]:
     the directions only: the values a function must meet are the degree-k
     coefficients of its radial restrictions, which `recover` reads off psi.
     """
-    n, one = dirs.arity, dirs.ring.one
-    masks = tuple(subset_to_mask(s) for s in combinations(range(1, n + 1), k))
-    return masks, [[monomial(one, mask, v) for mask in masks] for v in dirs.dirs]
+    ring, one = dirs.ring, dirs.ring.one.value
+    masks = tuple(subset_to_mask(s) for s in combinations(range(1, dirs.arity + 1), k))
+    points = ([c.value for c in v] for v in dirs.dirs)
+    return masks, [[RingElem(ring, subset_product(ring, one, m, x)) for m in masks] for x in points]
 
 
 def factorial_det(n: int, ring: Ring) -> RingElem:
@@ -312,20 +306,17 @@ def _verified_affine(f: FunctionOracle, psi: MultiAffinePoly) -> Affine:
 def recover(f: FunctionOracle, dirs: DirectionSet, mode: str = "exhaustive") -> Certificate:
     """Decide affine-linearity of f from coordinate and radial line data.
 
-    Pipeline: (i) on a table, every coordinate-parallel line must be
-    affine, else a line witness is returned, and (ii) the hypercube
-    coefficients psi at the origin are extracted; a polynomial is
-    multi-affine, so it passes (i) and is its own psi; (iii) every
-    direction's radial line must be affine, which is read off psi's
-    restriction to it; (iv) proof mode answers cannot-cancel when the
-    factorial determinant is not regular; (v) the first coefficient of
-    psi of degree k >= 2 decides: if the degree-k coefficient of some
-    radial restriction is nonzero, the line passed only because the ring
-    hid it, and the answer is cannot-cancel with the factorial
-    determinant; otherwise the coefficient is the witness of a
-    non-affine certificate.  With no such coefficient f is affine: the
-    certificate is psi's constant and linear coefficients, and a table
-    is re-verified against it at every point, on its element codes.
+    (i) On a table, the first refuted coordinate-parallel line is the
+    witness, and (ii) psi is extracted.  (iii) Every radial line is
+    decided from psi's coefficients of degree >= 2 (see the module
+    docstring).  (iv) Proof mode answers cannot-cancel when the factorial
+    determinant is not regular.  (v) The first coefficient of degree
+    k >= 2 decides: if some radial restriction has a nonzero degree-k
+    coefficient, the ring hid it from the line, and the answer is
+    cannot-cancel with the factorial determinant; otherwise it is the
+    witness of a non-affine certificate.  With none, the certificate is
+    psi's constant and linear coefficients, re-verified at every point
+    of a table, on its element codes.
     """
     if mode not in ("exhaustive", "proof"):
         raise PreconditionError(f"unknown mode {mode!r}")
@@ -343,39 +334,41 @@ def recover(f: FunctionOracle, dirs: DirectionSet, mode: str = "exhaustive") -> 
         if failure is not None:
             return failure
         psi = psi_extract(f)
-    # f = psi at every point, so f(r*v) = sum_k b_k r^k for b in radials
-    radials = [restrict_radial(psi, v) for v in dirs.dirs]
-
+    # f = psi at every point, so f(r*v) = sum_k b_k r^k with b = restrict_radial(psi, v);
+    # the residual sum_{k>=2} b_k (r^k - r) decides the line and names its
+    # witness, so only psi's coefficients of degree >= 2 are restricted;
+    # with none, every line is affine and no direction is touched
+    high = MultiAffinePoly(ring, n, {m: c for m, c in psi.coeffs.items() if m.bit_count() >= 2})
     samples = None  # decided from b by ring.is_null
     if mode == "proof" and ring.is_finite:
         samples = [ring.from_int(t) for t in range(2, n + 1)]
-    for v, b in zip(dirs.dirs, radials):
-        check = restriction_check(ring, b, samples)
+    radials = []
+    for v in () if high.is_zero else dirs.dirs:
+        radials.append(radial_values(high, v))
+        check = restriction_check(ring, radials[-1], samples)
         if not check.ok:
             return LineWitness(Line(zero_point(ring, n), v), check.witness)
 
     if mode == "proof":
         fac_det = factorial_det(n, ring)
         if not ring.is_regular(fac_det):
-            degree = next(
-                (k for k in range(2, n + 1) if any(not b[k].is_zero for b in radials)), 2
-            )
+            degree = next((k for k in range(2, n + 1) if any(b[k] for b in radials)), 2)
             return CannotCancel(degree, fac_det)
 
-    # the first coefficient of degree >= 2, in (degree, subset-lex) order
-    survivor = next(((mask, c) for mask, c in psi.terms() if mask.bit_count() >= 2), None)
-    if survivor is None:
+    if high.is_zero:
         return _verified_affine(f, psi)
-
-    mask, value = survivor
+    # the first coefficient of degree >= 2, in (degree, subset-lex) order
+    mask, value = high.terms()[0]
     k = mask.bit_count()
     # the degree-k coefficient of psi restricted to each radial line
-    if any(not b[k].is_zero for b in radials):
+    if any(b[k] for b in radials):
         # the radial checks passed, so no node set with a regular
         # Vandermonde determinant can exist in this ring
         return CannotCancel(k, factorial_det(n, ring))
     # the degree-k coefficients solve their homogeneous system, so the
-    # system must have a nonzero solution
+    # system must have a nonzero solution; only this check needs linalg
+    from .linalg import kernel_vector
+
     masks, rows = degree_system(dirs, k)
     if kernel_vector(rows, len(masks), ring) is None:
         raise InconsistencyError(f"degree-{k} system forced zero but coefficients survive")

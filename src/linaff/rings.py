@@ -377,11 +377,6 @@ class PrimeField(Zmod):
         self.p = p
         self.is_field = True
 
-    def inverse(self, x: RingElem) -> RingElem:
-        if x.value == 0:
-            raise PreconditionError("0 is not invertible")
-        return RingElem(self, pow(x.value, self.p - 2, self.p))
-
     def spec_text(self) -> str:
         return f"prime {self.p}"
 

@@ -6,8 +6,11 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from linaff import (
+    Affine,
     BhCandidate,
     BhReport,
+    CannotCancel,
+    CoefficientWitness,
     HypothesisCheck,
     GaloisField,
     Line,
@@ -18,6 +21,7 @@ from linaff import (
     TableOracle,
     Zmod,
     enumerate_affine_lines,
+    factorial_det,
     line_affine_check,
     parse_ring_spec,
     psi_extract,
@@ -26,7 +30,7 @@ from linaff import (
     verify_properties,
 )
 from linaff.bh_sets import Property2Failure
-from linaff.multiaffine import unit_point, zero_point
+from linaff.multiaffine import mask_to_subset, unit_point, zero_point
 
 
 def rand_elem(ring, rng):
@@ -357,6 +361,59 @@ def recover_reference(f, dirs, mode="exhaustive"):
         if witness is not None:
             return LineWitness(line, witness)
     return recover(psi_extract(f), dirs, mode)
+
+
+def restrict_radial_reference(poly, v):
+    """Reference for restrict_radial: b_0..b_n of r -> poly(r*v), each
+    monomial a_J prod_{j in J} v_j formed in RingElem arithmetic."""
+    ring, n = poly.ring, poly.arity
+    b = [ring.zero] * (n + 1)
+    for mask, c in poly.coeffs.items():
+        for i in range(n):
+            if mask >> i & 1:
+                c = c * v[i]
+        b[mask.bit_count()] = b[mask.bit_count()] + c
+    return b
+
+
+def recover_poly_reference(poly, dirs, mode="exhaustive"):
+    """Reference for recover on a polynomial, on the RingElem path: every
+    direction's full restriction b_0..b_n is built and checked, at every
+    element by restriction_check_reference, or in proof mode over a finite
+    ring by Horner at t = 2..n against b_0 + slope*t.  Then proof mode's
+    factorial determinant, and the first coefficient of degree >= 2: hidden
+    by the ring if some radial restriction has a nonzero coefficient of
+    its degree, else the witness; with none, psi's affine coefficients."""
+    ring, n = poly.ring, poly.arity
+    radials = [restrict_radial_reference(poly, v) for v in dirs.dirs]
+    for v, b in zip(dirs.dirs, radials):
+        if mode == "proof" and ring.is_finite:
+            slope = sum(b[2:], b[1])
+            witness = None
+            for t in range(2, n + 1):
+                r = ring.from_int(t)
+                acc = ring.zero
+                for c in reversed(b):
+                    acc = acc * r + c
+                if acc != b[0] + slope * r:
+                    witness = (ring.zero, ring.one, r)
+                    break
+        else:
+            witness = restriction_check_reference(ring, b).witness
+        if witness is not None:
+            return LineWitness(Line(zero_point(ring, n), v), witness)
+    fac_det = factorial_det(n, ring)
+    if mode == "proof" and not ring.is_regular(fac_det):
+        hidden = (k for k in range(2, n + 1) if any(not b[k].is_zero for b in radials))
+        return CannotCancel(next(hidden, 2), fac_det)
+    survivor = next(((m, c) for m, c in poly.terms() if m.bit_count() >= 2), None)
+    if survivor is None:
+        return Affine(poly.coeff(0), tuple(poly.coeff(1 << i) for i in range(n)))
+    mask, value = survivor
+    k = mask.bit_count()
+    if any(not b[k].is_zero for b in radials):
+        return CannotCancel(k, fac_det)
+    return CoefficientWitness(k, mask_to_subset(mask), value)
 
 
 def rand_null_codes(ring, length, rng):

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -107,6 +108,30 @@ def test_verify_properties_matches_pairwise_scan():
         assert verify_properties(cand) == verify_properties_pairwise(cand)
 
 
+def test_subset_product_table_matches_pairwise_scan_on_larger_sets():
+    # sets of up to 7 elements in larger rings pass, or fail first at h = 2
+    # or h = 3: the table decides each h in mask order, and the combination
+    # order scan must still name the reference's first failure
+    rng = random.Random(4242)
+    rings = [Zmod(1001), Zmod(221), PrimeField(101), PrimeField(257)] + [
+        GaloisField(3, 4, [2, 0, 0, 1]),
+        Rationals(),
+    ]
+    failing = set()
+    for _ in range(300):
+        ring = rng.choice(rings)
+        n = rng.randint(3, 7)
+        if ring.is_finite:
+            codes = rng.sample(range(1, ring.size), n)
+            cand = BhCandidate(ring, tuple(ring.element_from_encoding(c) for c in codes))
+        else:
+            cand = BhCandidate(ring, tuple(ring.from_int(v) for v in rng.sample(range(-12, 25), n)))
+        report = verify_properties(cand)
+        assert report == verify_properties_pairwise(cand)
+        failing.add(None if report.property2 is None else report.property2.h)
+    assert failing == {None, 2, 3}
+
+
 def test_property2_failures_imply_no_silent_collisions():
     # a collision is a zero difference and zero is never regular, so a clean
     # property-2 scan forces clean B_h verdicts in the checked range
@@ -189,13 +214,38 @@ def test_search_bh_is_lexicographically_first():
 
 
 def test_search_bh_budget():
-    # the first regular candidate of F_7 passes; the first of Z/35, {1, 2, 3, 4},
-    # fails (2*4 = 3 mod 5 = 1*3), so one candidate spends the budget undecided
+    # the first regular candidate of F_7 passes; the first 5-subset of Z/169,
+    # {1, 2, 3, 4, 5}, fails, so one candidate spends the budget undecided,
+    # although a set exists
     F7 = PrimeField(7)
     assert [e.value for e in search_bh(F7, 3, budget=1).elements] == [1, 2, 3]
-    spent = search_bh(Zmod(35), 4, budget=1)
+    Z169 = Zmod(169)
+    spent = search_bh(Z169, 5, budget=1)
     assert spent == BudgetSpent(1)
     assert spent.document() == [("status", "inconclusive"), ("budget", "1")]
+    assert [e.value for e in search_bh(Z169, 5).elements] == [1, 2, 3, 4, 9]
+    # over Z/35 the first candidate, {1, 2, 3, 4}, also fails (2*4 = 3 mod 5
+    # = 1*3), but F_5 has no 4-element set, so the answer is None at once
+    assert search_bh(PrimeField(5), 4) is None
+    assert search_bh(Zmod(35), 4, budget=1) is None
+
+
+def test_search_bh_over_zmod_decides_each_prime_first():
+    # a set over Z/m exists iff one exists over F_p for every prime p | m;
+    # where it does, the Z/m search still returns its lex-first set
+    from linaff.cli import run_subcommand
+
+    for m, n in ((35, 4), (55, 4), (65, 4), (77, 5), (143, 5), (15, 3), (21, 3), (77, 4)):
+        ring = Zmod(m)
+        exists = all(search_bh(PrimeField(p), n) is not None for p in ring.primes)
+        found = search_bh(ring, n)
+        assert (found is not None) == exists, (m, n)
+        if m <= 21:
+            assert found == search_bh_reference(ring, n), (m, n)
+    start = time.perf_counter()
+    code, text = run_subcommand(["bh", "search", "--ring", "zmod 35", "--n", "4"])
+    assert time.perf_counter() - start < 0.1
+    assert text.startswith("status: none\n") and code == 2
 
 
 def test_search_bh_matches_the_unfiltered_scan():

@@ -340,7 +340,9 @@ def test_exit_code_matrix(tmp_path):
         (["bh", "verify", "--ring", "zmod 6", "--set", "1,2,3"], EXIT_NEGATIVE),
         (["bh", "search", "--ring", "zmod 4", "--n", "3"], EXIT_NEGATIVE),
         (["bh", "search", "--ring", "prime 5", "--n", "3"], EXIT_OK),
-        (["bh", "search", "--ring", "zmod 35", "--n", "4", "--budget", "1"], EXIT_CANNOT_CANCEL),
+        (["bh", "search", "--ring", "zmod 169", "--n", "5", "--budget", "1"], EXIT_CANNOT_CANCEL),
+        # F_5 has no 4-element set, so Z/35 has none: decided before the budget runs out
+        (["bh", "search", "--ring", "zmod 35", "--n", "4", "--budget", "1"], EXIT_NEGATIVE),
         (["bh", "geometric", "--ring", "prime 17", "--g", "3", "--n", "4"], EXIT_OK),
         (["bh", "geometric", "--ring", "prime 5", "--g", "4", "--n", "3"], EXIT_USAGE),
         (["sharpness", "bound", "--n", "4"], EXIT_OK),
@@ -561,8 +563,8 @@ _CONST_MAP = _vector_table_text(lambda v: (_F5.zero, _F5.zero), _F5, 2, 2)
          lambda _: verify_properties(_set("zmod 6", "1,2,3"))),
         (["bh", "search", "--ring", "prime 5", "--n", "3"], None,
          lambda _: search_bh(_F5, 3)),
-        (["bh", "search", "--ring", "zmod 35", "--n", "4", "--budget", "1"], None,
-         lambda _: search_bh(Zmod(35), 4, budget=1)),
+        (["bh", "search", "--ring", "zmod 169", "--n", "5", "--budget", "1"], None,
+         lambda _: search_bh(Zmod(169), 5, budget=1)),
         (["bh", "geometric", "--ring", "prime 17", "--g", "3", "--n", "4"], None,
          lambda _: construct_geometric(PrimeField(17).elem(3), 4)),
         (["sharpness", "witness", "--ring", "prime 7", "--n", "3", "--dirs", "1,1,1;1,2,4"],

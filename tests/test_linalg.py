@@ -68,7 +68,8 @@ def test_kernel_vectors_annihilate():
         for rows_n, cols in ((2, 4), (3, 3), (1, 2), (4, 3)):
             rows = [[rand_elem(ring, rng) for _ in range(cols)] for _ in range(rows_n)]
             vec = kernel_vector(rows, cols, ring)
-            assert (vec is None) == (len(rref(rows, cols, ring)[1]) == cols)
+            values = [[e.value for e in row] for row in rows]
+            assert (vec is None) == (len(rref(values, cols, ring)[1]) == cols)
             if vec is not None:
                 assert any(not v.is_zero for v in vec)
                 for row in rows:
@@ -85,20 +86,19 @@ def test_kernel_of_empty_system_is_full():
 
 
 def test_rref_is_deterministic_and_reduced():
+    # rref works on element values: codes over F_7
     F7 = PrimeField(7)
-    rows = [
-        [F7.elem(2), F7.elem(4), F7.elem(6)],
-        [F7.elem(1), F7.elem(2), F7.elem(3)],
-        [F7.elem(0), F7.elem(1), F7.elem(5)],
-    ]
+    rows = [[2, 4, 6], [1, 2, 3], [0, 1, 5]]
     reduced1, pivots1 = rref(rows, 3, F7)
     reduced2, pivots2 = rref(rows, 3, F7)
     assert reduced1 == reduced2 and pivots1 == pivots2
+    assert rows == [[2, 4, 6], [1, 2, 3], [0, 1, 5]]  # the input is left alone
+    assert (reduced1, pivots1) == ([[1, 0, 0], [0, 1, 5], [0, 0, 0]], [0, 1])
     for r, col in enumerate(pivots1):
-        assert reduced1[r][col] == F7.one
+        assert reduced1[r][col] == F7.one.value
         for other in range(len(reduced1)):
             if other != r:
-                assert reduced1[other][col].is_zero
+                assert reduced1[other][col] == F7.zero.value
 
 
 def test_identity_and_matmul():

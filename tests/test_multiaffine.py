@@ -11,11 +11,13 @@ from linaff import (
     PreconditionError,
     PrimeField,
     Rationals,
+    RingMismatchError,
     TableOracle,
     UnsupportedRingError,
     Zmod,
     is_affine_poly,
     line_affine_check,
+    moment_directions,
     psi_extract,
     restrict_radial,
 )
@@ -284,6 +286,22 @@ def test_restrict_radial_consistency():
             assert acc == poly.value(tuple(r * c for c in v))
 
 
+def test_value_level_routines_reject_points_of_other_rings():
+    # the polynomial routines compute on element values, so each checks
+    # that the point it is given lies in the polynomial's ring
+    Z7, Z5 = Zmod(7), Zmod(5)
+    p = MultiAffinePoly(Z7, 2, {0b11: Z7.one, 0b01: Z7.elem(3)})
+    for point in ((Z5.one, Z5.one), (Z7.one, Z5.one), (Z7.one, 1)):
+        with pytest.raises(RingMismatchError):
+            restrict_radial(p, point)
+        with pytest.raises(RingMismatchError):
+            p.value(point)
+        with pytest.raises(RingMismatchError):
+            psi_extract(p, point)
+    with pytest.raises(RingMismatchError):
+        moment_directions([Z7.one, Z5.one], 3)
+
+
 def test_is_affine_poly():
     Z7 = Zmod(7)
     assert is_affine_poly(MultiAffinePoly(Z7, 3, {0: Z7.elem(3), 0b001: Z7.elem(2), 0b100: Z7.one}))
@@ -325,7 +343,7 @@ def test_restriction_check_matches_full_scan(ring):
             b[2:] = [ring.element_from_encoding(c) for c in null[2:]]
         elif not ring.is_finite and rng.random() < 0.3:
             b[2:] = [ring.zero] * (len(b) - 2)
-        check = restriction_check(ring, b)
+        check = restriction_check(ring, [c.value for c in b])
         assert check == restriction_check_reference(ring, b), (ring, b)
         outcomes.add(check.ok)
     assert outcomes == {True, False}

@@ -18,6 +18,7 @@ from linaff import (
     degree_system,
     family_directions,
     is_affine_poly,
+    minimal_direction_count,
     moment_directions,
     psi_extract,
     recover,
@@ -35,7 +36,10 @@ from helpers import (
     rand_nonaffine_poly,
     rand_nonzero,
     rand_poly,
+    rand_elem,
+    recover_poly_reference,
     recover_reference,
+    restrict_radial_reference,
     table_from_poly,
 )
 
@@ -555,6 +559,65 @@ def test_table_code_path_matches_ringelem_reference(ring):
             assert got == emit_certificate(recover_reference(f, dirs, mode))
             answers.add(got.split("\n")[0])
     assert {"status: affine", "status: non-affine"} <= answers
+
+
+_POLY_PATH_RINGS = [Zmod(m) for m in (4, 6, 8, 9, 12)] + [
+    PrimeField(5),
+    PrimeField(7),
+    GaloisField(2, 2, [1, 1]),
+    GaloisField(2, 3, [1, 1, 0]),
+    GaloisField(3, 2, [1, 0]),
+    Rationals(),
+]
+
+
+def _seeded_polys(ring, n, rng):
+    """Affine, planted (random with a coefficient of degree >= 2) and, over
+    Z/m, hidden (m/p) x_i x_j polynomials on a random affine part."""
+    polys = [rand_affine_poly(ring, n, rng), rand_nonaffine_poly(ring, n, rng)]
+    for p in ring.primes if not ring.is_field else ():
+        i, j = rng.sample(range(n), 2)
+        hidden = {(1 << i) | (1 << j): ring.from_int(ring.m // p)}
+        polys.append(MultiAffinePoly(ring, n, {**rand_affine_poly(ring, n, rng).coeffs, **hidden}))
+    return polys
+
+
+def _seeded_direction_sets(ring, n, rng):
+    """Random directions, the one-per-subset family, and moment directions."""
+    dirs = []
+    while len(dirs) < rng.randint(1, 4):
+        v = tuple(rand_elem(ring, rng) for _ in range(n))
+        if any(not c.is_zero for c in v):
+            dirs.append(v)
+    nodes = [rand_elem(ring, rng) for _ in range(n)]
+    nodes[0] = rand_nonzero(ring, rng)
+    count = rng.randint(1, minimal_direction_count(n) + 1)
+    return [
+        DirectionSet(ring, n, tuple(dirs)),
+        family_directions(ring, n),
+        moment_directions(nodes, count),
+    ]
+
+
+@pytest.mark.parametrize("ring", _POLY_PATH_RINGS, ids=lambda r: r.spec_text())
+def test_poly_recover_matches_full_restriction_reference(ring):
+    # recover decides each radial line from psi's coefficients of degree
+    # >= 2 on element values; the reference builds every direction's full
+    # restriction b_0..b_n in RingElem arithmetic and checks it
+    rng = random.Random(f"poly-path {ring.spec_text()}")
+    answers = set()
+    for n in (2, 3, 4, 5):
+        for poly in _seeded_polys(ring, n, rng):
+            for dirs in _seeded_direction_sets(ring, n, rng):
+                for v in dirs.dirs[:2]:
+                    assert restrict_radial(poly, v) == restrict_radial_reference(poly, v)
+                for mode in ("exhaustive", "proof"):
+                    got = emit_certificate(recover(poly, dirs, mode))
+                    assert got == emit_certificate(recover_poly_reference(poly, dirs, mode))
+                    answers.add(got.split("\n")[0])
+    assert {"status: affine", "status: non-affine"} <= answers
+    if not ring.is_field:
+        assert "status: cannot-cancel" in answers
 
 
 def test_affine_reverify_checks_every_point():

@@ -1,4 +1,5 @@
 import math
+import time
 from itertools import combinations
 
 import pytest
@@ -174,6 +175,19 @@ def test_moment_systems_are_vandermonde_in_the_subset_products():
             assert determinant(square, ring) == vandermonde
             if bundle:
                 assert ring.is_regular(vandermonde)
+
+
+def test_rational_certify_at_the_largest_arity_answers_within_two_seconds():
+    # the first 16 primes: 2^16 subset products over Q, one table on values
+    from linaff.cli import run_subcommand
+
+    primes = [str(e.value) for e in construct_primes(16).elements]
+    start = time.perf_counter()
+    code, text = run_subcommand(
+        ["sharpness", "certify", "--ring", "rational", "--n", "16", "--set", ",".join(primes)]
+    )
+    assert time.perf_counter() - start < 2.0
+    assert (code, text.split("\n")[0]) == (0, "status: ok")
 
 
 def test_certify_directions_rejects_bad_node_set():

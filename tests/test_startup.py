@@ -79,12 +79,21 @@ def test_recover_and_check_line_load_only_their_modules(tmp_path):
     assert (doc[0], code) == ("status: affine", 0)
     assert "linaff.recovery" in loaded
     assert not loaded & NEVER_ON_RECOVER, loaded & NEVER_ON_RECOVER
+    # an affine psi touches no direction, and only a coefficient of degree
+    # >= 2 that survives the radial lines needs linalg's kernel check
+    assert "linaff.linalg" not in loaded
 
     doc, code, loaded = _cli_imports(
         "check-line", "--input", affine, "--base", "0,0", "--dir", "1,2"
     )
     assert (doc[0], code) == ("status: affine", 0)
     assert not loaded & (NEVER_ON_RECOVER | {"linaff.recovery"})
+
+    # _z5_table rewrites the same file, which the affine calls no longer read
+    xy = _z5_table(tmp_path, lambda x, y: x * y)
+    doc, code, loaded = _cli_imports("recover", "--input", xy, "--dirs", "1,0")
+    assert (doc[0], code) == ("status: non-affine", 2)
+    assert "linaff.linalg" in loaded
 
 
 def test_vonstaudt_check_does_not_load_recovery(tmp_path):
