@@ -25,7 +25,7 @@ from math import prod
 
 from .errors import InconsistencyError, PreconditionError, UnsupportedRingError
 from .multiaffine import MAX_ARITY
-from .rings import Rationals, Record, Ring, RingElem, Zmod, format_elements, is_prime, setfield
+from .rings import Rationals, Record, Ring, RingElem, Zmod, format_elements, is_prime
 
 
 def _check_size(n: int):
@@ -47,8 +47,7 @@ class BhCandidate(Record):
                 raise PreconditionError("element from a different ring")
         if len(set(elements)) != len(elements):
             raise PreconditionError("candidate elements must be pairwise distinct")
-        setfield(self, "ring", ring)
-        setfield(self, "elements", elements)
+        super().__init__(ring, elements)
 
     def __len__(self):
         return len(self.elements)
@@ -61,11 +60,6 @@ class Collision(Record):
     """Two distinct h-subsets with the same product."""
 
     __slots__ = ("left", "right", "product")
-
-    def __init__(self, left: tuple, right: tuple, product: RingElem):
-        setfield(self, "left", left)
-        setfield(self, "right", right)
-        setfield(self, "product", product)
 
     def document(self) -> list[tuple[str, str]]:
         return [
@@ -81,12 +75,6 @@ class Property2Failure(Record):
 
     __slots__ = ("h", "left", "right", "difference")
 
-    def __init__(self, h: int, left: tuple, right: tuple, difference: RingElem):
-        setfield(self, "h", h)
-        setfield(self, "left", left)
-        setfield(self, "right", right)
-        setfield(self, "difference", difference)
-
 
 class BhReport(Record):
     """The first failures of the B_h property bundle: the lowest-h collision
@@ -96,10 +84,6 @@ class BhReport(Record):
     """
 
     __slots__ = ("collision", "property2")
-
-    def __init__(self, collision: Collision | None, property2: Property2Failure | None):
-        setfield(self, "collision", collision)
-        setfield(self, "property2", property2)
 
     @property
     def ok(self) -> bool:
@@ -124,9 +108,6 @@ class BudgetSpent(Record):
     """A search that tried its whole budget of candidates without deciding."""
 
     __slots__ = ("budget",)
-
-    def __init__(self, budget: int):
-        setfield(self, "budget", budget)
 
     def document(self) -> list[tuple[str, str]]:
         return [("status", "inconclusive"), ("budget", str(self.budget))]

@@ -33,7 +33,7 @@ from .errors import (
     RingMismatchError,
     UnsupportedRingError,
 )
-from .rings import Record, Ring, RingElem, format_elements, setfield
+from .rings import Record, Ring, RingElem, format_elements
 
 MAX_ARITY = 16
 
@@ -68,14 +68,6 @@ def unit_point(ring: Ring, n: int, axis: int) -> Point:
     return tuple(ring.one if i == axis - 1 else ring.zero for i in range(n))
 
 
-def point_add(a: Point, b: Point) -> Point:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def point_scale(r: RingElem, v: Point) -> Point:
-    return tuple(r * x for x in v)
-
-
 class MultiAffinePoly(Record):
     """Sparse multi-affine polynomial: sum over subsets J of a_J * prod_{j in J} x_j."""
 
@@ -92,9 +84,7 @@ class MultiAffinePoly(Record):
                 raise PreconditionError("coefficient ring mismatch")
             if not c.is_zero:
                 clean[mask] = c
-        setfield(self, "ring", ring)
-        setfield(self, "arity", arity)
-        setfield(self, "coeffs", clean)
+        super().__init__(ring, arity, clean)
 
     def coeff(self, mask: int) -> RingElem:
         return self.coeffs.get(mask, self.ring.zero)
@@ -156,6 +146,18 @@ def point_index(q: int, codes) -> int:
     return index
 
 
+def vector_line(ring: Ring, base, direction) -> list[tuple]:
+    """Values of base + r*direction for every element code r, in code order;
+    base and direction are given as the values of their coordinates."""
+    return list(zip(*map(ring.line, base, direction)))
+
+
+def line_indices(ring: Ring, base, direction) -> list[int]:
+    """`point_index` of every point of `vector_line(ring, base, direction)`."""
+    q = ring.size
+    return [point_index(q, point) for point in vector_line(ring, base, direction)]
+
+
 def index_point(ring: Ring, arity: int, index: int) -> Point:
     """The point of ring^arity whose `point_index` is `index`."""
     q = ring.size
@@ -180,17 +182,21 @@ def flat_table(ring: Ring, arity: int, by_index: dict) -> list:
     return list(map(by_index.__getitem__, range(size)))
 
 
-class TableOracle:
+class TableOracle(Record):
     """Function given by an exhaustive point -> value table over a finite ring.
 
     The values are stored as one flat list `codes` of element codes
     (`RingElem.value`), position i holding the value at the point with
-    `point_index` i.  The coordinate-line scan and the affine re-verify of
-    `recovery.recover` run on these codes through the ring's value-level
-    operations; `value` answers in RingElem.  `from_codes` builds the
-    table from codes in that order, as the table-file parser does; the
-    dict constructor converts its dict to them.
+    `point_index` i.  The line scans of `line_affine_check` and
+    `recovery.recover` and the affine re-verify run on these codes through
+    the ring's value-level operations; `value` answers in RingElem.
+    `from_codes` builds the table from codes in that order, as the
+    table-file parser does; the dict constructor converts its dict to
+    them.  A table is an immutable record, equal by ring, arity and codes,
+    and unhashable, since `codes` is a list.
     """
+
+    __slots__ = ("ring", "arity", "codes")
 
     def __init__(self, ring: Ring, arity: int, table: dict[Point, RingElem]):
         _check_table_domain(ring, arity)
@@ -200,7 +206,7 @@ class TableOracle:
             if not (isinstance(value, RingElem) and value.ring == ring):
                 raise PreconditionError(f"table value {value!r} is not in {ring.spec_text()}")
             by_index[index] = value.value
-        self._store(ring, arity, flat_table(ring, arity, by_index))
+        super().__init__(ring, arity, flat_table(ring, arity, by_index))
 
     @classmethod
     def from_codes(cls, ring: Ring, arity: int, codes: list) -> "TableOracle":
@@ -213,13 +219,8 @@ class TableOracle:
         if codes and (min(codes) < 0 or max(codes) >= ring.size):
             raise PreconditionError(f"table value code out of range for {ring.spec_text()}")
         oracle = cls.__new__(cls)
-        oracle._store(ring, arity, codes)
+        Record.__init__(oracle, ring, arity, codes)
         return oracle
-
-    def _store(self, ring, arity, codes):
-        self.ring = ring
-        self.arity = arity
-        self.codes = codes
 
     def value(self, x: Point) -> RingElem:
         index = _checked_index(self.ring, self.arity, x)
@@ -268,8 +269,7 @@ class Line(Record):
             raise ArityError("line base and direction have different arities")
         if all(c.is_zero for c in dir):
             raise PreconditionError("line direction must be nonzero")
-        setfield(self, "base", base)
-        setfield(self, "dir", dir)
+        super().__init__(base, dir)
 
     def text(self) -> str:
         return f"line base {format_elements(self.base)} dir {format_elements(self.dir)}"
@@ -279,10 +279,6 @@ class LineCheck(Record):
     """Outcome of a per-line affinity check: a slope, or a refuting triple."""
 
     __slots__ = ("slope", "witness")
-
-    def __init__(self, slope: RingElem | None, witness: tuple | None):
-        setfield(self, "slope", slope)
-        setfield(self, "witness", witness)
 
     @property
     def ok(self) -> bool:
@@ -302,22 +298,25 @@ def _check_arity(f: FunctionOracle, line: Line):
 def line_affine_check(f: FunctionOracle, line: Line) -> LineCheck:
     """Decide whether f restricted to the line is affine.
 
-    The candidate slope is forced to be f(base+dir) - f(base).  A table is
-    checked at every parameter value; a polynomial's restriction is read
-    off its coefficients by `restriction_check`.  On failure the witness
-    is the parameter triple (0, 1, r) with r the first refuting parameter
-    in canonical order.
+    The candidate slope is forced to be f(base+dir) - f(base).  A table's
+    codes along the line, read by `line_indices`, are compared with the
+    line f(base) + slope*r at every element code r; a polynomial's
+    restriction is read off its coefficients by `restriction_check`.  On
+    failure the witness is the parameter triple (0, 1, r) with r the first
+    refuting parameter in canonical order.
     """
     _check_arity(f, line)
     ring = f.ring
     if isinstance(f, MultiAffinePoly):
         return restriction_check(ring, radial_values(shift_poly(f, line.base), line.dir))
-    f0 = f.value(line.base)
-    slope = f.value(point_add(line.base, line.dir)) - f0
-    for r in ring.elements():
-        if f.value(point_add(line.base, point_scale(r, line.dir))) != f0 + slope * r:
-            return LineCheck(None, (ring.zero, ring.one, r))
-    return LineCheck(slope, None)
+    indices = line_indices(ring, point_values(ring, line.base), point_values(ring, line.dir))
+    vals = [f.codes[i] for i in indices]
+    slope = ring.sub(vals[1], vals[0])
+    want = ring.line(vals[0], slope)
+    if vals != want:
+        r = next(r for r in range(ring.size) if vals[r] != want[r])
+        return LineCheck(None, (ring.zero, ring.one, ring.element_from_encoding(r)))
+    return LineCheck(RingElem(ring, slope), None)
 
 
 def restriction_check(ring: Ring, b: list, params=None) -> LineCheck:

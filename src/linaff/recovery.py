@@ -57,7 +57,7 @@ from .multiaffine import (
     unit_point,
     zero_point,
 )
-from .rings import Record, Ring, RingElem, format_elements, setfield
+from .rings import Record, Ring, RingElem, format_elements
 
 
 class DirectionSet(Record):
@@ -80,9 +80,7 @@ class DirectionSet(Record):
                 raise PreconditionError("directions must be nonzero")
             if any(c.ring != ring for c in v):
                 raise RingMismatchError("direction coordinate from a different ring")
-        setfield(self, "ring", ring)
-        setfield(self, "arity", arity)
-        setfield(self, "dirs", dirs)
+        super().__init__(ring, arity, dirs)
 
     def __len__(self):
         return len(self.dirs)
@@ -193,10 +191,6 @@ class Affine(Record):
     status = "affine"
     __slots__ = ("constant", "linear")
 
-    def __init__(self, constant: RingElem, linear: tuple):
-        setfield(self, "constant", constant)
-        setfield(self, "linear", linear)
-
     def document(self) -> list[tuple[str, str]]:
         coeffs = format_elements((self.constant, *self.linear))
         return [("status", self.status), ("coeffs", coeffs)]
@@ -208,10 +202,6 @@ class LineWitness(Record):
     status = "non-affine"
     __slots__ = ("line", "params")
 
-    def __init__(self, line: Line, params: tuple):
-        setfield(self, "line", line)
-        setfield(self, "params", params)
-
     def document(self) -> list[tuple[str, str]]:
         witness = f"{self.line.text()} params {format_elements(self.params)}"
         return [("status", self.status), ("witness", witness)]
@@ -222,11 +212,6 @@ class CoefficientWitness(Record):
 
     status = "non-affine"
     __slots__ = ("degree", "mask", "coeff")
-
-    def __init__(self, degree: int, mask: tuple, coeff: RingElem):
-        setfield(self, "degree", degree)
-        setfield(self, "mask", mask)
-        setfield(self, "coeff", coeff)
 
     def document(self) -> list[tuple[str, str]]:
         subset = ",".join(str(i) for i in self.mask)
@@ -243,10 +228,6 @@ class CannotCancel(Record):
 
     status = "cannot-cancel"
     __slots__ = ("degree", "det")
-
-    def __init__(self, degree: int, det: RingElem):
-        setfield(self, "degree", degree)
-        setfield(self, "det", det)
 
     def document(self) -> list[tuple[str, str]]:
         return [

@@ -96,16 +96,27 @@ def prime_factors(m: int) -> tuple[int, ...]:
     return tuple(sorted(found))
 
 
-# each Record's own __init__ sets its fields through this; assignment raises
+# Record.__init__ sets the fields through this; assignment raises
 setfield = object.__setattr__
 
 
 class Record:
-    """Base of the immutable result types.  The fields are the class's own
-    `__slots__`, set by its positional `__init__` with `setfield`; records
+    """Base of the immutable result and table types.  The fields are the
+    class's own `__slots__`, the only place they are named, and the
+    positional `__init__` sets them in that order; a subclass that checks
+    its arguments ends its own `__init__` in `super().__init__`.  Records
     are equal by type and fields, hash by the fields and show them."""
 
     __slots__ = ()
+
+    def __init__(self, *fields):
+        names = self.__slots__
+        if len(fields) != len(names):
+            raise TypeError(
+                f"{type(self).__name__} takes {len(names)} fields, got {len(fields)}"
+            )
+        for name, value in zip(names, fields):
+            setfield(self, name, value)
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"field {name!r} of {type(self).__name__} cannot be changed")

@@ -17,11 +17,11 @@ is the whole proof.
 from __future__ import annotations
 
 from .bh_sets import BhCandidate, verify_properties
-from .errors import PreconditionError, RingMismatchError
+from .errors import InconsistencyError, PreconditionError, RingMismatchError
 from .linalg import kernel_vector
 from .multiaffine import MAX_ARITY, MultiAffinePoly, is_affine_poly, restrict_radial
 from .recovery import DirectionSet, degree_system, minimal_direction_count
-from .rings import Record, Ring, setfield
+from .rings import Record, Ring
 
 
 class SharpnessWitness(Record):
@@ -35,10 +35,6 @@ class SharpnessWitness(Record):
 
     __slots__ = ("poly", "degree")
 
-    def __init__(self, poly: MultiAffinePoly, degree: int):
-        setfield(self, "poly", poly)
-        setfield(self, "degree", degree)
-
     def document(self) -> list[tuple[str, str]]:
         return [("status", "witness"), ("witness", repr(self.poly)), ("degree", str(self.degree))]
 
@@ -50,7 +46,9 @@ def lower_bound_witness(n: int, dirs: DirectionSet, fld: Ring) -> SharpnessWitne
     elimination; fewer equations than unknowns guarantee a nonzero
     kernel, and the first reduced-echelon kernel vector (lexicographic
     subset order on the columns) is returned as a polynomial, checked to
-    be non-affine and invisible along every direction.
+    be non-affine and invisible along every direction.  The arguments
+    are checked first; only a fault in the elimination can fail the
+    checks after it, which raise InconsistencyError.
     """
     if n < 3:
         raise PreconditionError(f"need n >= 3, got {n}")
@@ -73,13 +71,13 @@ def lower_bound_witness(n: int, dirs: DirectionSet, fld: Ring) -> SharpnessWitne
     masks, rows = degree_system(dirs, k)
     vector = kernel_vector(rows, len(masks), fld)
     if vector is None:
-        raise PreconditionError("direction set already forces the binding degree")
+        raise InconsistencyError("direction set already forces the binding degree")
     poly = MultiAffinePoly(fld, n, dict(zip(masks, vector)))
     if poly.is_zero or is_affine_poly(poly):
-        raise PreconditionError("degenerate witness polynomial")
+        raise InconsistencyError("degenerate witness polynomial")
     for v in dirs.dirs:
         if not restrict_radial(poly, v)[k].is_zero:
-            raise PreconditionError("witness is visible along a supplied direction")
+            raise InconsistencyError("witness is visible along a supplied direction")
     return SharpnessWitness(poly, k)
 
 

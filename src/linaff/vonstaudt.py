@@ -38,8 +38,8 @@ from .errors import (
     MissingPointError,
     PreconditionError,
 )
-from .multiaffine import Line, _checked_index, _key_index, point_add, point_index, point_scale
-from .rings import Record, Ring, RingElem, format_elements, frobenius, setfield
+from .multiaffine import Line, _checked_index, _key_index, line_indices, vector_line
+from .rings import Record, Ring, RingElem, format_elements, frobenius
 
 MAX_FIELD_SIZE = 9
 MAX_DIM_PRODUCT = 6
@@ -48,11 +48,6 @@ MAX_DOMAIN_POINTS = 10_000
 
 def _elements(fld: Ring, codes) -> tuple:
     return tuple(RingElem(fld, c) for c in codes)
-
-
-def _vector_line(fld: Ring, c: tuple, s: tuple) -> list[tuple]:
-    """Code tuples of c + s*r for every element code r, in code order."""
-    return list(zip(*map(fld.line, c, s)))
 
 
 def _check_table_shape(fld: Ring, dim_in: int, dim_out: int, entries: int):
@@ -78,15 +73,19 @@ def _check_table_shape(fld: Ring, dim_in: int, dim_out: int, entries: int):
         )
 
 
-class VectorMapTable:
+class VectorMapTable(Record):
     """Exhaustive table of a map F_q^d -> F_q^e over a finite field, q > 2.
 
     The images are stored as one flat list `codes` of tuples of element
     codes, position i holding the image of the point with `point_index`
     i, as in `TableOracle`.  `from_codes` takes that list, as the
     table-file parser does; the dict constructor checks every key and
-    image, as `TableOracle`'s does, and converts its dict to it.
+    image, as `TableOracle`'s does, and converts its dict to it.  Like
+    `TableOracle`, the table is an immutable record, equal by its fields
+    and unhashable.
     """
+
+    __slots__ = ("field", "dim_in", "dim_out", "codes")
 
     def __init__(self, fld: Ring, dim_in: int, dim_out: int, mapping: dict):
         _check_table_shape(fld, dim_in, dim_out, len(mapping))
@@ -98,7 +97,7 @@ class VectorMapTable:
                     f"table image {image!r} is not in {fld.spec_text()}^{dim_out}"
                 )
             codes[index] = tuple(c.value for c in image)
-        self._store(fld, dim_in, dim_out, codes)
+        super().__init__(fld, dim_in, dim_out, codes)
 
     @classmethod
     def from_codes(cls, fld: Ring, dim_in: int, dim_out: int, codes: list) -> "VectorMapTable":
@@ -109,14 +108,8 @@ class VectorMapTable:
         if any(not 0 <= c < fld.size for image in codes for c in image):
             raise PreconditionError(f"table image code out of range for {fld.spec_text()}")
         table = cls.__new__(cls)
-        table._store(fld, dim_in, dim_out, codes)
+        Record.__init__(table, fld, dim_in, dim_out, codes)
         return table
-
-    def _store(self, fld, dim_in, dim_out, codes):
-        self.field = fld
-        self.dim_in = dim_in
-        self.dim_out = dim_out
-        self.codes = codes
 
     def value(self, point) -> tuple:
         index = _checked_index(self.field, self.dim_in, point)
@@ -147,8 +140,7 @@ def _lines_with_points(fld: Ring, dim: int):
         raise PreconditionError(f"dimension must be >= 1, got {dim}")
     if fld.size**dim > MAX_DOMAIN_POINTS:
         raise DomainTooLargeError("space has too many points for line enumeration")
-    q = fld.size
-    vectors = list(product(range(q), repeat=dim))  # code tuples, lexicographic
+    vectors = list(product(range(fld.size), repeat=dim))  # code tuples, lexicographic
     for direction in vectors:
         lead = next((i for i, c in enumerate(direction) if c), None)
         if lead is None or direction[lead] != 1:
@@ -156,8 +148,7 @@ def _lines_with_points(fld: Ring, dim: int):
         line_dir = _elements(fld, direction)
         for base in vectors:
             if base[lead] == 0:
-                indices = tuple(point_index(q, pt) for pt in _vector_line(fld, base, direction))
-                yield Line(_elements(fld, base), line_dir), indices
+                yield Line(_elements(fld, base), line_dir), line_indices(fld, base, direction)
 
 
 def enumerate_affine_lines(fld: Ring, dim: int) -> list[Line]:
@@ -177,8 +168,7 @@ class HypothesisCheck(Record):
     __slots__ = ("ok", "line")
 
     def __init__(self, ok: bool, line: Line | None = None):
-        setfield(self, "ok", ok)
-        setfield(self, "line", line)
+        super().__init__(ok, line)
 
     def document(self) -> list[tuple[str, str]]:
         if self.ok:
@@ -195,7 +185,7 @@ def _first_violation(f: VectorMapTable) -> Line | None:
         if len(images) != fld.size:
             return line
         x, y = sorted(images)[:2]
-        if set(_vector_line(fld, y, tuple(map(fld.sub, x, y)))) != images:
+        if set(vector_line(fld, y, tuple(map(fld.sub, x, y)))) != images:
             return line
     return None
 
@@ -219,11 +209,6 @@ class SemilinearCert(Record):
 
     __slots__ = ("tau_power", "basis_images", "offset")
 
-    def __init__(self, tau_power: int, basis_images: tuple, offset: tuple):
-        setfield(self, "tau_power", tau_power)
-        setfield(self, "basis_images", basis_images)
-        setfield(self, "offset", offset)
-
     def document(self) -> list[tuple[str, str]]:
         return [
             ("status", "semilinear"),
@@ -235,7 +220,8 @@ class SemilinearCert(Record):
     def apply(self, point) -> tuple:
         image = self.offset
         for coord, col in zip(point, self.basis_images):
-            image = point_add(image, point_scale(frobenius(coord, self.tau_power), col))
+            t = frobenius(coord, self.tau_power)
+            image = tuple(y + t * x for y, x in zip(image, col))
         return image
 
 
@@ -254,7 +240,7 @@ def _decompose(f: VectorMapTable) -> SemilinearCert | None:
         return None
     offset = codes[0]
     cols = [tuple(map(fld.sub, codes[q ** (d - 1 - i)], offset)) for i in range(d)]
-    first_axis = _vector_line(fld, offset, cols[0])
+    first_axis = vector_line(fld, offset, cols[0])
     along = [codes[r * q ** (d - 1)] for r in range(q)]
     power, tau = 0, range(q)
     while [first_axis[t] for t in tau] != along:
@@ -266,7 +252,7 @@ def _decompose(f: VectorMapTable) -> SemilinearCert | None:
     # v becomes v + tau(r) * col for r in code order
     want = [offset]
     for col in cols:
-        lines = [_vector_line(fld, v, col) for v in want]
+        lines = [vector_line(fld, v, col) for v in want]
         want = [line[t] for line in lines for t in tau]
     if want != codes:
         return None

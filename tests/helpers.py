@@ -22,7 +22,6 @@ from linaff import (
     Zmod,
     enumerate_affine_lines,
     factorial_det,
-    line_affine_check,
     parse_ring_spec,
     psi_extract,
     recover,
@@ -313,10 +312,23 @@ def check_hypotheses_reference(f):
     return HypothesisCheck(True)
 
 
+def line_check_reference(f, line):
+    """Reference for line_affine_check on a table, on RingElem point
+    arithmetic: the value at base + r*dir for every element r in code
+    order, against f(base) + slope*r with slope f(base + dir) - f(base)."""
+    ring = f.ring
+    f0 = f.value(line.base)
+    slope = f.value(tuple(b + d for b, d in zip(line.base, line.dir))) - f0
+    for r in ring.elements():
+        if f.value(tuple(b + r * d for b, d in zip(line.base, line.dir))) != f0 + slope * r:
+            return LineCheck(None, (ring.zero, ring.one, r))
+    return LineCheck(slope, None)
+
+
 def coordinate_line_failure_reference(f):
     """Reference for recover's coordinate-line scan on element codes: every
     line parallel to a basis vector, checked with RingElem arithmetic by
-    line_affine_check, in the same order; the first failure's certificate."""
+    line_check_reference, in the same order; the first failure's certificate."""
     ring, n = f.ring, f.arity
     elems = ring.elements()
     for axis in range(1, n + 1):
@@ -324,7 +336,7 @@ def coordinate_line_failure_reference(f):
         for rest in product(elems, repeat=n - 1):
             base = list(rest[: axis - 1]) + [ring.zero] + list(rest[axis - 1 :])
             line = Line(tuple(base), e_axis)
-            check = line_affine_check(f, line)
+            check = line_check_reference(f, line)
             if not check.ok:
                 return LineWitness(line, check.witness)
     return None
@@ -334,7 +346,7 @@ def recover_reference(f, dirs, mode="exhaustive"):
     """Reference for recover on a table, on the RingElem path.
 
     Each radial line is checked on the table's own values: at every ring
-    element by line_affine_check in exhaustive mode, at t = 2..n in proof
+    element by line_check_reference in exhaustive mode, at t = 2..n in proof
     mode.  A table that passes the reference coordinate-line scan equals
     its hypercube interpolant psi at every point (induction on the arity),
     so the rest of the pipeline must answer as it does for the polynomial
@@ -348,7 +360,7 @@ def recover_reference(f, dirs, mode="exhaustive"):
     for v in dirs.dirs:
         line = Line(origin, v)
         if mode == "exhaustive":
-            witness = line_affine_check(f, line).witness
+            witness = line_check_reference(f, line).witness
         else:
             f0 = f.value(origin)
             slope = f.value(v) - f0

@@ -634,6 +634,21 @@ def test_internal_errors_have_their_own_exit_code(tmp_path, monkeypatch, capsys)
     assert out.err == "internal error: cross-check failed\n" and out.out == ""
 
 
+def test_sharpness_witness_cross_checks_are_internal_errors(monkeypatch):
+    # only a faulty kernel reaches these checks: fewer rows than columns
+    # always leave a kernel, and its vectors solve every row
+    F7 = PrimeField(7)
+    argv = ["sharpness", "witness", "--ring", "prime 7", "--n", "3", "--dirs", "1,1,1;1,2,4"]
+    for vector, message in [
+        (None, "direction set already forces the binding degree"),
+        ([F7.zero] * 3, "degenerate witness polynomial"),
+        # x1*x2 restricts to r^2 along (1,1,1)
+        ([F7.one, F7.zero, F7.zero], "witness is visible along a supplied direction"),
+    ]:
+        monkeypatch.setattr("linaff.sharpness.kernel_vector", lambda *args, v=vector: v)
+        assert run_subcommand(argv) == (EXIT_INTERNAL, f"internal error: {message}\n")
+
+
 def test_family_flag_via_cli(tmp_path):
     path = _write(tmp_path, "affine.tbl", _affine_z7_table())
     code, text = run_subcommand(["recover", "--input", path, "--family"])

@@ -26,7 +26,9 @@ from linaff.rings import GaloisField
 
 from helpers import (
     all_points,
+    line_check_reference,
     psi_by_inclusion_exclusion,
+    rand_affine_poly,
     rand_elem,
     rand_nonzero,
     rand_null_codes,
@@ -199,6 +201,60 @@ def test_poly_line_check_matches_its_table(ring):
         assert check == line_affine_check(table, line)
         outcomes.add(check.ok)
     assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [Zmod(4), Zmod(6), Zmod(9), PrimeField(5), GaloisField(2, 2, [1, 1]), GaloisField(3, 2, [1, 0])],
+    ids=lambda r: r.spec_text(),
+)
+def test_table_line_check_matches_the_reference(ring):
+    # the table check reads the codes along the line; the reference walks
+    # the line's points in RingElem arithmetic: affine, multi-affine and
+    # arbitrary tables, random bases and nonzero directions, zero divisors
+    # among them over Z/m
+    rng = random.Random(f"table line check {ring.spec_text()}")
+    outcomes = set()
+    for trial in range(60):
+        n = rng.randint(1, 3 if ring.size <= 6 else 2)
+        if trial % 3 == 0:
+            f = table_from_poly(rand_affine_poly(ring, n, rng))
+        elif trial % 3 == 1:
+            f = table_from_poly(rand_poly(ring, n, rng))
+        else:
+            f = TableOracle.from_codes(ring, n, [rng.randrange(ring.size) for _ in range(ring.size**n)])
+        base = tuple(rand_elem(ring, rng) for _ in range(n))
+        direction = tuple(rand_elem(ring, rng) for _ in range(n - 1)) + (rand_nonzero(ring, rng),)
+        line = Line(base, tuple(rng.sample(direction, n)))
+        check = line_affine_check(f, line)
+        assert check == line_check_reference(f, line)
+        outcomes.add(check.ok)
+    assert outcomes == {True, False}
+
+
+def test_table_line_check_along_zero_divisor_directions():
+    # along (2,0) over Z/4 the line visits each of its two points twice, so
+    # f is affine on it iff 2*(f(base + dir) - f(base)) = 0
+    Z4 = Zmod(4)
+    rng = random.Random("zero divisors")
+    outcomes = set()
+    for direction in [(2, 0), (0, 2), (2, 2), (2, 1)]:
+        for _ in range(10):
+            f = TableOracle.from_codes(Z4, 2, [rng.randrange(4) for _ in range(16)])
+            base = tuple(rand_elem(Z4, rng) for _ in range(2))
+            line = Line(base, tuple(map(Z4.elem, direction)))
+            check = line_affine_check(f, line)
+            assert check == line_check_reference(f, line)
+            outcomes.add(check.ok)
+    assert outcomes == {True, False}
+
+
+def test_table_line_check_rejects_a_line_from_another_ring():
+    Z5, Z7 = Zmod(5), Zmod(7)
+    f = table_from_poly(MultiAffinePoly(Z5, 2, {0b11: Z5.one}))
+    for line in [Line((Z7.zero, Z7.zero), (Z5.one, Z5.zero)), Line(zero_point(Z5, 2), (Z7.one, Z7.one))]:
+        with pytest.raises(RingMismatchError):
+            line_affine_check(f, line)
 
 
 def test_line_check_symbolic_over_rationals():

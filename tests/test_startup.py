@@ -180,3 +180,70 @@ def test_record_fields_cannot_be_changed():
     with pytest.raises(AttributeError):
         del line.dir
     assert line.base == (F5.zero,) and line.dir == (F5.one,)
+
+
+def _record_types():
+    """Every Record subclass in linaff, after importing each module."""
+    import pkgutil
+
+    from linaff.rings import Record
+
+    for info in pkgutil.iter_modules(linaff.__path__):
+        importlib.import_module(f"linaff.{info.name}")
+    found, stack = [], [Record]
+    while stack:
+        for sub in stack.pop().__subclasses__():
+            if sub.__module__.startswith("linaff."):
+                found.append(sub)
+                stack.append(sub)
+    return found
+
+
+def test_field_only_records_take_their_slots_in_order():
+    # a record without its own __init__ takes exactly its __slots__, positionally
+    field_only = [cls for cls in _record_types() if "__init__" not in vars(cls)]
+    names = {cls.__name__ for cls in field_only}
+    assert names >= {
+        "Affine", "LineWitness", "CoefficientWitness", "CannotCancel", "LineCheck",
+        "Collision", "Property2Failure", "BhReport", "BudgetSpent", "SharpnessWitness",
+        "SemilinearCert", "CertifyResult",
+    }, names
+    for cls in field_only:
+        values = [object() for _ in cls.__slots__]
+        record = cls(*values)
+        assert [getattr(record, name) for name in cls.__slots__] == values, cls
+        with pytest.raises(TypeError):
+            cls(*values, None)
+        if values:
+            with pytest.raises(TypeError):
+                cls(*values[1:])
+        for name in cls.__slots__:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+
+
+def test_tables_are_records_equal_by_fields():
+    from linaff.cli import format_function_table, parse_function_table
+    from linaff.multiaffine import TableOracle
+    from linaff.vonstaudt import VectorMapTable
+
+    Z4 = Zmod(4)
+    points = [(x, y) for x in Z4.elements() for y in Z4.elements()]
+    scalar = {p: Z4.from_int(p[0].value * p[1].value + 1) for p in points}
+    table = TableOracle(Z4, 2, scalar)
+    assert table == TableOracle.from_codes(Z4, 2, [v.value for v in scalar.values()])
+    assert table != TableOracle.from_codes(Z4, 2, [0] * 16)
+    F3 = PrimeField(3)
+    points = [(x, y) for x in F3.elements() for y in F3.elements()]
+    images = {p: (p[1], p[0] + p[1]) for p in points}
+    vector = VectorMapTable(F3, 2, 2, images)
+    codes = [tuple(c.value for c in image) for image in images.values()]
+    assert vector == VectorMapTable.from_codes(F3, 2, 2, codes)
+    for t, fields in [(table, ("ring", "arity", "codes")), (vector, ("field", "dim_in", "dim_out", "codes"))]:
+        assert parse_function_table(format_function_table(t)) == t
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(t, name, None)
+        # codes is a list, so a table does not hash, like MultiAffinePoly
+        with pytest.raises(TypeError):
+            hash(t)
