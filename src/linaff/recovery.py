@@ -76,10 +76,8 @@ class DirectionSet(Record):
             if len(v) != arity:
                 coords = ", ".join(c.ring.format_element(c) for c in v)
                 raise ArityError(f"direction ({coords}) has arity {len(v)}, expected {arity}")
-            if not any(c.value for c in v):
+            if not any(point_values(ring, v)):
                 raise PreconditionError("directions must be nonzero")
-            if any(c.ring != ring for c in v):
-                raise RingMismatchError("direction coordinate from a different ring")
         super().__init__(ring, arity, dirs)
 
     def __len__(self):

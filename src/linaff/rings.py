@@ -32,7 +32,7 @@ from .errors import (
     UnsupportedRingError,
 )
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 # Desk-scale caps for Galois fields: their tables have at most 81^2 entries.
 GF_MAX_DEGREE = 4
@@ -40,7 +40,8 @@ GF_MAX_SIZE = 81
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; exact for every input below 3.3e24."""
+    """Strong probable-prime test to the prime bases 2..41: exact below their least
+    strong pseudoprime, psi_13 = 3,317,044,064,679,887,385,961,981, but not above."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -208,7 +209,6 @@ class RingElem:
 class Ring:
     """Common interface of the four supported coefficient rings."""
 
-    kind = "?"
     is_field = False
     is_finite = False
     size: int | None = None
@@ -217,11 +217,19 @@ class Ring:
     one: RingElem
 
     def elem(self, raw) -> RingElem:
+        """`raw` itself if it is an element of this ring, else raw input coerced."""
+        if isinstance(raw, RingElem):
+            if raw.ring != self:
+                raise RingMismatchError(f"{raw!r} is not in {self.spec_text()}")
+            return raw
+        return self._coerce(raw)
+
+    def _coerce(self, raw) -> RingElem:
         raise NotImplementedError
 
     def from_int(self, n: int) -> RingElem:
-        """Image of the integer n under the unique map Z -> ring."""
-        raise NotImplementedError
+        """Image of the integer n under the unique map Z -> ring (finite rings)."""
+        return RingElem(self, n % self.characteristic)
 
     # value-level operations: on codes for finite rings, on fractions for Q
 
@@ -246,8 +254,8 @@ class Ring:
         raise NotImplementedError
 
     def is_regular(self, x: RingElem) -> bool:
-        """True iff multiplication by x is injective; 0 is never regular."""
-        raise NotImplementedError
+        """True iff multiplication by x is injective: in a field, iff x is nonzero."""
+        return x.value != 0
 
     def inverse(self, x: RingElem) -> RingElem:
         raise NotImplementedError
@@ -283,21 +291,19 @@ class Ring:
         return str(x.value)
 
     def spec_text(self) -> str:
+        """The canonical literal that `parse_ring_spec` reads back: the ring's identity."""
         raise NotImplementedError
 
     def __repr__(self):
         return self.spec_text()
 
-    def _identity(self):
-        raise NotImplementedError
-
     def __eq__(self, other):
         if self is other:
             return True
-        return isinstance(other, Ring) and self._identity() == other._identity()
+        return isinstance(other, Ring) and self.spec_text() == other.spec_text()
 
     def __hash__(self):
-        return hash(self._identity())
+        return hash(self.spec_text())
 
 
 class Zmod(Ring):
@@ -324,18 +330,8 @@ class Zmod(Ring):
     def primes(self) -> tuple[int, ...]:
         return prime_factors(self.m)
 
-    def _identity(self):
-        return (self.kind, self.m)
-
-    def elem(self, raw) -> RingElem:
-        if isinstance(raw, RingElem):
-            if raw.ring != self:
-                raise RingMismatchError(f"{raw!r} is not in {self.spec_text()}")
-            return raw
+    def _coerce(self, raw) -> RingElem:
         return RingElem(self, int(raw) % self.m)
-
-    def from_int(self, n: int) -> RingElem:
-        return RingElem(self, n % self.m)
 
     def add(self, a, b):
         return (a + b) % self.m
@@ -373,7 +369,7 @@ class Zmod(Ring):
         return RingElem(self, pow(x.value, -1, self.m))
 
     def spec_text(self) -> str:
-        return f"zmod {self.m}"
+        return f"{self.kind} {self.m}"
 
 
 class PrimeField(Zmod):
@@ -386,10 +382,6 @@ class PrimeField(Zmod):
             raise PreconditionError(f"{p} is not prime")
         super().__init__(p)
         self.p = p
-        self.is_field = True
-
-    def spec_text(self) -> str:
-        return f"prime {self.p}"
 
 
 class GaloisField(Ring):
@@ -403,8 +395,6 @@ class GaloisField(Ring):
     construction by `_field_tables`, whose search for a primitive element
     also rejects a reducible modulus.
     """
-
-    kind = "gf"
 
     def __init__(self, p: int, k: int, modulus):
         if not is_prime(p):
@@ -431,23 +421,13 @@ class GaloisField(Ring):
         self.zero = RingElem(self, 0)
         self.one = RingElem(self, 1)
 
-    def _identity(self):
-        return (self.kind, self.p, self.k, self.modulus)
-
-    def elem(self, raw) -> RingElem:
-        if isinstance(raw, RingElem):
-            if raw.ring != self:
-                raise RingMismatchError(f"{raw!r} is not in {self.spec_text()}")
-            return raw
+    def _coerce(self, raw) -> RingElem:
         if isinstance(raw, int):
             return self.element_from_encoding(raw)
         digits = [int(c) % self.p for c in raw]
         if len(digits) != self.k:
             raise PreconditionError(f"digit vector must have length {self.k}")
         return RingElem(self, sum(d * self.p**i for i, d in enumerate(digits)))
-
-    def from_int(self, n: int) -> RingElem:
-        return RingElem(self, n % self.p)
 
     def add(self, a, b):
         return self._tables.add[a][b]
@@ -474,9 +454,6 @@ class GaloisField(Ring):
             e = (k - 1) % (self.size - 1) + 1
             folded[e] = self.add(folded[e], coeffs[k])
         return not any(folded)
-
-    def is_regular(self, x: RingElem) -> bool:
-        return x.value != 0
 
     def inverse(self, x: RingElem) -> RingElem:
         if x.value == 0:
@@ -544,7 +521,6 @@ def _field_tables(p: int, k: int, modulus: tuple) -> _FieldTables | None:
 class Rationals(Ring):
     """The field Q with fully reduced arbitrary-precision fractions."""
 
-    kind = "rational"
     is_field = True  # infinite, of characteristic 0: the Ring defaults
 
     def __init__(self):
@@ -554,14 +530,7 @@ class Rationals(Ring):
         self.zero = RingElem(self, Fraction(0))
         self.one = RingElem(self, Fraction(1))
 
-    def _identity(self):
-        return (self.kind,)
-
-    def elem(self, raw) -> RingElem:
-        if isinstance(raw, RingElem):
-            if raw.ring != self:
-                raise RingMismatchError(f"{raw!r} is not in {self.spec_text()}")
-            return raw
+    def _coerce(self, raw) -> RingElem:
         return RingElem(self, self.fraction(raw))
 
     def from_int(self, n: int) -> RingElem:
@@ -581,9 +550,6 @@ class Rationals(Ring):
 
     def is_null(self, coeffs):
         return not any(coeffs)
-
-    def is_regular(self, x: RingElem) -> bool:
-        return x.value != 0
 
     def inverse(self, x: RingElem) -> RingElem:
         if x.value == 0:

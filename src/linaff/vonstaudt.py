@@ -103,9 +103,9 @@ class VectorMapTable(Record):
     def from_codes(cls, fld: Ring, dim_in: int, dim_out: int, codes: list) -> "VectorMapTable":
         """The table whose image of the point with `point_index` i has codes codes[i]."""
         _check_table_shape(fld, dim_in, dim_out, len(codes))
-        if any(len(image) != dim_out for image in codes):
+        if set(map(len, codes)) != {dim_out}:
             raise PreconditionError("table entry with wrong arity")
-        if any(not 0 <= c < fld.size for image in codes for c in image):
+        if min(map(min, codes)) < 0 or max(map(max, codes)) >= fld.size:
             raise PreconditionError(f"table image code out of range for {fld.spec_text()}")
         table = cls.__new__(cls)
         Record.__init__(table, fld, dim_in, dim_out, codes)

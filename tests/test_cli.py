@@ -397,6 +397,21 @@ def test_json_mirrors_text(tmp_path):
     assert list(parsed) == [line.split(": ", 1)[0] for line in text.strip().splitlines()]
 
 
+def test_bh_verify_over_a_strong_pseudoprime_modulus():
+    # psi_12 = 399165290221 * 798330580441 passes the strong test to every prime
+    # base up to 37; 3 - 3 * 399165290222 shares the factor 399165290221 with it
+    psi12 = "318665857834031151167461"
+    argv = ["bh", "verify", "--ring", f"zmod {psi12}", "--set", "1,399165290222,3"]
+    code, text = run_subcommand(argv)
+    assert code == EXIT_NEGATIVE
+    assert text.startswith(
+        "status: non-regular-difference\nwitness: 318665857832833655296798\n"
+        "left: 1 3\nright: 399165290222 3\n"
+    )
+    argv[3] = f"prime {psi12}"
+    assert run_subcommand(argv) == (EXIT_USAGE, f"error: {psi12} is not prime\n")
+
+
 _RATIONAL_POLY = "ring rational\narity 2\npoly\nterm 1 1\nterm 2 2\n"
 
 

@@ -173,6 +173,68 @@ def test_prime_field_rejects_composite():
         PrimeField(1)
 
 
+def test_is_prime_rejects_the_least_strong_pseudoprime_to_the_bases_2_to_37():
+    # psi_12 passes the strong test to every prime base up to 37; base 41 exposes it
+    psi12 = 318665857834031151167461
+    assert not is_prime(psi12)
+    assert prime_factors(psi12) == (399165290221, 798330580441)
+    assert not Zmod(psi12).is_field
+    with pytest.raises(PreconditionError, match="is not prime"):
+        PrimeField(psi12)
+
+
+def test_ring_contract_over_all_four_kinds():
+    # identity is the spec text: zmod 7 is not prime 7, and a GF modulus is
+    # read mod p, so [3, 1] over F_2 is GF4's [1, 1]
+    Z12 = Zmod(12)
+    rings = [Zmod(7), PrimeField(7), Z12, Zmod(12), GF4, GaloisField(2, 2, [3, 1]), GF9,
+             Rationals(), Rationals()]
+    for a in rings:
+        for b in rings:
+            assert (a == b) == (a.spec_text() == b.spec_text())
+            if a == b:
+                assert hash(a) == hash(b)
+    assert Zmod(7) != PrimeField(7) and GaloisField(2, 2, [3, 1]) == GF4
+    # elem passes an element of the ring through and rejects one of another ring
+    for ring in rings:
+        x = ring.from_int(2)
+        assert ring.elem(x) is x
+        for other in rings:
+            if other != ring:
+                with pytest.raises(RingMismatchError, match=f"is not in {ring.spec_text()}$"):
+                    ring.elem(other.one)
+    # raw input is coerced
+    assert Z12.elem(-5).value == 7 and PrimeField(7).elem(-5).value == 2
+    assert GF9.elem(5).value == 5 and GF9.elem([2, 1]).value == 5 and GF9.elem([5, -2]).value == 5
+    with pytest.raises(PreconditionError):
+        GF9.elem(9)
+    with pytest.raises(PreconditionError):
+        GF9.elem([1])
+    Q = Rationals()
+    assert Q.elem("-3/6") == Q.parse_element("-1/2")
+    # from_int is the image of n under Z -> ring: for GF(p^k) the constant n mod p
+    big = 10**30 + 7
+    for ring in rings:
+        for n in range(-13, 14):
+            total = ring.zero
+            for _ in range(abs(n)):
+                total = total + ring.one
+            assert ring.from_int(n) == (total if n >= 0 else -total)
+        if ring.is_finite:
+            assert ring.from_int(big).value == big % ring.characteristic
+            assert ring.from_int(-big).value == -big % ring.characteristic
+    assert GF9.from_int(-1).value == 2 and GF4.from_int(big).value == 1
+    assert Q.from_int(-big).value == -big
+    # is_regular: zero never, a unit always, a zero divisor of Z/12 not
+    for ring in rings:
+        assert not ring.is_regular(ring.zero)
+        assert ring.is_regular(ring.one) and ring.is_regular(-ring.one)
+    for ring in (PrimeField(7), GF4, GF9, Q):
+        assert ring.is_regular(ring.elem(2)) and ring.is_regular(ring.elem(3))
+    assert Z12.is_regular(Z12.elem(5)) and Z12.is_regular(Z12.elem(7))
+    assert not any(Z12.is_regular(Z12.elem(v)) for v in (2, 3, 4, 6, 8, 9, 10))
+
+
 def test_zmod_rejects_small_modulus():
     with pytest.raises(PreconditionError):
         Zmod(1)

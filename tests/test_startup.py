@@ -19,6 +19,7 @@ from linaff import (
     Line,
     LineCheck,
     MultiAffinePoly,
+    PreconditionError,
     PrimeField,
     Zmod,
 )
@@ -247,3 +248,20 @@ def test_tables_are_records_equal_by_fields():
         # codes is a list, so a table does not hash, like MultiAffinePoly
         with pytest.raises(TypeError):
             hash(t)
+
+
+def test_table_from_codes_rejects_bad_codes():
+    from linaff.multiaffine import TableOracle
+    from linaff.vonstaudt import VectorMapTable
+
+    Z4, F3 = Zmod(4), PrimeField(3)
+    for bad in (-1, 4):
+        with pytest.raises(PreconditionError, match="^table value code out of range for zmod 4$"):
+            TableOracle.from_codes(Z4, 2, [0] * 15 + [bad])
+    image_range = "^table image code out of range for prime 3$"
+    for bad in (-1, 3):
+        with pytest.raises(PreconditionError, match=image_range):
+            VectorMapTable.from_codes(F3, 2, 2, [(0, 0)] * 8 + [(1, bad)])
+    for image in [(0,), (0, 0, 0)]:
+        with pytest.raises(PreconditionError, match="^table entry with wrong arity$"):
+            VectorMapTable.from_codes(F3, 2, 2, [(0, 0)] * 8 + [image])
