@@ -19,7 +19,7 @@ import argparse
 import functools
 import hashlib
 import sys
-from itertools import product
+from itertools import chain, product, repeat
 
 from . import __version__
 from .errors import InconsistencyError, LinaffError, ParseError, PreconditionError
@@ -85,13 +85,13 @@ def parse_function_table(text: str):
             except LinaffError as exc:
                 raise ParseError(str(exc), lineno) from None
         elif head == "arity":
-            if len(toks) != 2 or not toks[1].isdigit():
+            if len(toks) != 2 or not toks[1].isdecimal():
                 raise ParseError("arity needs one integer", lineno)
             arity = int(toks[1])
         elif head == "codomain":
             if len(toks) == 2 and toks[1] == "scalar":
                 codomain_dim = None
-            elif len(toks) == 3 and toks[1] == "vector" and toks[2].isdigit():
+            elif len(toks) == 3 and toks[1] == "vector" and toks[2].isdecimal():
                 codomain_dim = int(toks[2])
             else:
                 raise ParseError("codomain must be 'scalar' or 'vector <e>'", lineno)
@@ -159,7 +159,9 @@ def _map_columns(ring, arity, width, body):
     vector table).  The values are what `_collect_rows` returns when each
     non-blank line is one such row, every code is written as `str(code)`
     (so no token holds a `#`), and the rows come in point-index order,
-    as `format_function_table` writes them.  Anything else, shuffled rows
+    as `format_function_table` writes them: point column j, compared as
+    text, is each code's text q^(arity-1-j) times, that run q^j times, and
+    only the value columns are looked up.  Anything else, shuffled rows
     included, gets None, and the row pass decides it and names the error.
     """
     # arity >= 1 bounds the ring size, and so the code dict, by the row count
@@ -180,16 +182,16 @@ def _map_columns(ring, arity, width, body):
         or len(body) - body.count("") != rows
     ):
         return None
-    lookup = _codes_by_text(ring).__getitem__
+    codes = _codes_by_text(ring)
+    for j in range(arity):
+        run = chain.from_iterable(repeat(t, q ** (arity - 1 - j)) for t in codes)
+        if toks[1 + j :: stride] != list(run) * q**j:
+            return None
     try:
-        cols = [list(map(lookup, toks[j::stride])) for j in range(1, stride) if j != arity + 1]
+        cols = [list(map(codes.__getitem__, toks[j::stride])) for j in range(arity + 2, stride)]
     except KeyError:
         return None
-    values = cols[arity] if width is None else list(zip(*cols[arity:]))
-    index = cols[0]
-    for col in cols[1:arity]:
-        index = [i * q + c for i, c in zip(index, col)]
-    return values if index == list(range(rows)) else None
+    return cols[0] if width is None else list(zip(*cols))
 
 
 def _collect_rows(ring, arity, rows, width=None):
@@ -225,7 +227,7 @@ def _build_poly_oracle(ring, arity, terms):
             raise ParseError(str(exc), lineno) from None
         indices = []
         for t in idx_texts:
-            if not t.isdigit() or not 1 <= int(t) <= arity:
+            if not t.isdecimal() or not 1 <= int(t) <= arity:
                 raise ParseError(f"variable index {t!r} out of range 1..{arity}", lineno)
             indices.append(int(t))
         if len(set(indices)) != len(indices):

@@ -1,6 +1,7 @@
 """End-to-end recovery of global affine-linearity from line restrictions.
 
-On a table, `recover` checks f along every coordinate-parallel line and
+On a table, `recover` scans f's x_1-lines, decides the other axes by
+peeling f = g + x_1*h (scanning them only to name a witness) and
 extracts the multi-affine hypercube coefficients psi at the origin; a
 polynomial is its own psi.  A function affine on every coordinate line
 equals psi at every point, so f is affine iff psi has no coefficient of
@@ -32,7 +33,7 @@ pinned cases.
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from itertools import chain, combinations
 
 from .errors import (
     ArityError,
@@ -239,13 +240,15 @@ Certificate = Affine | LineWitness | CoefficientWitness | CannotCancel
 
 
 def _coordinate_line_failure(f: TableOracle) -> LineWitness | None:
-    """Exhaustive check of every line parallel to a basis vector of a table.
+    """Check of every line parallel to a basis vector of a table.
 
     Lines go axis by axis, bases in enumeration order with the axis
     coordinate zero, and the witness is the first refuting parameter, as
     `line_affine_check` would give.  The scan runs on the table's element
     codes: along axis a the line through the point with index b takes the
-    values codes[b + r * q^(n-a)] for the element codes r = 0..q-1.
+    values codes[b + r * q^(n-a)] for the element codes r = 0..q-1.  Once
+    the x_1-lines pass, the other axes are decided by `_is_multiaffine`
+    and scanned only to name the witness when it says no.
     """
     ring, n, codes = f.ring, f.arity, f.codes
     q = ring.size
@@ -261,7 +264,21 @@ def _coordinate_line_failure(f: TableOracle) -> LineWitness | None:
                     line = Line(index_point(ring, n, base), unit_point(ring, n, axis))
                     params = (ring.zero, ring.one, ring.element_from_encoding(r))
                     return LineWitness(line, params)
-    return None
+        if axis == 1 and _is_multiaffine(ring, codes, n, x_1_scanned=True):
+            return None
+    raise InconsistencyError("coordinate lines refuted, but no line names a witness")
+
+
+def _is_multiaffine(ring: Ring, codes: list, n: int, x_1_scanned: bool = False) -> bool:
+    """Whether a table of arity n is affine on every coordinate line: iff its
+    x_1-lines g + h*r are (g = f(0, .), h = f(1, .) - f(0, .)) and so is every
+    coordinate line of g and of h, over any commutative ring; `x_1_scanned`
+    says the x_1-lines are known affine."""
+    s = len(codes) // ring.size
+    g, h = codes[:s], list(map(ring.sub, codes[s : 2 * s], codes[:s]))
+    if not x_1_scanned and list(chain.from_iterable(zip(*map(ring.line, g, h)))) != codes:
+        return False
+    return n == 1 or all(_is_multiaffine(ring, part, n - 1) for part in (g, h))
 
 
 def _verified_affine(f: FunctionOracle, psi: MultiAffinePoly) -> Affine:

@@ -173,6 +173,18 @@ def _shuffled(rows):
     return rows
 
 
+def _axes_swapped(rows):
+    """The in-order rows stably sorted by x_2, so x_2 is most significant and
+    x_1 next: each point column holds the right codes in the wrong order.
+    An arity-1 row's third token is `->`, and its order stays."""
+
+    def x_2(row):
+        token = row.split()[2]
+        return -1 if token == "->" else int(token)
+
+    return sorted(rows, key=x_2)
+
+
 def _recoded(row, prefix):
     """The row with every code written with a prefix: `03`, `+1`."""
     return " ".join(t if t in ("map", "->") else prefix + t for t in row.split())
@@ -190,6 +202,7 @@ _CORPUS_TABLES = [
 _LAYOUTS = {
     "in-order": lambda h, r: "\n".join(h + r) + "\n",
     "shuffled": lambda h, r: "\n".join(h + _shuffled(r)) + "\n",
+    "axes-swapped": lambda h, r: "\n".join(h + _axes_swapped(r)) + "\n",
     "no-final-newline": lambda h, r: "\n".join(h + _shuffled(r)),
     "blank-lines": lambda h, r: "\n\n".join(h + r[:3]) + "\n" + "\n\n".join(r[3:]) + "\n\n",
     "whitespace-lines": lambda h, r: "\n \t\n".join(h + _shuffled(r)) + "\n",
@@ -278,6 +291,25 @@ def test_parse_errors_name_the_fault(text, message):
     with pytest.raises(LinaffError) as err:
         parse_function_table(text)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("ring zmod 3\narity ²\n", "line 2: arity needs one integer"),
+        ("ring zmod 3\narity 1\ncodomain vector ²\n",
+         "line 3: codomain must be 'scalar' or 'vector <e>'"),
+        ("ring zmod 3\narity 1\npoly\nterm 1 ²\n", "line 4: variable index '²' out of range 1..1"),
+    ],
+    ids=["arity", "codomain-vector", "term-index"],
+)
+def test_digits_that_int_rejects_are_parse_errors(tmp_path, text, message):
+    # str.isdigit() accepts a superscript two, which int() rejects
+    path = _write(tmp_path, "f.tbl", text)
+    assert run_subcommand(["recover", "--input", path, "--dirs", "1"]) == (
+        EXIT_USAGE,
+        f"error: {message}\n",
+    )
 
 
 def test_recover_cli_affine(tmp_path):

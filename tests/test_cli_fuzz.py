@@ -33,6 +33,7 @@ _GARBAGE_LINES = [
     "", "# comment", "ring", "arity", "arity x", "arity 40", "codomain", "codomain vector",
     "codomain vector 0", "poly", "map", "map ->", "map 0 -> ", "map 0 0 -> 1 # c", "term",
     "term 1 9", "term x 1", "term 1 1 1", "->", "map 0 0 -> 1 map 0 1 -> 1",
+    "arity ²", "codomain vector ²", "term 1 ²",
 ]
 
 _vector = st.lists(st.sampled_from(_ELEMENTS), max_size=3).map(",".join)

@@ -24,13 +24,15 @@ from linaff import (
     recover,
     restrict_radial,
 )
+from linaff import recovery
 from linaff.cli import emit_certificate, format_function_table, parse_function_table
 from linaff.linalg import kernel_vector
-from linaff.multiaffine import subset_to_mask
-from linaff.recovery import _verified_affine
+from linaff.multiaffine import subset_to_mask, unit_point
+from linaff.recovery import _coordinate_line_failure, _verified_affine
 
 from helpers import (
     all_points,
+    coordinate_line_failure_reference,
     is_pointwise_affine,
     rand_affine_poly,
     rand_nonaffine_poly,
@@ -40,6 +42,7 @@ from helpers import (
     recover_poly_reference,
     recover_reference,
     restrict_radial_reference,
+    table_from_function,
     table_from_poly,
 )
 
@@ -559,6 +562,55 @@ def test_table_code_path_matches_ringelem_reference(ring):
             assert got == emit_certificate(recover_reference(f, dirs, mode))
             answers.add(got.split("\n")[0])
     assert {"status: affine", "status: non-affine"} <= answers
+
+
+def _peeled_tables(ring, n, rng):
+    """A multi-affine table, then for k = 2..n tables f = g + x_1*h, g and h
+    multi-affine, with g or h bumped by m(x_2..x_{k-1}) at the points whose
+    x_k..x_n are one p, m multi-affine with m(0) nonzero: affine on every
+    line of axes 1..k-1 and refuted on axis k.  Each is (table, k or None)."""
+    tables = [(table_from_poly(rand_poly(ring, n, rng)), None)]
+    for k in range(2, n + 1):
+        for bumped in range(2):
+            g, h = (
+                {y: poly.value(y) for y in all_points(ring, n - 1)}
+                for poly in (rand_poly(ring, n - 1, rng), rand_poly(ring, n - 1, rng))
+            )
+            coeffs = dict(rand_poly(ring, k - 2, rng).coeffs) if k > 2 else {}
+            coeffs[0] = rand_nonzero(ring, rng)
+            m = MultiAffinePoly(ring, n - 1, coeffs)
+            p = rng.choice(all_points(ring, n - k + 1))
+            part = (g, h)[bumped]
+            for y in part:
+                if y[k - 2 :] == p:
+                    part[y] = part[y] + m.value(y)
+            f = table_from_function(ring, n, lambda x: g[x[1:]] + x[0] * h[x[1:]])
+            tables.append((f, k))
+    return tables
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [Zmod(4), Zmod(6), PrimeField(5), GaloisField(2, 2, [1, 1]), GaloisField(3, 2, [1, 0])],
+    ids=lambda r: r.spec_text(),
+)
+def test_coordinate_lines_past_the_first_axis_match_the_reference(ring):
+    # the x_1-lines are scanned and the other axes decided by peeling
+    # f = g + x_1*h; each answer, witness included, must be the reference's
+    rng = random.Random(f"peeled {ring.spec_text()}")
+    for n in (1, 2, 3, 4):
+        for f, k in _peeled_tables(ring, n, rng):
+            want = coordinate_line_failure_reference(f)
+            assert _coordinate_line_failure(f) == want
+            assert (want is None) if k is None else (want.line.dir == unit_point(ring, n, k))
+
+
+def test_coordinate_lines_without_a_witness_are_an_internal_error(monkeypatch):
+    # a peel that refutes lines no scan can find is a bug, not an answer
+    f = table_from_poly(rand_poly(Zmod(4), 3, random.Random(3)))
+    monkeypatch.setattr(recovery, "_is_multiaffine", lambda *args, **kwargs: False)
+    with pytest.raises(InconsistencyError):
+        _coordinate_line_failure(f)
 
 
 _POLY_PATH_RINGS = [Zmod(m) for m in (4, 6, 8, 9, 12)] + [
