@@ -15,7 +15,6 @@ under `--json`, so that a cold process compiles nothing it does not use.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import hashlib
 import sys
@@ -35,7 +34,7 @@ from .multiaffine import (
     psi_extract,
     subset_to_mask,
 )
-from .rings import Rationals, Ring, format_elements, parse_ring_spec
+from .rings import Rationals, Ring, RingElem, format_elements, parse_ring_spec
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -65,8 +64,19 @@ def parse_function_table(text: str):
     terms = []  # (lineno, coeff_text, index_texts)
     in_poly = False
     values = None  # the map body's values once the column pass decides it
-    lines = text.splitlines()
-    for lineno, raw in enumerate(lines, start=1):
+    # the body runs from the first row that starts a line with "map "; once
+    # the header before it is read, the column pass is offered the body's
+    # text, and only if it declines is the body cut into lines
+    at = text.find("\nmap ") + 1 or len(text)
+
+    def body_lines():
+        nonlocal values
+        if ring is not None and arity is not None and not rows and not in_poly:
+            values = _map_columns(ring, arity, codomain_dim, text[at:])
+        if values is None:
+            yield from text[at:].splitlines()
+
+    for lineno, raw in enumerate(chain(text[:at].splitlines(), body_lines()), start=1):
         line = _strip(raw)
         if not line:
             continue
@@ -98,10 +108,6 @@ def parse_function_table(text: str):
         elif head == "map":
             if ring is None or arity is None:
                 raise ParseError("map rows must follow ring and arity", lineno)
-            if not rows:
-                values = _map_columns(ring, arity, codomain_dim, lines[lineno - 1 :])
-                if values is not None:
-                    break
             body = toks[1:]
             if "->" not in body:
                 raise ParseError("map row needs '->'", lineno)
@@ -153,33 +159,37 @@ def _codes_by_text(ring: Ring) -> dict:
 def _map_columns(ring, arity, width, body):
     """The map body's values in point-index order, or None to run the row pass.
 
-    `body` holds the lines from the first map row on.  The body is split
+    `body` is the text from the line of the first map row on.  It is split
     into tokens once and read a column at a time: every row has the same
     stride, `map`, `arity` codes, `->`, then one code (`width` codes for a
     vector table).  The values are what `_collect_rows` returns when each
-    non-blank line is one such row, every code is written as `str(code)`
-    (so no token holds a `#`), and the rows come in point-index order,
-    as `format_function_table` writes them: point column j, compared as
-    text, is each code's text q^(arity-1-j) times, that run q^j times, and
-    only the value columns are looked up.  Anything else, shuffled rows
-    included, gets None, and the row pass decides it and names the error.
+    line is one such row, the lines end in "\n" or "\r\n", every code is
+    written as `str(code)` (so no token holds a `#`), and the rows come in
+    point-index order, as `format_function_table` writes them: point
+    column j, compared as text, is each code's text q^(arity-1-j) times,
+    that run q^j times, and only the value columns are looked up.
+    Anything else, shuffled rows and blank lines included, gets None, and
+    the row pass decides it and names the error.
     """
     # arity >= 1 bounds the ring size, and so the code dict, by the row count
     if not ring.is_finite or arity < 1 or width == 0:
         return None
     q = ring.size
     stride = arity + 2 + (1 if width is None else width)
-    text = "\n".join(body)
-    toks = text.split()
+    toks = body.split()
     rows = len(toks) // stride
     if (
         len(toks) != rows * stride
         or rows != q**arity
         or toks[::stride].count("map") != rows
         or toks[arity + 1 :: stride].count("->") != rows
-        # each row starts a line and no other line holds a token
-        or text.count("\nmap") + text.startswith("map") != rows
-        or len(body) - body.count("") != rows
+        # one row to a line: every "\n" but a final one starts a row, a "\r"
+        # may only precede a "\n", and no other character ends a line for
+        # str.splitlines
+        or body.count("\n") != rows - 1 + body.endswith("\n")
+        or body.count("\nmap") != rows - 1
+        or body.count("\r") != body.count("\r\n")
+        or not body.isascii() or any(map(body.__contains__, "\v\f\x1c\x1d\x1e"))
     ):
         return None
     codes = _codes_by_text(ring)
@@ -293,99 +303,117 @@ def _exit_code_for(doc: list[tuple[str, str]]) -> int:
 # argument handling
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise ParseError(message)
+# Each subcommand path's options, in usage order: name -> (kind, default), the
+# kind `int` (read by int()), `bool` (a flag), a tuple of the accepted values
+# or a text value's metavar; an option whose default is _REQUIRED must be given.
+_REQUIRED = object()
+_INPUT = {"input": ("FILE", _REQUIRED)}
+_RING = {"ring": ("RING", _REQUIRED)}
+_N = {"n": (int, _REQUIRED)}
+_CHOICE = {"family": (bool, False), "moment": ("VECTOR", None), "count": (int, None)}
+_MODE = {"mode": (("exhaustive", "proof"), "exhaustive")}
+_OPTIONS = {
+    ("check-line",): {**_INPUT, "base": ("VECTOR", _REQUIRED), "dir": ("VECTOR", _REQUIRED)},
+    ("psi",): {**_INPUT, "base": ("VECTOR", None)},
+    ("recover",): {**_INPUT, "dirs": ("DIRS", None), **_CHOICE, **_MODE},
+    ("directions",): {**_RING, **_N, **_CHOICE},
+    ("bh", "verify"): {**_RING, "set": ("VECTOR", _REQUIRED), "h": (int, None)},
+    ("bh", "search"): {**_RING, **_N, "budget": (int, 1_000_000)},
+    ("bh", "geometric"): {**_RING, "g": ("ELEMENT", _REQUIRED), **_N},
+    ("sharpness", "bound"): _N,
+    ("sharpness", "witness"): {**_RING, **_N, "dirs": ("DIRS", _REQUIRED)},
+    ("sharpness", "certify"): {**_RING, **_N, "set": ("VECTOR", _REQUIRED)},
+    ("vonstaudt", "check"): _INPUT,
+    ("vonstaudt", "recover"): _INPUT,
+}
 
 
-@functools.cache
-def _build_parser() -> _Parser:
-    # built once per process: parse_args leaves the parser unchanged
-    parser = _Parser(prog="linaff", description="exact affine-linearity certificates")
-    parser.add_argument("--json", action="store_true", help="emit the document as JSON")
-    sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("check-line", help="affinity of f along one line")
-    p.add_argument("--input", required=True)
-    p.add_argument("--base", required=True)
-    p.add_argument("--dir", required=True)
-
-    p = sub.add_parser("psi", help="hypercube coefficients of f")
-    p.add_argument("--input", required=True)
-    p.add_argument("--base")
-
-    p = sub.add_parser("recover", help="decide global affine-linearity")
-    p.add_argument("--input", required=True)
-    p.add_argument("--dirs")
-    p.add_argument("--family", action="store_true")
-    p.add_argument("--moment")
-    p.add_argument("--count", type=int)
-    p.add_argument("--mode", choices=["exhaustive", "proof"], default="exhaustive")
-
-    p = sub.add_parser("directions", help="print a test direction set")
-    p.add_argument("--ring", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--family", action="store_true")
-    p.add_argument("--moment")
-    p.add_argument("--count", type=int)
-
-    bh = sub.add_parser("bh", help="weak multiplicative B_h sets").add_subparsers(
-        dest="bh_command"
-    )
-    p = bh.add_parser("verify")
-    p.add_argument("--ring", required=True)
-    p.add_argument("--set", required=True)
-    p.add_argument("--h", type=int)
-    p = bh.add_parser("search")
-    p.add_argument("--ring", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--budget", type=int, default=1_000_000)
-    p = bh.add_parser("geometric")
-    p.add_argument("--ring", required=True)
-    p.add_argument("--g", required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    sh = sub.add_parser("sharpness", help="direction-count bounds").add_subparsers(
-        dest="sharpness_command"
-    )
-    p = sh.add_parser("bound")
-    p.add_argument("--n", type=int, required=True)
-    p = sh.add_parser("witness")
-    p.add_argument("--ring", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--dirs", required=True)
-    p = sh.add_parser("certify")
-    p.add_argument("--ring", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--set", required=True)
-
-    vst = sub.add_parser("vonstaudt", help="semilinear recovery").add_subparsers(
-        dest="vonstaudt_command"
-    )
-    p = vst.add_parser("check")
-    p.add_argument("--input", required=True)
-    p = vst.add_parser("recover")
-    p.add_argument("--input", required=True)
-
-    return parser
+def _usage() -> str:
+    lines = ["usage: linaff [--json] COMMAND [OPTIONS]; any --opt VALUE may be --opt=VALUE"]
+    for path, options in _OPTIONS.items():
+        words = ["  linaff", *path]
+        for name, (kind, default) in options.items():
+            word = f"--{name}"
+            if kind is int:
+                word += " INT"
+            elif kind is not bool:
+                word += " " + ("|".join(kind) if type(kind) is tuple else kind)
+            words.append(word if default is _REQUIRED else f"[{word}]")
+        lines.append(" ".join(words))
+    lines += [
+        "recover takes one of --dirs, --family and --moment; directions one of the last two.",
+        "VECTOR is elements joined by ','; DIRS is vectors joined by ';'.",
+        "exit codes: 0 yes, 1 usage or parse error, 2 no, 3 undecided, 4 internal error (a bug)",
+    ]
+    return "\n".join(lines) + "\n"
 
 
-def _parse_vector(ring: Ring, text: str):
-    parts = [t for t in text.split(",") if t.strip() != ""]
-    if not parts:
-        raise ParseError(f"empty vector in {text!r}")
+def _read_argv(argv):
+    """(subcommand path, options, --json) read from argv against _OPTIONS, or None
+    for the usage text.  The options hold every name of the path; a value follows
+    its option as the next word, whatever it starts with, or after `=` in it."""
+    words = list(argv)
+    as_json = words[:1] == ["--json"]
+    del words[:as_json]
+    if not (words or as_json) or words[:1] == ["help"] or "--help" in words or "-h" in words:
+        return None
+    if not words:
+        raise ParseError("missing subcommand; see --help")
+    path = (words[0],)
+    if path not in _OPTIONS:
+        subs = [p[1] for p in _OPTIONS if p[0] == words[0]]
+        if not subs:
+            raise ParseError(f"unknown subcommand {words[0]!r}; see --help")
+        path = tuple(words[:2])
+        if path not in _OPTIONS:
+            raise ParseError(f"{words[0]} needs a subcommand: {', '.join(subs[:-1])} or {subs[-1]}")
+    options = _OPTIONS[path]
+    values = {name: default for name, (_, default) in options.items()}
+    rest = iter(words[len(path) :])
+    for word in rest:
+        flag, eq, value = word.partition("=")
+        name = flag[2:] if flag[:2] == "--" else None
+        if name not in options:
+            raise ParseError(f"unrecognized argument {word!r} for {' '.join(path)}")
+        kind = options[name][0]
+        if kind is bool:
+            if eq:
+                raise ParseError(f"{flag} takes no value")
+            values[name] = True
+            continue
+        if not eq:
+            value = next(rest, None)
+            if value is None:
+                raise ParseError(f"{flag} needs a value")
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise ParseError(f"{flag} needs an integer, got {value!r}") from None
+        elif type(kind) is tuple and value not in kind:
+            raise ParseError(f"{flag} must be {' or '.join(kind)}, got {value!r}")
+        values[name] = value
+    missing = [f"--{name}" for name, value in values.items() if value is _REQUIRED]
+    if missing:
+        raise ParseError(f"{' '.join(path)} needs {' and '.join(missing)}")
+    return path, values, as_json
+
+
+def _parse_vector(ring: Ring, text: str) -> tuple:
+    """The elements of a comma-separated vector, each read by `Ring.parse_code`."""
     try:
-        return tuple(ring.parse_element(t.strip()) for t in parts)
+        values = [ring.parse_code(t) for t in map(str.strip, text.split(",")) if t]
     except LinaffError as exc:
         raise ParseError(f"bad vector {text!r}: {exc}") from None
+    if not values:
+        raise ParseError(f"empty vector in {text!r}")
+    return tuple(RingElem(ring, x) for x in values)
 
 
 def _parse_dirs(ring: Ring, arity: int, text: str):
     from . import recovery
-    vectors = [
-        _parse_vector(ring, chunk) for chunk in text.split(";") if chunk.strip() != ""
-    ]
-    return recovery.DirectionSet(ring, arity, tuple(vectors))
+    vectors = tuple(_parse_vector(ring, chunk) for chunk in text.split(";") if chunk.strip())
+    return recovery.DirectionSet(ring, arity, vectors)
 
 
 def _load_oracle(path: str):
@@ -397,23 +425,9 @@ def _load_oracle(path: str):
     return text, parse_function_table(text)
 
 
-def _scalar_oracle(oracle):
-    if not isinstance(oracle, FunctionOracle):
-        raise ParseError("this subcommand needs a scalar-valued oracle")
-    return oracle
-
-
-def _vector_table(oracle):
-    if isinstance(oracle, FunctionOracle):
-        raise ParseError("this subcommand needs a 'codomain vector' table")
-    return oracle
-
-
-def _direction_set(args, ring, arity):
+def _direction_set(opts, ring, arity):
     from . import recovery
-    dirs_text = getattr(args, "dirs", None)
-    family = getattr(args, "family", False)
-    moment = getattr(args, "moment", None)
+    dirs_text, family, moment = opts.get("dirs"), opts["family"], opts["moment"]
     if [bool(dirs_text), family, bool(moment)].count(True) != 1:
         raise ParseError("give exactly one of --dirs, --family, --moment")
     if arity < 1:
@@ -425,7 +439,7 @@ def _direction_set(args, ring, arity):
     nodes = _parse_vector(ring, moment)
     if len(nodes) != arity:
         raise ParseError(f"--moment needs {arity} node values")
-    count = getattr(args, "count", None)
+    count = opts["count"]
     if count is None:
         count = recovery.minimal_direction_count(arity) if arity >= 2 else 1
     return recovery.moment_directions(nodes, count)
@@ -435,95 +449,70 @@ def _direction_set(args, ring, arity):
 # subcommand handlers
 
 
-def _run(args) -> tuple[list[tuple[str, str]], str]:
+def _run(path, opts) -> tuple[list[tuple[str, str]], str]:
     """Dispatch; returns (document, digest source text)."""
-    cmd = args.command
-    if cmd == "check-line":
-        text, oracle = _load_oracle(args.input)
-        oracle = _scalar_oracle(oracle)
-        base = _parse_vector(oracle.ring, args.base)
-        direction = _parse_vector(oracle.ring, args.dir)
-        return line_affine_check(oracle, Line(base, direction)).document(), text
-    if cmd == "psi":
-        text, oracle = _load_oracle(args.input)
-        oracle = _scalar_oracle(oracle)
-        base = _parse_vector(oracle.ring, args.base) if args.base else None
-        return [("status", "ok"), ("coeffs", repr(psi_extract(oracle, base)))], text
-    if cmd == "recover":
+    cmd, sub = path[0], path[-1]
+    if path == ("sharpness", "bound"):
         from . import recovery
-        text, oracle = _load_oracle(args.input)
-        oracle = _scalar_oracle(oracle)
-        dirs = _direction_set(args, oracle.ring, oracle.arity)
-        return recovery.recover(oracle, dirs, mode=args.mode).document(), text
+        n = recovery.minimal_direction_count(opts["n"])
+        return [("status", "ok"), ("N", str(n))], str(opts["n"])
     if cmd == "directions":
-        ring = parse_ring_spec(args.ring)
-        dirs = _direction_set(args, ring, args.n)
+        ring = parse_ring_spec(opts["ring"])
+        dirs = _direction_set(opts, ring, opts["n"])
         rendered = ";".join(",".join(map(ring.format_element, v)) for v in dirs.dirs)
-        return [("status", "ok"), ("dirs", rendered)], args.ring
-    if cmd == "bh":
-        return _run_bh(args)
-    if cmd == "sharpness":
-        return _run_sharpness(args)
+        return [("status", "ok"), ("dirs", rendered)], opts["ring"]
+    if cmd in ("bh", "sharpness"):
+        from . import bh_sets
+        ring = parse_ring_spec(opts["ring"])
+        if sub == "search":
+            found = bh_sets.search_bh(ring, opts["n"], opts["budget"])
+            return [("status", "none")] if found is None else found.document(), opts["ring"]
+        if sub == "geometric":
+            g = ring.parse_element(opts["g"])
+            return bh_sets.construct_geometric(g, opts["n"]).document(), opts["ring"]
+        if sub == "witness":
+            from . import sharpness
+            dirs = _parse_dirs(ring, opts["n"], opts["dirs"])
+            return sharpness.lower_bound_witness(opts["n"], dirs, ring).document(), opts["dirs"]
+        candidate = bh_sets.BhCandidate(ring, _parse_vector(ring, opts["set"]))
+        if sub == "certify":
+            from . import sharpness
+            return sharpness.certify_directions(opts["n"], ring, candidate).document(), opts["set"]
+        if opts["h"] is None:
+            return bh_sets.verify_properties(candidate).document(), opts["set"]
+        collision = bh_sets.verify_bh(candidate, opts["h"])
+        return [("status", "ok")] if collision is None else collision.document(), opts["set"]
+    text, oracle = _load_oracle(opts["input"])
     if cmd == "vonstaudt":
-        sub = args.vonstaudt_command
-        if sub is None:
-            raise ParseError("vonstaudt needs a subcommand: check or recover")
-        text, oracle = _load_oracle(args.input)
-        table = _vector_table(oracle)
+        if isinstance(oracle, FunctionOracle):
+            raise ParseError("this subcommand needs a 'codomain vector' table")
         from . import vonstaudt
         if sub == "check":
-            return vonstaudt.check_hypotheses(table).document(), text
-        return vonstaudt.recover_semilinear(table).document(), text
-    raise ParseError("missing subcommand; see --help")
-
-
-def _run_bh(args):
-    sub = args.bh_command
-    if sub is None:
-        raise ParseError("bh needs a subcommand: verify, search or geometric")
-    from . import bh_sets
-    ring = parse_ring_spec(args.ring)
-    if sub == "verify":
-        elements = _parse_vector(ring, args.set)
-        candidate = bh_sets.BhCandidate(ring, elements)
-        if args.h is not None:
-            collision = bh_sets.verify_bh(candidate, args.h)
-            doc = [("status", "ok")] if collision is None else collision.document()
-            return doc, args.set
-        return bh_sets.verify_properties(candidate).document(), args.set
-    if sub == "search":
-        found = bh_sets.search_bh(ring, args.n, args.budget)
-        if found is None:
-            return [("status", "none")], args.ring
-        return found.document(), args.ring
-    g = ring.parse_element(args.g)
-    return bh_sets.construct_geometric(g, args.n).document(), args.ring
-
-
-def _run_sharpness(args):
-    sub = args.sharpness_command
-    if sub is None:
-        raise ParseError("sharpness needs a subcommand: bound, witness or certify")
-    if sub == "bound":
-        from . import recovery
-        n = recovery.minimal_direction_count(args.n)
-        return [("status", "ok"), ("N", str(n))], str(args.n)
-    from . import bh_sets, sharpness
-    ring = parse_ring_spec(args.ring)
-    if sub == "witness":
-        dirs = _parse_dirs(ring, args.n, args.dirs)
-        return sharpness.lower_bound_witness(args.n, dirs, ring).document(), args.dirs
-    elements = _parse_vector(ring, args.set)
-    candidate = bh_sets.BhCandidate(ring, elements)
-    return sharpness.certify_directions(args.n, ring, candidate).document(), args.set
+            return vonstaudt.check_hypotheses(oracle).document(), text
+        return vonstaudt.recover_semilinear(oracle).document(), text
+    if not isinstance(oracle, FunctionOracle):
+        raise ParseError("this subcommand needs a scalar-valued oracle")
+    if cmd == "check-line":
+        base = _parse_vector(oracle.ring, opts["base"])
+        direction = _parse_vector(oracle.ring, opts["dir"])
+        return line_affine_check(oracle, Line(base, direction)).document(), text
+    if cmd == "psi":
+        base = _parse_vector(oracle.ring, opts["base"]) if opts["base"] else None
+        return [("status", "ok"), ("coeffs", repr(psi_extract(oracle, base)))], text
+    from . import recovery
+    dirs = _direction_set(opts, oracle.ring, oracle.arity)
+    return recovery.recover(oracle, dirs, mode=opts["mode"]).document(), text
 
 
 def run_subcommand(argv) -> tuple[int, str]:
-    """Run one CLI invocation; returns (exit code, document text)."""
-    parser = _build_parser()
+    """Run one CLI invocation; returns (exit code, document text).  `help`,
+    `--help` and an empty argv return exit 0 and the usage text."""
     try:
-        args = parser.parse_args(argv)
-        doc, digest_source = _run(args)
+        read = _read_argv(argv)
+        if read is None:
+            return EXIT_OK, _usage()
+        path, opts, as_json = read
+        doc, digest_source = _run(path, opts)
     except InconsistencyError as exc:
         return EXIT_INTERNAL, f"internal error: {exc}\n"
     except LinaffError as exc:
@@ -531,7 +520,7 @@ def run_subcommand(argv) -> tuple[int, str]:
         return EXIT_USAGE, f"error: {exc}\n"
     digest = hashlib.sha256(digest_source.encode("utf-8")).hexdigest()
     doc = doc + [("version", __version__), ("digest", digest)]
-    if args.json:
+    if as_json:
         import json
         text = json.dumps(dict(doc), indent=None, separators=(", ", ": ")) + "\n"
     else:

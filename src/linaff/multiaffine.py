@@ -120,7 +120,7 @@ class MultiAffinePoly(Record):
 def point_values(ring: Ring, x: Point) -> list:
     """The values of a point's coordinates, which must lie in the ring."""
     for c in x:
-        if not (isinstance(c, RingElem) and c.ring == ring):
+        if not (isinstance(c, RingElem) and (c.ring is ring or c.ring == ring)):
             raise RingMismatchError(f"coordinate {c!r} is not in {ring.spec_text()}")
     return [c.value for c in x]
 
@@ -241,7 +241,7 @@ def _checked_index(ring: Ring, arity: int, x) -> int | None:
     if not (isinstance(x, tuple) and len(x) == arity):
         return None
     for c in x:
-        if not (isinstance(c, RingElem) and c.ring == ring):
+        if not (isinstance(c, RingElem) and (c.ring is ring or c.ring == ring)):
             return None
     return point_index(ring.size, (c.value for c in x))
 

@@ -33,6 +33,8 @@ from .errors import (
 )
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_13, the least strong pseudoprime to all of them (Sorenson-Webster 2017)
+PSI_13 = 3_317_044_064_679_887_385_961_981
 
 # Desk-scale caps for Galois fields: their tables have at most 81^2 entries.
 GF_MAX_DEGREE = 4
@@ -40,8 +42,10 @@ GF_MAX_SIZE = 81
 
 
 def is_prime(n: int) -> bool:
-    """Strong probable-prime test to the prime bases 2..41: exact below their least
-    strong pseudoprime, psi_13 = 3,317,044,064,679,887,385,961,981, but not above."""
+    """Whether n is prime, by the strong probable-prime test to the prime bases
+    2..41, which is exact below PSI_13.  A composite verdict is a proof at
+    any size; from PSI_13 on a prime one is not, so PreconditionError is
+    raised instead of answering True."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -61,6 +65,8 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= PSI_13:
+        raise PreconditionError(f"{n} is too large to certify as prime (limit {PSI_13 - 1})")
     return True
 
 
@@ -284,7 +290,7 @@ class Ring:
         return code
 
     def parse_element(self, text: str) -> RingElem:
-        """Element from its file text, the code for finite rings."""
+        """Element from its file text: the code for finite rings, a fraction for Q."""
         return RingElem(self, self.parse_code(text))
 
     def format_element(self, x: RingElem) -> str:
@@ -556,9 +562,10 @@ class Rationals(Ring):
             raise PreconditionError("0 is not invertible")
         return RingElem(self, 1 / x.value)
 
-    def parse_element(self, text: str) -> RingElem:
+    def parse_code(self, text: str):
+        """The fraction written as `text`: a rational's value stands for its code."""
         try:
-            return RingElem(self, self.fraction(text))
+            return self.fraction(text)
         except ValueError as exc:
             raise PreconditionError(str(exc)) from None
         except ZeroDivisionError:

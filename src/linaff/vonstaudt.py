@@ -176,9 +176,11 @@ class HypothesisCheck(Record):
         return [("status", "violation"), ("witness", f"line-image {self.line.text()}")]
 
 
-def _first_violation(f: VectorMapTable) -> Line | None:
+def _first_violation(f: VectorMapTable) -> Line:
     """The first line, in canonical order, whose image is not a line: q
-    points closed under y + l(x - y), x and y the two least of them."""
+    points closed under y + l(x - y), x and y the two least of them.  f has
+    no decomposition, so a scan that finds none raises InconsistencyError.
+    """
     fld, codes = f.field, f.codes
     for line, indices in _lines_with_points(fld, f.dim_in):
         images = {codes[i] for i in indices}
@@ -187,7 +189,7 @@ def _first_violation(f: VectorMapTable) -> Line | None:
         x, y = sorted(images)[:2]
         if set(vector_line(fld, y, tuple(map(fld.sub, x, y)))) != images:
             return line
-    return None
+    raise InconsistencyError("every line image is a line, yet f has no semilinear decomposition")
 
 
 def check_hypotheses(f: VectorMapTable) -> HypothesisCheck:
@@ -196,12 +198,12 @@ def check_hypotheses(f: VectorMapTable) -> HypothesisCheck:
 
     The verdict is ok when f decomposes as c + A tau(v) with A injective.
     Otherwise the witness is the first line, in canonical order, whose
-    image is not a line; if there is none, the verdict is ok.
+    image is not a line; if there is none, which the theorem rules out,
+    InconsistencyError is raised.
     """
     if _decompose(f) is not None:
         return HypothesisCheck(True)
-    line = _first_violation(f)
-    return HypothesisCheck(line is None, line)
+    return HypothesisCheck(False, _first_violation(f))
 
 
 class SemilinearCert(Record):
@@ -268,8 +270,7 @@ def recover_semilinear(f: VectorMapTable) -> SemilinearCert:
     fundamental theorem, and raises InconsistencyError.
     """
     cert = _decompose(f)
-    if cert is not None:
-        return cert
-    if _first_violation(f) is not None:
+    if cert is None:
+        _first_violation(f)
         raise PreconditionError("line hypotheses fail: line-image")
-    raise InconsistencyError("every line image is a line, yet f has no semilinear decomposition")
+    return cert

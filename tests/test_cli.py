@@ -37,6 +37,7 @@ from linaff.cli import (
     EXIT_OK,
     EXIT_USAGE,
     emit_certificate,
+    _map_columns,
     format_function_table,
     main,
     parse_function_table,
@@ -229,6 +230,20 @@ def test_parse_matches_the_reference_reader(layout):
         assert parsed.codes == read_map_codes(text)
 
 
+def test_column_pass_takes_crlf_line_ends():
+    # "\r\n" ends one line for str.splitlines, so an in-order CRLF body is
+    # read by columns; a lone "\r" also ends a line there, so it is declined
+    for spec, n, e in _CORPUS_TABLES:
+        ring = parse_ring_spec(spec)
+        rows = _corpus_table(spec, n, e)[1]
+        codes = _map_columns(ring, n, e, "\n".join(rows) + "\n")
+        assert codes is not None
+        assert _map_columns(ring, n, e, "\r\n".join(rows) + "\r\n") == codes
+        assert _map_columns(ring, n, e, "\r\n".join(rows)) == codes
+        lone = [rows[0].replace(" ->", "\r->")] + rows[1:]
+        assert _map_columns(ring, n, e, "\r\n".join(lone) + "\r\n") is None
+
+
 _Z5_HEADER, _Z5_ROWS = ["ring zmod 5", "arity 2", "codomain scalar"], [
     f"map {x} {y} -> {(x + 2 * y) % 5}" for x in range(5) for y in range(5)
 ]
@@ -395,7 +410,8 @@ def test_exit_code_matrix(tmp_path):
         (["vonstaudt", "check", "--input", const_map], EXIT_NEGATIVE),
         (["vonstaudt", "recover", "--input", good_map], EXIT_OK),
         (["nonsense"], EXIT_USAGE),
-        ([], EXIT_USAGE),
+        # an empty argv prints the usage text, as help does
+        ([], EXIT_OK),
     ]
     for argv, expected in cases:
         code, _ = run_subcommand(argv)
@@ -442,6 +458,92 @@ def test_bh_verify_over_a_strong_pseudoprime_modulus():
     )
     argv[3] = f"prime {psi12}"
     assert run_subcommand(argv) == (EXIT_USAGE, f"error: {psi12} is not prime\n")
+
+
+def test_primes_from_psi_13_on_are_usage_errors():
+    # psi_13 passes the strong test to every base 2..41; taken for a field,
+    # it would make {1, a, b} a B_h set although a * b = 0
+    a, b = 1287836182261, 2575672364521
+    psi13 = a * b
+    assert psi13 == 3317044064679887385961981
+    argv = ["bh", "verify", "--ring", f"prime {psi13}", "--set", f"1,{a},{b}"]
+    refusal = "is too large to certify as prime"
+    assert run_subcommand(argv) == (
+        EXIT_USAGE, f"error: {psi13} {refusal} (limit {psi13 - 1})\n"
+    )
+    # zmod 5 * psi_13 is a ring (5 divides it), but factoring it meets psi_13
+    argv = ["bh", "verify", "--ring", f"zmod {5 * psi13}", "--set", "1,2,3"]
+    assert run_subcommand(argv) == (
+        EXIT_USAGE, f"error: {psi13} {refusal} (limit {psi13 - 1})\n"
+    )
+    # a composite verdict is a proof at any size
+    for m in (2**90, 10**30):
+        argv = ["directions", "--ring", f"zmod {m}", "--n", "2", "--family"]
+        code, text = run_subcommand(argv)
+        assert code == EXIT_OK and text.startswith("status: ok\ndirs: 1,1\n")
+
+
+def test_help_returns_the_usage_text():
+    # help is an answer like any other: it must not exit the process
+    code, usage = run_subcommand(["--help"])
+    assert code == EXIT_OK and usage.startswith("usage: linaff [--json] COMMAND")
+    for argv in (["help"], [], ["-h"], ["--json", "help"], ["recover", "--help"]):
+        assert run_subcommand(argv) == (EXIT_OK, usage)
+    assert "  linaff recover --input FILE [--dirs DIRS] [--family]" in usage
+    assert "[--mode exhaustive|proof]" in usage and "linaff bh search" in usage
+
+
+def test_main_writes_help_to_stdout(capsys):
+    assert main(["--help"]) == EXIT_OK
+    out = capsys.readouterr()
+    assert out.out == run_subcommand(["help"])[1] and out.err == ""
+
+
+def test_option_values_may_follow_an_equals_sign(tmp_path):
+    path = _write(tmp_path, "affine.tbl", _affine_z7_table())
+    spaced = run_subcommand(["recover", "--input", path, "--dirs", "1,1"])
+    assert spaced[0] == EXIT_OK
+    assert run_subcommand(["recover", "--input", path, "--dirs=1,1"]) == spaced
+    assert run_subcommand(["recover", f"--input={path}", "--dirs=1,1", "--mode=exhaustive"]) == spaced
+    # a value that starts with '-' reaches the domain checks either way
+    for budget in (["--budget", "-1"], ["--budget=-1"]):
+        argv = ["bh", "search", "--ring", "prime 5", "--n", "3", *budget]
+        assert run_subcommand(argv) == (EXIT_USAGE, "error: budget must be >= 1, got -1\n")
+    moment = ["directions", "--ring", "rational", "--n", "2", "--count", "2", "--moment"]
+    assert run_subcommand(moment + ["-1/2,3"]) == run_subcommand([*moment[:-1], "--moment=-1/2,3"])
+    assert run_subcommand(moment + ["-1/2,3"])[1].startswith("status: ok\ndirs: 1,1;-1/2,3\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["recover", "--input", "f", "--dirs", "1,1", "--bogus"],
+         "unrecognized argument '--bogus' for recover"),
+        # no prefix abbreviations
+        (["recover", "--inp", "f", "--dirs", "1,1"], "unrecognized argument '--inp' for recover"),
+        (["recover", "--input", "f", "stray"], "unrecognized argument 'stray' for recover"),
+        (["recover", "--input", "f", "--json"], "unrecognized argument '--json' for recover"),
+        (["recover", "--dirs", "1,1"], "recover needs --input"),
+        (["sharpness", "witness", "--ring", "prime 5"], "sharpness witness needs --n and --dirs"),
+        (["recover", "--input", "f", "--mode", "x"], "--mode must be exhaustive or proof, got 'x'"),
+        (["directions", "--ring", "prime 5", "--n", "x", "--family"],
+         "--n needs an integer, got 'x'"),
+        (["bh", "verify", "--ring", "prime 5", "--set", "1,2", "--h=1e3"],
+         "--h needs an integer, got '1e3'"),
+        (["recover", "--input", "f", "--family=yes"], "--family takes no value"),
+        (["recover", "--input"], "--input needs a value"),
+        (["bh"], "bh needs a subcommand: verify, search or geometric"),
+        (["vonstaudt", "bogus"], "vonstaudt needs a subcommand: check or recover"),
+        (["nonsense"], "unknown subcommand 'nonsense'; see --help"),
+        (["--json"], "missing subcommand; see --help"),
+        (["--json", "--json", "psi"], "unknown subcommand '--json'; see --help"),
+    ],
+    ids=["unknown", "prefix", "positional", "json-after", "missing", "missing-two", "mode",
+         "int", "int-equals", "flag-value", "no-value", "bh", "vonstaudt", "command", "json-only",
+         "json-twice"],
+)
+def test_bad_argv_is_one_usage_error_line(argv, message):
+    assert run_subcommand(argv) == (EXIT_USAGE, f"error: {message}\n")
 
 
 _RATIONAL_POLY = "ring rational\narity 2\npoly\nterm 1 1\nterm 2 2\n"
@@ -679,6 +781,18 @@ def test_internal_errors_have_their_own_exit_code(tmp_path, monkeypatch, capsys)
     assert main(argv) == EXIT_INTERNAL
     out = capsys.readouterr()
     assert out.err == "internal error: cross-check failed\n" and out.out == ""
+
+
+def test_vonstaudt_without_decomposition_or_violation_is_internal(tmp_path, monkeypatch):
+    # the fundamental theorem rules this state out, so only a faulty
+    # decomposition reaches it
+    F5 = PrimeField(5)
+    table = _vector_table_text(lambda v: (v[0] + F5.one, v[1]), F5, 2, 2)
+    path = _write(tmp_path, "m.tbl", table)
+    monkeypatch.setattr("linaff.vonstaudt._decompose", lambda f: None)
+    message = "internal error: every line image is a line, yet f has no semilinear decomposition\n"
+    for sub in ("check", "recover"):
+        assert run_subcommand(["vonstaudt", sub, "--input", path]) == (EXIT_INTERNAL, message)
 
 
 def test_sharpness_witness_cross_checks_are_internal_errors(monkeypatch):

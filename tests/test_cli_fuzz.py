@@ -2,9 +2,10 @@
 
 Arguments and table files are drawn from fragments of the real grammar,
 mixed with malformed ones, so most runs reach the parsers and the
-subcommands instead of stopping at argparse.  Every run must return exit
-0, 1, 2 or 3 (never 4, an internal cross-check that failed), raise
-nothing but a LinaffError, and finish within its time budget.
+subcommands instead of stopping at the option reader (`cli._read_argv`).
+Every run must return exit 0, 1, 2 or 3 (never 4, an internal cross-check
+that failed), raise nothing but a LinaffError, and finish within its time
+budget.
 """
 
 import time

@@ -15,7 +15,7 @@ from linaff import (
     frobenius,
     parse_ring_spec,
 )
-from linaff.rings import _field_tables, is_prime, prime_factors
+from linaff.rings import PSI_13, _MR_BASES, _field_tables, is_prime, prime_factors
 
 from helpers import characteristic_regular_upto, field_tables_schoolbook, rand_null_codes
 
@@ -181,6 +181,60 @@ def test_is_prime_rejects_the_least_strong_pseudoprime_to_the_bases_2_to_37():
     assert not Zmod(psi12).is_field
     with pytest.raises(PreconditionError, match="is not prime"):
         PrimeField(psi12)
+
+
+def test_is_prime_matches_a_sieve_below_a_million():
+    limit = 10**6
+    sieve = bytearray([0, 0]) + bytearray([1]) * (limit - 2)
+    for p in range(2, int(limit**0.5) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, limit, p)))
+    assert [n for n in range(limit) if is_prime(n) != sieve[n]] == []
+
+
+def _strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**r, n) == n - 1 for r in range(1, s))
+
+
+# psi_k, the least strong pseudoprime to the first k prime bases (OEIS A014233)
+_PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321,
+    341550071728321, 3825123056546413051, 3825123056546413051, 3825123056546413051,
+    318665857834031151167461, 3317044064679887385961981,
+)
+
+
+def test_is_prime_rejects_every_psi_k_and_refuses_psi_13():
+    # psi_k is composite yet a strong probable prime to the first k bases
+    assert _PSI[-1] == PSI_13
+    for k, psi in enumerate(_PSI, start=1):
+        assert all(_strong_probable_prime(psi, a) for a in _MR_BASES[:k]), k
+        if psi < PSI_13:
+            assert not is_prime(psi) and len(prime_factors(psi)) > 1, k
+    # below psi_13 primes are still certified
+    assert is_prime(2**61 - 1) and not is_prime(2**61 + 1) and is_prime(2**31 - 1)
+    # from psi_13 on only the answer "prime" is uncertain: is_prime refuses
+    # psi_13 and the prime 2^89 - 1, and so does every caller that meets one
+    too_large = "is too large to certify as prime"
+    for call, n in [(is_prime, PSI_13), (is_prime, 2**89 - 1), (prime_factors, 5 * PSI_13),
+                    (PrimeField, PSI_13), (PrimeField, 2**89 - 1)]:
+        with pytest.raises(PreconditionError, match=too_large):
+            call(n)
+    with pytest.raises(PreconditionError, match=too_large):
+        parse_ring_spec(f"prime {PSI_13}")
+    with pytest.raises(PreconditionError, match=too_large):
+        parse_ring_spec(f"zmod {5 * PSI_13}").primes
+    # a composite verdict is a proof at any size: these rings still parse
+    assert not is_prime(PSI_13 + 2) and not is_prime(2**89 + 1)
+    for m, primes in [(2**90, (2,)), (10**30, (2, 5)), (5 * PSI_13, None)]:
+        ring = parse_ring_spec(f"zmod {m}")
+        assert ring.m == m and not ring.is_field
+        if primes:
+            assert ring.primes == primes
 
 
 def test_ring_contract_over_all_four_kinds():

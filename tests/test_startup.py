@@ -97,6 +97,20 @@ def test_recover_and_check_line_load_only_their_modules(tmp_path):
     assert "linaff.linalg" in loaded
 
 
+def test_cold_calls_load_no_argument_parser(tmp_path):
+    # the CLI reads argv against its own option table: argparse, and the
+    # gettext and locale it imports, cost a cold call about 2 ms
+    affine = _z5_table(tmp_path, lambda x, y: x + y)
+    for argv in (
+        ["recover", "--input", affine, "--dirs", "1,1"],
+        ["directions", "--ring", "prime 5", "--n", "3", "--family"],
+        ["bh", "verify", "--ring", "prime 5", "--set", "1,2,4"],
+    ):
+        doc, code, loaded = _cli_imports(*argv)
+        assert code == 0, doc
+        assert not loaded & {"argparse", "gettext", "locale"}, argv
+
+
 def test_vonstaudt_check_does_not_load_recovery(tmp_path):
     rows = [f"map {x} {y} -> {(x + 2 * y) % 3} {y}" for x in range(3) for y in range(3)]
     path = tmp_path / "v.tbl"
