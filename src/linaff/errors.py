@@ -34,7 +34,7 @@ class InconsistencyError(LinaffError):
 
 
 class DomainTooLargeError(LinaffError):
-    """Input exceeds the exhaustive-checking size caps."""
+    """A line scan would read more points than `vonstaudt.MAX_LINE_POINTS`."""
 
 
 class ParseError(LinaffError):

@@ -36,8 +36,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # psi_13, the least strong pseudoprime to all of them (Sorenson-Webster 2017)
 PSI_13 = 3_317_044_064_679_887_385_961_981
 
-# Desk-scale caps for Galois fields: their tables have at most 81^2 entries.
-GF_MAX_DEGREE = 4
+# The size cap for Galois fields: their tables have at most 81^2 entries.
 GF_MAX_SIZE = 81
 
 
@@ -384,9 +383,10 @@ class PrimeField(Zmod):
     kind = "prime"
 
     def __init__(self, p: int):
-        if not isinstance(p, int) or not is_prime(p):
+        if isinstance(p, int) and p >= 2:
+            super().__init__(p)
+        if not self.is_field:
             raise PreconditionError(f"{p} is not prime")
-        super().__init__(p)
         self.p = p
 
 
@@ -396,22 +396,22 @@ class GaloisField(Ring):
     The d_i are the coefficients of the element's polynomial in t, lowest
     first; elem() takes either the code or that digit vector.  The modulus
     is monic of degree k with the low-to-high coefficient list supplied by
-    the caller.  Only desk-scale fields are accepted (k <= 4 and
-    p^k <= 81).  Arithmetic is by add/mul/neg tables on codes, built at
-    construction by `_field_tables`, whose search for a primitive element
-    also rejects a reducible modulus.
+    the caller.  Only desk-scale fields are accepted (p^k <= 81).
+    Arithmetic is by add/mul/neg tables on codes, built at construction
+    by `_field_tables`, whose search for a primitive element also rejects
+    a reducible modulus.
     """
 
     def __init__(self, p: int, k: int, modulus):
         if not is_prime(p):
             raise PreconditionError(f"{p} is not prime")
-        if not 1 <= k <= GF_MAX_DEGREE:
-            raise PreconditionError(f"extension degree must be in 1..{GF_MAX_DEGREE}, got {k}")
-        if p**k > GF_MAX_SIZE:
-            raise PreconditionError(f"field size {p}^{k} exceeds the cap {GF_MAX_SIZE}")
+        if k < 1:
+            raise PreconditionError(f"extension degree must be >= 1, got {k}")
         modulus = tuple(int(c) % p for c in modulus)
         if len(modulus) != k:
             raise PreconditionError(f"modulus needs exactly {k} coefficients")
+        if p**k > GF_MAX_SIZE:
+            raise PreconditionError(f"field size {p}^{k} exceeds the cap {GF_MAX_SIZE}")
         self.p = p
         self.k = k
         self.modulus = modulus

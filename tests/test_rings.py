@@ -24,6 +24,8 @@ GF8 = GaloisField(2, 3, [1, 1, 0])  # x^3 + x + 1
 GF9 = GaloisField(3, 2, [1, 0])  # x^2 + 1
 GF27 = GaloisField(3, 3, [1, 2, 0])  # x^3 + 2x + 1
 GF81 = GaloisField(3, 4, [2, 0, 0, 2])  # x^4 + 2x^3 + 2, the size cap
+GF32 = GaloisField(2, 5, [1, 0, 1, 0, 0])  # x^5 + x^2 + 1
+GF64 = GaloisField(2, 6, [1, 1, 0, 0, 0, 0])  # x^6 + x + 1
 
 
 def test_zmod_arithmetic():
@@ -119,7 +121,7 @@ def test_regularity_matches_injectivity_on_finite_rings():
 
 def test_ring_axioms_randomized():
     rng = random.Random(20231201)
-    for ring in (Zmod(12), PrimeField(11), GF8, GF9, GF27, GF81, Rationals()):
+    for ring in (Zmod(12), PrimeField(11), GF8, GF9, GF27, GF32, GF64, GF81, Rationals()):
         for _ in range(500):
             if ring.is_finite:
                 a, b, c = (
@@ -171,6 +173,26 @@ def test_prime_field_rejects_composite():
         PrimeField(9)
     with pytest.raises(PreconditionError):
         PrimeField(1)
+
+
+def test_prime_field_tests_primality_once(monkeypatch):
+    calls = []
+
+    def counting_is_prime(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr("linaff.rings.is_prime", counting_is_prime)
+    assert PrimeField(8191).is_field
+    assert calls == [8191]
+    for p in (1, 4, "7"):
+        with pytest.raises(PreconditionError) as info:
+            PrimeField(p)
+        assert str(info.value) == f"{p} is not prime"
+    with pytest.raises(PreconditionError) as info:
+        PrimeField(PSI_13)
+    assert str(info.value) == f"{PSI_13} is too large to certify as prime (limit {PSI_13 - 1})"
+    assert calls == [8191, 4, PSI_13]
 
 
 def test_is_prime_rejects_the_least_strong_pseudoprime_to_the_bases_2_to_37():
@@ -302,9 +324,10 @@ def test_galois_field_validation():
     with pytest.raises(PreconditionError):
         GaloisField(2, 4, [1, 0, 1, 0])  # x^4+x^2+1 = (x^2+x+1)^2, no roots yet reducible
     with pytest.raises(PreconditionError):
-        GaloisField(2, 5, [1, 0, 1, 0, 0])  # degree cap
-    with pytest.raises(PreconditionError):
         GaloisField(5, 3, [2, 0, 0])  # 125 > size cap
+    # the degree is bounded by the modulus given, before p^k is formed
+    with pytest.raises(PreconditionError, match="modulus needs exactly 10000000 coefficients"):
+        GaloisField(2, 10**7, [1])
     GaloisField(2, 4, [1, 1, 0, 0])  # x^4 + x + 1 is irreducible
     GaloisField(2, 4, [1, 1, 1, 1])  # x^4+x^3+x^2+x+1 is the degree-4 cyclotomic factor
 

@@ -17,6 +17,7 @@ from linaff import (
 )
 
 from linaff.multiaffine import Line
+from linaff.vonstaudt import MAX_LINE_POINTS, _lines_with_points
 
 from helpers import affine_lines_reference, check_hypotheses_reference, separation_failure
 
@@ -160,19 +161,25 @@ def test_decomposition_verdict_matches_line_scan():
     # codes when there is none: the scan-only RingElem walk must give the
     # same verdict and the same first line.  Over the larger fields d = 3 is
     # left out for time: there the reference walks up to 7,371 lines per map.
+    # F_11, F_13 and GF(27) lie beyond the former |F| <= 9 cap.
     rng = random.Random(6061)
     maps = [_table(GF4, 2, 2, lambda v: (v[0], v[1] * v[1]))]
-    for fld in (PrimeField(3), GF4, PrimeField(5), PrimeField(7), GF8, GF9):
+    fields = (PrimeField(3), GF4, PrimeField(5), PrimeField(7), GF8, GF9,
+              PrimeField(11), PrimeField(13), GaloisField(3, 3, [1, 2, 0]))
+    drawn = set()  # (q, Frobenius power) of the semilinear maps
+    for fld in fields:
         degree = _frobenius_degree(fld)
         for d, e in [(2, 1), (2, 2), (2, 3)] + ([(3, 2)] if fld.size <= 5 else []):
             for _ in range(2):
                 while True:
                     cols = tuple(_rand_vec(fld, e, rng) for _ in range(d))
                     offset = _rand_vec(fld, e, rng)
-                    func = _semilinear_map(fld, cols, offset, rng.randrange(degree))
+                    power = rng.randrange(degree)
+                    func = _semilinear_map(fld, cols, offset, power)
                     semilinear = _table(fld, d, e, func)
                     if e < d or len(set(semilinear.mapping.values())) == fld.size**d:
                         break
+                drawn.add((fld.size, power))
                 perturbed = semilinear.mapping
                 point = rng.choice(list(perturbed))
                 while perturbed[point] == semilinear.value(point):
@@ -203,6 +210,7 @@ def test_decomposition_verdict_matches_line_scan():
     # (x, y) -> (x, y^2) over GF(4) twists the axes by different automorphisms
     assert not check_hypotheses(maps[0]).ok
     assert {(True, (2, 2)), (True, (2, 3)), (False, (2, 2)), (False, (3, 2))} <= outcomes
+    assert {(27, 0), (27, 1), (27, 2)} <= drawn
 
 
 def test_check_hypotheses_squaring_over_gf4():
@@ -226,12 +234,37 @@ def test_table_validation():
         _table(PrimeField(2), 2, 2, lambda v: v)  # F_2 rejected
     with pytest.raises(PreconditionError):
         _table(PrimeField(5), 1, 2, lambda v: (v[0], v[0]))  # dim_in >= 2
-    with pytest.raises(DomainTooLargeError):
-        _table(PrimeField(5), 2, 4, lambda v: v + v)  # d*e cap
-    with pytest.raises(DomainTooLargeError):
-        VectorMapTable(Zmod(11), 2, 2, {})
+    # a table is bounded by its input: any field of more than two elements
+    # and any codomain dimension
+    assert check_hypotheses(_table(PrimeField(5), 2, 4, lambda v: v + v)).ok
+    assert check_hypotheses(_table(Zmod(11), 2, 2, lambda v: v)).ok
     with pytest.raises(PreconditionError):
         VectorMapTable(Zmod(6), 2, 2, {})  # not a field
+    # the arity is capped as a TableOracle's is, before q^d is formed
+    with pytest.raises(PreconditionError, match="domain dimension must be in 2..16, got 10000000"):
+        VectorMapTable.from_codes(PrimeField(3), 10**7, 1, [])
+    # the line scan alone is capped, by the points its lines hold (lines
+    # times q, the work of the scan): F_3^8 has 7,173,360 lines, and is
+    # refused before any is built
+    constant = VectorMapTable.from_codes(PrimeField(3), 8, 1, [(0,)] * 3**8)
+    for call in (lambda: enumerate_affine_lines(PrimeField(3), 8),
+                 lambda: check_hypotheses(constant)):
+        start = time.perf_counter()
+        with pytest.raises(DomainTooLargeError, match="has 7,173,360 lines of 3 points"):
+            call()
+        assert time.perf_counter() - start < 1
+    # the cap is the 1,397,760 lines of GF(4)^6, the largest space the old
+    # per-table caps let through, times 4 points.  It admits F_2^11 and
+    # F_173^2; F_2^12, F_1181^2 (1,395,942 lines of 1,181 points) and the one
+    # line of F_p at p > MAX_LINE_POINTS hold too many points
+    assert MAX_LINE_POINTS == 4 * 4**5 * (4**6 - 1) // 3
+    for fld, dim in ((GF4, 6), (PrimeField(2), 11), (PrimeField(173), 2)):
+        assert next(_lines_with_points(fld, dim))[:2] == ((0,) * dim, (0,) * (dim - 1) + (1,))
+    for fld, dim in ((PrimeField(2), 12), (PrimeField(1181), 2), (PrimeField(5_591_041), 1)):
+        start = time.perf_counter()
+        with pytest.raises(DomainTooLargeError, match="the line scan is capped at 5,591,040 points"):
+            enumerate_affine_lines(fld, dim)
+        assert time.perf_counter() - start < 1
     # a key or image outside the spaces is a usage error, never a bare
     # KeyError or AttributeError, nor a verdict about some other map
     F3, F7 = PrimeField(3), PrimeField(7)
@@ -279,6 +312,15 @@ def test_recover_rejects_bad_hypotheses():
     F5 = PrimeField(5)
     with pytest.raises(PreconditionError):
         recover_semilinear(_table(F5, 2, 2, lambda v: (F5.zero, F5.zero)))
+    # the identity moved at the origin: the error names the first line whose
+    # image is not a line, the one check_hypotheses names
+    origin = (F5.zero, F5.zero)
+    perturbed = _table(F5, 2, 2, lambda v: (F5.one, F5.zero) if v == origin else v)
+    assert check_hypotheses(perturbed).line == Line(origin, (F5.zero, F5.one))
+    message = "line hypotheses fail: line-image line base 0 0 dir 0 1"
+    with pytest.raises(PreconditionError) as info:
+        recover_semilinear(perturbed)
+    assert str(info.value) == message
 
 
 def test_roundtrip_random_semilinear_maps():
