@@ -50,9 +50,7 @@ _NEGATIVE = {"non-affine", "collision", "non-regular-difference", "none", "viola
 
 
 def _strip(line: str) -> str:
-    if "#" in line:
-        line = line[: line.index("#")]
-    return line.strip()
+    return line.partition("#")[0].strip()
 
 
 def parse_function_table(text: str):
@@ -252,11 +250,7 @@ def _build_poly_oracle(ring, arity, terms):
 def format_function_table(oracle) -> str:
     """Canonical text for an oracle; parsing it back yields an equal oracle."""
     if isinstance(oracle, MultiAffinePoly):
-        lines = [
-            f"ring {oracle.ring.spec_text()}",
-            f"arity {oracle.arity}",
-            "poly",
-        ]
+        lines = [f"ring {oracle.ring.spec_text()}", f"arity {oracle.arity}", "poly"]
         for mask, coeff in oracle.terms():
             idx = " ".join(str(i) for i in mask_to_subset(mask))
             entry = f"term {oracle.ring.format_element(coeff)}"
@@ -422,6 +416,8 @@ def _load_oracle(path: str):
             text = handle.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     return text, parse_function_table(text)
 
 

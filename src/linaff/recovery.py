@@ -1,18 +1,17 @@
 """End-to-end recovery of global affine-linearity from line restrictions.
 
-On a table, `recover` scans f's x_1-lines, decides the other axes by
-peeling f = g + x_1*h (scanning them only to name a witness) and
-extracts the multi-affine hypercube coefficients psi at the origin; a
-polynomial is its own psi.  A function affine on every coordinate line
-equals psi at every point, so f is affine iff psi has no coefficient of
-degree >= 2, and along R*v it is r -> sum_k b_k r^k with
-b = `restrict_radial(psi, v)`.  The line is affine iff the residual
-sum_{k>=2} b_k (r^k - r) is zero at every element, and only psi's
-coefficients of degree >= 2 feed it: with none, no direction is touched;
-otherwise each line is decided by `Ring.is_null` on the values of
-b_2..b_n, and scanned only to name its first refuting parameter.  The
-residual forces b_k = 0 over Q but not over Z/m or GF(q): over Z/6,
-f = 3xy is 3r^2 = 3r along (1,3).
+On a table, `recover` checks f's coordinate lines a slab at a time
+(`_coordinate_line_failure`) and extracts the multi-affine hypercube
+coefficients psi at the origin; a polynomial is its own psi.  A
+function affine on every coordinate line equals psi at every point, so
+f is affine iff psi has no coefficient of degree >= 2, and along R*v it
+is r -> sum_k b_k r^k with b = `restrict_radial(psi, v)`.  The line is
+affine iff the residual sum_{k>=2} b_k (r^k - r) is zero at every
+element, and only psi's coefficients of degree >= 2 feed it: with none,
+no direction is touched; otherwise each line is decided by
+`Ring.is_null` on the values of b_2..b_n, and scanned only to name its
+first refuting parameter.  The residual forces b_k = 0 over Q but not
+over Z/m or GF(q): over Z/6, f = 3xy is 3r^2 = 3r along (1,3).
 
 The outcome is one of four certificates, each with a `status` and a
 `document()`: `Affine`, `LineWitness`, `CoefficientWitness` (a surviving
@@ -33,7 +32,7 @@ pinned cases.
 from __future__ import annotations
 
 import math
-from itertools import chain, combinations
+from itertools import combinations
 
 from .errors import (
     ArityError,
@@ -240,45 +239,36 @@ Certificate = Affine | LineWitness | CoefficientWitness | CannotCancel
 
 
 def _coordinate_line_failure(f: TableOracle) -> LineWitness | None:
-    """Check of every line parallel to a basis vector of a table.
+    """The first refuted line parallel to a basis vector of a table, axis by
+    axis, bases in index order, with its witness as `line_affine_check` names it.
 
-    Lines go axis by axis, bases in enumeration order with the axis
-    coordinate zero, and the witness is the first refuting parameter, as
-    `line_affine_check` would give.  The scan runs on the table's element
-    codes: along axis a the line through the point with index b takes the
-    values codes[b + r * q^(n-a)] for the element codes r = 0..q-1.  Once
-    the x_1-lines pass, the other axes are decided by `_is_multiaffine`
-    and scanned only to name the witness when it says no.
+    Along axis a, the q*s codes (s = q^(n-a)) of one prefix x_1..x_{a-1} are
+    q slabs, and their lines are `ring.lines(slab 0, slab 1 - slab 0)`.  Once
+    axes 1..a-1 pass, f is affine in each x_j, j < a, so an a-line is
+    L(x_j = 0) + x_j * (L(x_j = 1) - L(x_j = 0)) at the same base: the first
+    refuted one has its prefix in {0,1}^(a-1), and only those parts are checked.
     """
-    ring, n, codes = f.ring, f.arity, f.codes
+    ring, n = f.ring, f.arity
     q = ring.size
+    parts = [(0, f.codes)]  # (index of the part's first point, its codes)
     for axis in range(1, n + 1):
-        stride = q ** (n - axis)
-        step = stride * q
-        for start in range(0, len(codes), step):
-            for base in range(start, start + stride):
-                vals = codes[base : base + step : stride]
-                want = ring.line(vals[0], ring.sub(vals[1], vals[0]))
-                if vals != want:
-                    r = next(r for r in range(q) if vals[r] != want[r])
-                    line = Line(index_point(ring, n, base), unit_point(ring, n, axis))
-                    params = (ring.zero, ring.one, ring.element_from_encoding(r))
-                    return LineWitness(line, params)
-        if axis == 1 and _is_multiaffine(ring, codes, n, x_1_scanned=True):
-            return None
-    raise InconsistencyError("coordinate lines refuted, but no line names a witness")
-
-
-def _is_multiaffine(ring: Ring, codes: list, n: int, x_1_scanned: bool = False) -> bool:
-    """Whether a table of arity n is affine on every coordinate line: iff its
-    x_1-lines g + h*r are (g = f(0, .), h = f(1, .) - f(0, .)) and so is every
-    coordinate line of g and of h, over any commutative ring; `x_1_scanned`
-    says the x_1-lines are known affine."""
-    s = len(codes) // ring.size
-    g, h = codes[:s], list(map(ring.sub, codes[s : 2 * s], codes[:s]))
-    if not x_1_scanned and list(chain.from_iterable(zip(*map(ring.line, g, h)))) != codes:
-        return False
-    return n == 1 or all(_is_multiaffine(ring, part, n - 1) for part in (g, h))
+        s = q ** (n - axis)
+        for start, part in parts:
+            want = ring.lines(part[:s], list(map(ring.sub, part[s : 2 * s], part[:s])))
+            if want == part:
+                continue
+            # slabs 0 and 1 match by construction: the least base, then the least r
+            base, r = s, None
+            for k in range(2, q):
+                at = k * s
+                if part[at : at + base] != want[at : at + base]:
+                    base, r = next(i for i in range(base) if part[at + i] != want[at + i]), k
+            if r is None:
+                raise InconsistencyError("coordinate lines refuted, but no line names a witness")
+            line = Line(index_point(ring, n, start + base), unit_point(ring, n, axis))
+            return LineWitness(line, (ring.zero, ring.one, ring.element_from_encoding(r)))
+        parts = [(start + x * s, part[x * s : (x + 1) * s]) for start, part in parts for x in (0, 1)]
+    return None
 
 
 def _verified_affine(f: FunctionOracle, psi: MultiAffinePoly) -> Affine:
@@ -290,10 +280,10 @@ def _verified_affine(f: FunctionOracle, psi: MultiAffinePoly) -> Affine:
     cert = Affine(psi.coeff(0), tuple(psi.coeff(1 << i) for i in range(f.arity)))
     if isinstance(f, TableOracle):
         # the candidate's value at every point, in the table's index order:
-        # axis by axis, each value v becomes the line v + c_i * r
+        # from the last axis to the first, the values v become the slabs v + c_i * r
         want = [cert.constant.value]
-        for c in cert.linear:
-            want = [x for v in want for x in f.ring.line(v, c.value)]
+        for c in reversed(cert.linear):
+            want = f.ring.lines(want, [c.value] * len(want))
         if want != f.codes:
             raise InconsistencyError("affine certificate failed pointwise verification")
     return cert
@@ -303,16 +293,17 @@ def recover(f: FunctionOracle, dirs: DirectionSet, mode: str = "exhaustive") -> 
     """Decide affine-linearity of f from coordinate and radial line data.
 
     (i) On a table, the first refuted coordinate-parallel line is the
-    witness, and (ii) psi is extracted.  (iii) Every radial line is
-    decided from psi's coefficients of degree >= 2 (see the module
-    docstring).  (iv) Proof mode answers cannot-cancel when the factorial
-    determinant is not regular.  (v) The first coefficient of degree
-    k >= 2 decides: if some radial restriction has a nonzero degree-k
-    coefficient, the ring hid it from the line, and the answer is
-    cannot-cancel with the factorial determinant; otherwise it is the
-    witness of a non-affine certificate.  With none, the certificate is
-    psi's constant and linear coefficients, re-verified at every point
-    of a table, on its element codes.
+    witness, found by one `Ring.lines` pass per part of each axis whose
+    earlier coordinates are in {0,1}, and (ii) psi is extracted.  (iii)
+    Every radial line is decided from psi's coefficients of degree >= 2
+    (see the module docstring).  (iv) Proof mode answers cannot-cancel
+    when the factorial determinant is not regular.  (v) The first
+    coefficient of degree k >= 2 decides: if some radial restriction has
+    a nonzero degree-k coefficient, the ring hid it from the line, and
+    the answer is cannot-cancel with the factorial determinant; otherwise
+    it is the witness of a non-affine certificate.  With none, the
+    certificate is psi's constant and linear coefficients, re-verified at
+    every point of a table, on its element codes.
     """
     if mode not in ("exhaustive", "proof"):
         raise PreconditionError(f"unknown mode {mode!r}")

@@ -10,10 +10,10 @@ residue for Z/m and prime fields, the base-p digit encoding
 sum(d_i * p^i) of the coefficients d_i of its polynomial for Galois
 fields.  A rational is a reduced fraction.  Each ring has one set of
 value-level operations (`add`, `sub`, `mul`, `neg`, and for finite rings
-`line`) that both the RingElem operators and the code scans over table
-oracles call: `%` for Z/m, add/mul/neg tables for Galois fields.  One
-value-level test, `is_null`, decides whether a polynomial is the zero
-function of the ring.
+`line` and `lines`) that both the RingElem operators and the code scans
+over table oracles call: `%` for Z/m, add/mul/neg tables for Galois
+fields.  One value-level test, `is_null`, decides whether a polynomial
+is the zero function of the ring.
 
 The regularity predicate follows the non-zerodivisor convention in which
 0 is never regular, so cancelling a regular factor is always legitimate.
@@ -254,6 +254,10 @@ class Ring:
         """Codes of c + s*r for every element code r, in code order (finite rings)."""
         raise NotImplementedError
 
+    def lines(self, g: list, h: list) -> list[int]:
+        """Codes of g[i] + h[i]*r for every r, then every i: the q slabs of `line`s."""
+        raise NotImplementedError
+
     def is_null(self, coeffs) -> bool:
         """Whether r -> sum_k coeffs[k] * r^k is zero at every element (values)."""
         raise NotImplementedError
@@ -354,6 +358,10 @@ class Zmod(Ring):
         m = self.m
         return [(c + s * r) % m for r in range(m)]
 
+    def lines(self, g, h):
+        m = self.m
+        return [(a + d * r) % m for r in range(m) for a, d in zip(g, h)]
+
     def is_null(self, coeffs):
         # Kempner: g = sum_j d_j (x)_j is zero on Z/m iff m | j! d_j for every j,
         # and j! d_j is the forward difference D^j g(0): iff g(0..deg g) = 0
@@ -451,6 +459,10 @@ class GaloisField(Ring):
     def line(self, c, s):
         row = self._tables.add[c]
         return [row[x] for x in self._tables.mul[s]]
+
+    def lines(self, g, h):
+        add = self._tables.add
+        return [add[a][mr[d]] for mr in self._tables.mul for a, d in zip(g, h)]
 
     def is_null(self, coeffs):
         # r^q = r at every element, so exponent k >= 1 folds to ((k-1) mod (q-1)) + 1;

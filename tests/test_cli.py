@@ -769,6 +769,17 @@ def test_main_writes_to_streams(tmp_path, capsys):
     assert "error:" in out.err and out.out == ""
 
 
+def test_a_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "bad.tbl"
+    path.write_bytes(b"ring zmod 4\narity 1\ncodomain scalar\nmap 0 -> \xff\n")
+    want = f"error: cannot read {path}: not UTF-8 text (invalid start byte at byte 45)\n"
+    for argv in (["recover", "--input", str(path), "--family"],
+                 ["vonstaudt", "check", "--input", str(path)]):
+        assert run_subcommand(argv) == (EXIT_USAGE, want)
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == want
+
+
 def test_internal_errors_have_their_own_exit_code(tmp_path, monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise InconsistencyError("cross-check failed")

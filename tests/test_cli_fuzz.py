@@ -1,11 +1,12 @@
-"""Fuzzing of the CLI boundary: any argv and any table text give an exit code.
+"""Fuzzing of the CLI boundary: any argv and any table file give an exit code.
 
 Arguments and table files are drawn from fragments of the real grammar,
 mixed with malformed ones, so most runs reach the parsers and the
 subcommands instead of stopping at the option reader (`cli._read_argv`).
 Every run must return exit 0, 1, 2 or 3 (never 4, an internal cross-check
 that failed), raise nothing but a LinaffError, and finish within its time
-budget.
+budget.  The file's bytes are fuzzed too, valid UTF-8 or not, and then
+`run_subcommand` must raise nothing at all.
 """
 
 import time
@@ -133,4 +134,36 @@ def test_cli_boundary_never_crashes(table_path, argv, text, as_json):
         code, out = None, "\n"
     assert time.perf_counter() - start < SECONDS_PER_RUN, argv
     assert code in (None, 0, 1, 2, 3), (argv, text, out)
+    assert out.endswith("\n")
+
+
+_FILE_ARGV = [
+    ["recover", "--input", "FILE", "--family"],
+    ["recover", "--input", "FILE", "--dirs", "1"],
+    ["check-line", "--input", "FILE", "--base", "0", "--dir", "1"],
+    ["psi", "--input", "FILE"],
+    ["vonstaudt", "check", "--input", "FILE"],
+    ["vonstaudt", "recover", "--input", "FILE"],
+]
+
+
+@st.composite
+def _file_bytes(draw):
+    """Arbitrary bytes, or a table's UTF-8 text with a few bytes spliced in."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=200))
+    data = draw(_table_text()).encode("utf-8")
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.binary(min_size=1, max_size=4)) + data[at:]
+    return data
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argv=st.sampled_from(_FILE_ARGV), data=_file_bytes())
+def test_cli_boundary_takes_any_file_bytes(table_path, argv, data):
+    table_path.write_bytes(data)
+    code, out = run_subcommand([str(table_path) if a == "FILE" else a for a in argv])
+    assert code in (0, 1, 2, 3), (argv, data, out)
     assert out.endswith("\n")

@@ -25,9 +25,15 @@ from linaff import (
     restrict_radial,
 )
 from linaff import recovery
-from linaff.cli import emit_certificate, format_function_table, parse_function_table
+from linaff.cli import (
+    EXIT_INTERNAL,
+    emit_certificate,
+    format_function_table,
+    parse_function_table,
+    run_subcommand,
+)
 from linaff.linalg import kernel_vector
-from linaff.multiaffine import subset_to_mask, unit_point
+from linaff.multiaffine import mask_to_subset, subset_to_mask, unit_point
 from linaff.recovery import _coordinate_line_failure, _verified_affine
 
 from helpers import (
@@ -45,6 +51,11 @@ from helpers import (
     table_from_function,
     table_from_poly,
 )
+
+
+GF4 = GaloisField(2, 2, [1, 1])
+GF8 = GaloisField(2, 3, [1, 1, 0])
+GF9 = GaloisField(3, 2, [1, 0])
 
 
 def _vec(ring, *vals):
@@ -595,8 +606,8 @@ def _peeled_tables(ring, n, rng):
     ids=lambda r: r.spec_text(),
 )
 def test_coordinate_lines_past_the_first_axis_match_the_reference(ring):
-    # the x_1-lines are scanned and the other axes decided by peeling
-    # f = g + x_1*h; each answer, witness included, must be the reference's
+    # each axis is checked a slab at a time on its parts with a {0,1} prefix;
+    # each answer, witness included, must be the reference's
     rng = random.Random(f"peeled {ring.spec_text()}")
     for n in (1, 2, 3, 4):
         for f, k in _peeled_tables(ring, n, rng):
@@ -605,12 +616,73 @@ def test_coordinate_lines_past_the_first_axis_match_the_reference(ring):
             assert (want is None) if k is None else (want.line.dir == unit_point(ring, n, k))
 
 
-def test_coordinate_lines_without_a_witness_are_an_internal_error(monkeypatch):
-    # a peel that refutes lines no scan can find is a bug, not an answer
+def _prefix_table(ring, n, a, rng):
+    """f = sum over J within {1..a-1} of x^J * c_J(x_a..x_n), multi-affine in
+    x_1..x_{a-1}: every c_J multi-affine, then bumped at one or two points
+    for a nonempty set of nonempty J, so no line with x_1..x_{a-1} = 0 fails."""
+    rest = all_points(ring, n - a + 1)
+    c = []
+    for _ in range(1 << (a - 1)):
+        poly = rand_poly(ring, n - a + 1, rng)
+        c.append({y: poly.value(y) for y in rest})
+    for mask in rng.sample(range(1, 1 << (a - 1)), rng.randint(1, (1 << (a - 1)) - 1)):
+        for y in rng.sample(rest, rng.randint(1, 2)):
+            c[mask][y] = c[mask][y] + rand_nonzero(ring, rng)
+
+    def f(x):
+        total = ring.zero
+        for mask, c_mask in enumerate(c):
+            term = c_mask[x[a - 1 :]]
+            for j in mask_to_subset(mask):
+                term = term * x[j - 1]
+            total = total + term
+        return total
+
+    return table_from_function(ring, n, f)
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [Zmod(4), Zmod(6), Zmod(9), PrimeField(5), GF4, GF8, GF9],
+    ids=lambda r: r.spec_text(),
+)
+def test_the_first_refuted_coordinate_line_has_a_zero_one_prefix(ring):
+    # once the lines of axes 1..a-1 pass, f is affine in x_1..x_{a-1}, so the
+    # first refuted a-line has x_1..x_{a-1} in {0,1}: the slab scan checks
+    # only those prefixes and must still name the reference's witness
+    rng = random.Random(f"prefix {ring.spec_text()}")
+    prefixes = set()
+    for n in (2, 3, 4):
+        for a in range(2, n + 1):
+            f = _prefix_table(ring, n, a, rng)
+            want = coordinate_line_failure_reference(f)
+            assert _coordinate_line_failure(f) == want
+            axis = want.line.dir.index(ring.one) + 1
+            prefix = tuple(c.value for c in want.line.base[: axis - 1])
+            assert axis >= a and set(prefix) <= {0, 1} and any(prefix[: a - 1])
+            prefixes.add(prefix)
+    assert len(prefixes) >= 3
+
+
+def test_coordinate_lines_without_a_witness_are_an_internal_error(tmp_path, monkeypatch):
+    # slabs 0 and 1 of a part match its lines by construction, so a part
+    # that differs only there names no line: a fault in Ring.lines, not an answer
     f = table_from_poly(rand_poly(Zmod(4), 3, random.Random(3)))
-    monkeypatch.setattr(recovery, "_is_multiaffine", lambda *args, **kwargs: False)
-    with pytest.raises(InconsistencyError):
+    lines = Zmod.lines
+
+    def flipped(ring, g, h):
+        want = lines(ring, g, h)
+        want[0] = (want[0] + 1) % ring.size
+        return want
+
+    monkeypatch.setattr(Zmod, "lines", flipped)
+    message = "coordinate lines refuted, but no line names a witness"
+    with pytest.raises(InconsistencyError, match=message):
         _coordinate_line_failure(f)
+    path = tmp_path / "f.tbl"
+    path.write_text(format_function_table(f))
+    argv = ["recover", "--input", str(path), "--family"]
+    assert run_subcommand(argv) == (EXIT_INTERNAL, f"internal error: {message}\n")
 
 
 _POLY_PATH_RINGS = [Zmod(m) for m in (4, 6, 8, 9, 12)] + [
@@ -685,3 +757,20 @@ def test_affine_reverify_checks_every_point():
             bumped[point] = bumped[point] + ring.one
             with pytest.raises(InconsistencyError):
                 _verified_affine(TableOracle(ring, 3, bumped), psi_extract(poly))
+
+
+def test_recover_reverifies_an_affine_table_at_every_point(tmp_path, monkeypatch):
+    # the table passes every coordinate line; a psi with one linear
+    # coefficient off must fail recover's pointwise re-verify, end to end
+    for ring in (Zmod(6), GF9):
+        poly = rand_affine_poly(ring, 3, random.Random(f"reverify {ring.spec_text()}"))
+        f = table_from_poly(poly)
+        wrong = MultiAffinePoly(ring, 3, {**poly.coeffs, 0b010: poly.coeff(0b010) + ring.one})
+        monkeypatch.setattr(recovery, "psi_extract", lambda f, base=None: wrong)
+        message = "affine certificate failed pointwise verification"
+        with pytest.raises(InconsistencyError, match=message):
+            recover(f, family_directions(ring, 3))
+        path = tmp_path / "f.tbl"
+        path.write_text(format_function_table(f))
+        argv = ["recover", "--input", str(path), "--family"]
+        assert run_subcommand(argv) == (EXIT_INTERNAL, f"internal error: {message}\n")

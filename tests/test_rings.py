@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import chain, product
 
 import pytest
 
@@ -309,6 +309,18 @@ def test_ring_contract_over_all_four_kinds():
         assert ring.is_regular(ring.elem(2)) and ring.is_regular(ring.elem(3))
     assert Z12.is_regular(Z12.elem(5)) and Z12.is_regular(Z12.elem(7))
     assert not any(Z12.is_regular(Z12.elem(v)) for v in (2, 3, 4, 6, 8, 9, 10))
+
+
+@pytest.mark.parametrize(
+    "ring", [Zmod(4), Zmod(12), PrimeField(7), GF4, GF8, GF9], ids=lambda r: r.spec_text()
+)
+def test_lines_are_the_slabs_of_line(ring):
+    # slab r of lines(g, h) holds g[i] + h[i]*r for every i, as line(g[i], h[i])[r]
+    rng = random.Random(f"lines {ring.spec_text()}")
+    for length in (0, 1, 2, 5, 17, 40):
+        g = [rng.randrange(ring.size) for _ in range(length)]
+        h = [rng.randrange(ring.size) for _ in range(length)]
+        assert ring.lines(g, h) == list(chain.from_iterable(zip(*map(ring.line, g, h))))
 
 
 def test_zmod_rejects_small_modulus():
