@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import sys
-from itertools import chain, product, repeat
+from itertools import chain, product
 
 from . import __version__
 from .errors import InconsistencyError, LinaffError, ParseError, PreconditionError
@@ -157,46 +157,42 @@ def _codes_by_text(ring: Ring) -> dict:
 def _map_columns(ring, arity, width, body):
     """The map body's values in point-index order, or None to run the row pass.
 
-    `body` is the text from the line of the first map row on.  It is split
-    into tokens once and read a column at a time: every row has the same
-    stride, `map`, `arity` codes, `->`, then one code (`width` codes for a
-    vector table).  The values are what `_collect_rows` returns when each
-    line is one such row, the lines end in "\n" or "\r\n", every code is
-    written as `str(code)` (so no token holds a `#`), and the rows come in
-    point-index order, as `format_function_table` writes them: point
-    column j, compared as text, is each code's text q^(arity-1-j) times,
-    that run q^j times, and only the value columns are looked up.
-    Anything else, shuffled rows and blank lines included, gets None, and
-    the row pass decides it and names the error.
+    `body` is the text from the line of the first map row on.  It is read
+    here only if it is exactly the text `format_function_table` writes for
+    the header's ring, arity and codomain, with "\n" or "\r\n" line ends and
+    the final one optional: one row to a line in point-index order, each
+    `map x_1 .. x_n -> y_1 .. y_e` with single spaces and every code written
+    `str(code)`.  Any other body gets None, and the row pass, which reads
+    every layout, decides it and names the error.
     """
-    # arity >= 1 bounds the ring size, and so the code dict, by the row count
     if not ring.is_finite or arity < 1 or width == 0:
         return None
-    q = ring.size
-    stride = arity + 2 + (1 if width is None else width)
-    toks = body.split()
-    rows = len(toks) // stride
-    if (
-        len(toks) != rows * stride
-        or rows != q**arity
-        or toks[::stride].count("map") != rows
-        or toks[arity + 1 :: stride].count("->") != rows
-        # one row to a line: every "\n" but a final one starts a row, a "\r"
-        # may only precede a "\n", and no other character ends a line for
-        # str.splitlines
-        or body.count("\n") != rows - 1 + body.endswith("\n")
-        or body.count("\nmap") != rows - 1
-        or body.count("\r") != body.count("\r\n")
-        or not body.isascii() or any(map(body.__contains__, "\v\f\x1c\x1d\x1e"))
-    ):
+    if "\r" in body:
+        body = body.replace("\r\n", "\n")
+        if "\r" in body:
+            return None
+    # with no "\r" left, writing " -> " as "\r->\n" can be undone, so the
+    # cells pin the body: a cell ends in "\r->" exactly when " -> " followed it
+    cells = body.replace(" -> ", "\r->\n").split("\n")
+    if cells[-1] == "":
+        cells.pop()
+    rows, q = len(cells) // 2, ring.size
+    # the row count bounds q and q^arity before anything of that size is built
+    if len(cells) != 2 * rows or arity >= rows.bit_length() or rows != q**arity:
         return None
     codes = _codes_by_text(ring)
-    for j in range(arity):
-        run = chain.from_iterable(repeat(t, q ** (arity - 1 - j)) for t in codes)
-        if toks[1 + j :: stride] != list(run) * q**j:
+    points = "map\r->"  # the point cells' text: each pass puts x_n, .., x_1 in front
+    for _ in range(arity):
+        points = "\n".join(points.replace("map", "map " + t) for t in codes)
+    if "\n".join(cells[0::2]) != points:
+        return None
+    values, step = cells[1::2], 1
+    if width is not None:  # each row's `width` codes, then a "\n" token
+        values, step = " \n ".join(values).split(" "), width + 1
+        if len(values) != rows * step - 1:
             return None
     try:
-        cols = [list(map(codes.__getitem__, toks[j::stride])) for j in range(arity + 2, stride)]
+        cols = [list(map(codes.__getitem__, values[j::step])) for j in range(width or 1)]
     except KeyError:
         return None
     return cols[0] if width is None else list(zip(*cols))

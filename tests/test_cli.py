@@ -244,6 +244,66 @@ def test_column_pass_takes_crlf_line_ends():
         assert _map_columns(ring, n, e, "\r\n".join(lone) + "\r\n") is None
 
 
+@pytest.mark.parametrize("arrow", ["\n", "\r->\n", "\r->\r\n"])
+def test_column_pass_needs_each_arrow_on_its_row(arrow):
+    # the column pass cuts a body at " -> " and at line ends; a body whose
+    # values sit on lines of their own is not the writer's text, even where
+    # its cells are, and the row pass names its first row
+    header, rows = _corpus_table("zmod 4", 1, None)
+    body = "\n".join(rows).replace(" -> ", arrow) + "\n"
+    assert _map_columns(parse_ring_spec("zmod 4"), 1, None, body) is None
+    with pytest.raises(ParseError, match=r"^line 4: map row needs '->'$"):
+        parse_function_table("\n".join(header) + "\n" + body)
+
+
+@pytest.mark.parametrize("at, extra, message", [
+    (24, " 0", "line 28: expected 2 coordinates, got 3"),
+    (7, " 0 0 0", "line 11: expected 2 coordinates, got 5"),
+])
+def test_column_pass_needs_each_vector_value_whole(at, extra, message):
+    # a vector row's codes are read as one token run; a row of e + 1 codes
+    # at the end, or of 2e + 1 codes anywhere, keeps every row end in step,
+    # and only the run's length tells the table from the writer's
+    header, rows = _corpus_table("prime 5", 2, 2)
+    rows[at] += extra
+    body = "\n".join(rows) + "\n"
+    assert _map_columns(parse_ring_spec("prime 5"), 2, 2, body) is None
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        parse_function_table("\n".join(header) + "\n" + body)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "ring zmod 100000000000\narity 1\ncodomain scalar\nmap 0 -> 0\nmap 1 -> 1\n",
+            "table is missing the point 2",
+        ),
+        (
+            "ring prime 11\narity 16\ncodomain scalar\nmap " + "0 " * 16 + "-> 0\n",
+            "table is missing the point " + "0 " * 15 + "1",
+        ),
+        (
+            "ring zmod 100000000000\narity 100000000\ncodomain scalar\nmap 0 -> 0\nmap 1 -> 1\n",
+            "line 4: expected 100000000 coordinates, got 1",
+        ),
+    ],
+)
+def test_a_short_table_over_a_large_space_is_refused_at_once(tmp_path, text, message):
+    # the column pass compares the row count with q^arity before it builds
+    # anything of size q or q^arity, such as the code dict of Z/10^11, and
+    # bounds the arity by the row count before it computes q^arity
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        parse_function_table(text)
+    assert str(err.value) == message
+    assert time.perf_counter() - start < 1.0
+    start = time.perf_counter()
+    path = _write(tmp_path, "short.tbl", text)
+    assert run_subcommand(["recover", "--input", path, "--dirs", "1"]) == (EXIT_USAGE, f"error: {message}\n")
+    assert time.perf_counter() - start < 1.0
+
+
 _Z5_HEADER, _Z5_ROWS = ["ring zmod 5", "arity 2", "codomain scalar"], [
     f"map {x} {y} -> {(x + 2 * y) % 5}" for x in range(5) for y in range(5)
 ]

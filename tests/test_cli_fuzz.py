@@ -7,10 +7,17 @@ Every run must return exit 0, 1, 2 or 3 (never 4, an internal cross-check
 that failed), raise nothing but a LinaffError, and finish within its time
 budget.  The file's bytes are fuzzed too, valid UTF-8 or not, and then
 `run_subcommand` must raise nothing at all.
+
+The map-body reader is fuzzed differentially: every table that
+`format_function_table` writes must be read by the column pass
+(`cli._map_columns`), and a table with one edit must read as the row
+pass alone reads it.
 """
 
+import random
 import time
 from itertools import product
+from unittest import mock
 
 import pytest
 
@@ -18,8 +25,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from linaff import LinaffError  # noqa: E402
-from linaff.cli import run_subcommand  # noqa: E402
+from linaff import LinaffError, ParseError, TableOracle, VectorMapTable, parse_ring_spec  # noqa: E402
+from linaff import cli  # noqa: E402
+from linaff.cli import format_function_table, parse_function_table, run_subcommand  # noqa: E402
+
+from helpers import read_map_codes  # noqa: E402
+from test_cli import _CORPUS_TABLES  # noqa: E402
 
 SECONDS_PER_RUN = 2.0
 
@@ -167,3 +178,88 @@ def test_cli_boundary_takes_any_file_bytes(table_path, argv, data):
     code, out = run_subcommand([str(table_path) if a == "FILE" else a for a in argv])
     assert code in (0, 1, 2, 3), (argv, data, out)
     assert out.endswith("\n")
+
+
+_CORPUS_RINGS = sorted({spec for spec, _, _ in _CORPUS_TABLES})
+_CORPUS_WIDTHS = sorted({e for _, _, e in _CORPUS_TABLES if e is not None})
+
+
+@st.composite
+def _written_table(draw):
+    """(ring, n, width, codes, text): a seeded table over a corpus ring as
+    `format_function_table` writes it, scalar at n = 1..4, or a vector table
+    at n = 2..4 over a corpus field of more than two elements."""
+    ring = parse_ring_spec(draw(st.sampled_from(_CORPUS_RINGS)))
+    vector_ok = ring.is_field and ring.size > 2
+    width = draw(st.sampled_from([None] + (_CORPUS_WIDTHS if vector_ok else [])))
+    n = draw(st.integers(1 if width is None else 2, 4))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    q = ring.size
+    if width is None:
+        table = TableOracle.from_codes(ring, n, [rng.randrange(q) for _ in range(q**n)])
+    else:
+        codes = [tuple(rng.randrange(q) for _ in range(width)) for _ in range(q**n)]
+        table = VectorMapTable.from_codes(ring, n, width, codes)
+    return ring, n, width, table.codes, format_function_table(table)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(table=_written_table())
+def test_column_pass_reads_what_the_writer_prints(table):
+    # as written, with CRLF line ends and without a final newline; the row
+    # pass is made to fail, so a silent fall-back to it fails here
+    ring, n, width, codes, text = table
+    for variant in (text, text.replace("\n", "\r\n"), text[:-1]):
+        assert cli._map_columns(ring, n, width, variant[variant.index("map "):]) == codes
+        with mock.patch.object(cli, "_collect_rows", side_effect=AssertionError("row pass")):
+            assert parse_function_table(variant).codes == codes
+
+
+# single edits of one row's text; `k` is the index of a space in it, `v` of its value
+_ROW_EDITS = {
+    "doubled space": lambda row, k, v: row[:k] + " " + row[k:],
+    "tab": lambda row, k, v: row[:k] + "\t" + row[k + 1 :],
+    "trailing space": lambda row, k, v: row + " ",
+    "lone CR": lambda row, k, v: row[:k] + "\r" + row[k:],
+    "value 01": lambda row, k, v: row[:v] + "0" + row[v:],
+    "value +1": lambda row, k, v: row[:v] + "+" + row[v:],
+    "comment": lambda row, k, v: row + " # note",
+}
+
+
+@st.composite
+def _edited_table(draw):
+    """A written table with one edit in its body, then "\n" or "\r\n" ends."""
+    lines = draw(_written_table())[-1].splitlines()
+    i = draw(st.integers(3, len(lines) - 1))  # lines 0..2 are the header
+    row = lines[i]
+    edit = draw(st.sampled_from(sorted(_ROW_EDITS) + ["rows swapped", "blank line"]))
+    if edit == "rows swapped":
+        j = draw(st.integers(3, len(lines) - 1).filter(lambda j: j != i))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif edit == "blank line":
+        lines.insert(i, "")
+    else:
+        k = draw(st.sampled_from([k for k, c in enumerate(row) if c == " "]))
+        lines[i] = _ROW_EDITS[edit](row, k, row.index(" -> ") + 4)
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from([end, ""]))
+
+
+def _read(text):
+    try:
+        return parse_function_table(text).codes
+    except ParseError as exc:
+        return f"error: {exc}"
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(text=_edited_table())
+def test_an_edited_table_reads_as_the_row_pass_reads_it(text):
+    with mock.patch.object(cli, "_map_columns", return_value=None):
+        by_rows = _read(text)
+    assert _read(text) == by_rows
+    if not isinstance(by_rows, str):
+        assert by_rows == read_map_codes(text)
