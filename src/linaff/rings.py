@@ -35,6 +35,7 @@ from .errors import (
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # psi_13, the least strong pseudoprime to all of them (Sorenson-Webster 2017)
 PSI_13 = 3_317_044_064_679_887_385_961_981
+RHO_STEPS = 2**18  # Pollard rho's step budget per cofactor in prime_factors
 
 # The size cap for Galois fields: their tables have at most 81^2 entries.
 GF_MAX_SIZE = 81
@@ -70,34 +71,38 @@ def is_prime(n: int) -> bool:
 
 
 def prime_factors(m: int) -> tuple[int, ...]:
-    """Distinct prime factors of m >= 1, ascending (trial division, then Pollard rho)."""
+    """Distinct prime factors of m >= 1, ascending: trial division, then Pollard
+    rho, about sqrt(p) steps for a prime factor p.  Past RHO_STEPS = 2^18 steps
+    on one cofactor, about 1 s at 2-4 us a step, it raises PreconditionError."""
     found = set()
+    cofactor = m
     for p in range(2, 1000):
-        if p * p > m:
+        if p * p > cofactor:
             break
-        if m % p == 0:
+        if cofactor % p == 0:
             found.add(p)
-            while m % p == 0:
-                m //= p
-    rest = [m]
+            while cofactor % p == 0:
+                cofactor //= p
+    rest = [cofactor] if cofactor > 1 else []
     while rest:
         n = rest.pop()
-        if n == 1:
-            continue
         if is_prime(n):
             found.add(n)
             continue
         x = y = 2
-        c = d = 1
-        while d == 1:
+        c = 1
+        for _ in range(RHO_STEPS):
             x = (x * x + c) % n
             y = (y * y + c) % n
             y = (y * y + c) % n
             d = math.gcd(x - y, n)
+            if 1 < d < n:
+                break
             if d == n:  # cycle closed without a split: restart with a new constant
                 x = y = 2
                 c += 1
-                d = 1
+        else:
+            raise PreconditionError(f"cannot factor {m} within {RHO_STEPS} Pollard rho steps")
         rest += [d, n // d]
     return tuple(sorted(found))
 

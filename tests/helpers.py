@@ -29,6 +29,7 @@ from linaff import (
     verify_properties,
 )
 from linaff.bh_sets import Property2Failure
+from linaff.rings import PrimeField, Ring, RingElem
 from linaff.multiaffine import mask_to_subset, unit_point, zero_point
 
 
@@ -171,6 +172,57 @@ def adjugate(rows, ring):
             adj_row.append(-cof if (i + j) % 2 else cof)
         adj.append(adj_row)
     return adj
+
+
+def rref(rows, cols: int, ring: Ring):
+    """Reduced row echelon form over a field, on values: (matrix, pivot columns)."""
+    if not ring.is_field:
+        raise PreconditionError("echelon reduction needs a field")
+    add, mul, neg = ring.add, ring.mul, ring.neg
+    m = [row[:] for row in rows]
+    pivots = []
+    r = 0
+    for col in range(cols):
+        pivot = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = ring.inverse(RingElem(ring, m[r][col])).value
+        m[r] = [mul(e, inv) for e in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col]:
+                factor = neg(m[i][col])
+                m[i] = [add(a, mul(factor, b)) for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+        r += 1
+    return m, pivots
+
+
+def kernel_vector_reference(rows, cols: int, ring: Ring) -> list[RingElem] | None:
+    """A nonzero solution of rows * x = 0, x with `cols` entries, or None
+    when x = 0 is the only one: a full reduced echelon form per field.
+
+    Over a field it is the reduced-echelon kernel vector of the first free
+    column (that variable set to 1, the other free ones to 0), which is
+    unique because the reduced echelon form is.  Over Z/m it is that
+    vector v modulo the least prime p | m for which one exists, lifted to
+    (m/p) v: rows * x = 0 forces x = 0 iff the system has full column
+    rank modulo every such p (McCoy, with the CRT).  It factors m.
+    """
+    values = [[e.value for e in row] for row in rows]
+    for fld in [ring] if ring.is_field else map(PrimeField, ring.primes):
+        projected = values if fld is ring else [[x % fld.p for x in row] for row in values]
+        reduced, pivots = rref(projected, cols, fld)
+        # the pivot columns ascend, so the first free column is the first gap
+        free = next((c for c, pc in enumerate(pivots) if c != pc), len(pivots))
+        if free < cols:
+            vec = [fld.zero.value] * cols
+            vec[free] = fld.one.value
+            for r, pc in enumerate(pivots):
+                vec[pc] = fld.neg(reduced[r][free])
+            lift = ring.one.value if fld is ring else ring.m // fld.p
+            return [RingElem(ring, ring.mul(lift, x)) for x in vec]
+    return None
 
 
 def psi_by_inclusion_exclusion(f, base):

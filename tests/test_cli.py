@@ -44,6 +44,7 @@ from linaff.cli import (
     run_subcommand,
 )
 from linaff.recovery import Affine
+from linaff.rings import PSI_13, RHO_STEPS
 
 from helpers import all_points, read_map_codes, table_from_poly
 
@@ -711,6 +712,35 @@ def test_answers_decided_by_the_bh_maths_are_fast(argv, answer, seconds):
     code, text = run_subcommand(argv)
     assert time.perf_counter() - start < seconds
     assert (code, text[: text.index("version:")]) == answer
+
+
+# Pollard rho needs about 1.5 * 10^9 steps for the least prime of this m,
+# and its cofactor 2^89 - 1 is a prime past psi_13, which is_prime refuses
+_MERSENNE_PRODUCT = (2**61 - 1) * (2**89 - 1)
+
+
+@pytest.mark.parametrize("m", [_MERSENNE_PRODUCT, 5 * PSI_13], ids=["mersenne-product", "5-psi13"])
+def test_recover_over_zmod_answers_without_factoring_the_modulus(tmp_path, m):
+    # the consistency check's kernel splits m by gcds where a pivot is not a
+    # unit, and never factors it
+    path = _write(tmp_path, "x1x2.poly", f"ring zmod {m}\narity 2\npoly\nterm 1 1 2\n")
+    start = time.perf_counter()
+    code, text = run_subcommand(["recover", "--input", path, "--dirs", "1,0"])
+    assert time.perf_counter() - start < 1.0
+    assert (code, text[: text.index("version:")]) == (
+        EXIT_NEGATIVE, "status: non-affine\nwitness: coeff 1,2 = 1\ndegree: 2\n"
+    )
+
+
+def test_bh_verify_refuses_a_modulus_rho_cannot_split_within_its_budget():
+    # B_h sets key products by residue mod each prime of m, so they factor m
+    start = time.perf_counter()
+    code, text = run_subcommand(["bh", "verify", "--ring", f"zmod {_MERSENNE_PRODUCT}", "--set", "1,2,3"])
+    assert time.perf_counter() - start < 3.0
+    assert (code, text) == (
+        EXIT_USAGE,
+        f"error: cannot factor {_MERSENNE_PRODUCT} within {RHO_STEPS} Pollard rho steps\n",
+    )
 
 
 def test_emit_certificate_examples():

@@ -40,6 +40,7 @@ from helpers import (
     all_points,
     coordinate_line_failure_reference,
     is_pointwise_affine,
+    kernel_vector_reference,
     rand_affine_poly,
     rand_nonaffine_poly,
     rand_nonzero,
@@ -213,31 +214,46 @@ def _forces_zero_by_enumeration(raw, m):
     return True
 
 
-def test_solve_all_zero_iff_enumeration_finds_only_zero():
+def test_solve_all_zero_iff_enumeration_finds_only_zero(monkeypatch):
     # full column rank mod every prime p | m is exact: it agrees with a search
-    # of (Z/m)^cols, also where every square minor is a zerodivisor
+    # of (Z/m)^cols where that is small and with the per-prime reference
+    # elsewhere, also where every square minor is a zerodivisor.  The second
+    # pass runs with prime_factors raising: the kernel splits m, never factors it
     Z6 = Zmod(6)
     assert kernel_vector([[Z6.elem(3)], [Z6.elem(2)]], 1, Z6) is None
     rng = random.Random(31337)
-    seen = set()
-    for _ in range(400):
-        m = rng.choice((4, 6, 8, 9, 10, 12, 18))
-        ring = Zmod(m)
-        cols = rng.randint(1, 3)
-        raw = []
-        for _ in range(rng.randint(1, 5)):
-            # rows scaled by a divisor of m keep zerodivisors frequent
-            d = rng.choice([d for d in range(1, m) if m % d == 0])
-            raw.append([d * rng.randrange(m) % m for _ in range(cols)])
-        rows = [[ring.elem(v) for v in row] for row in raw]
-        vec = kernel_vector(rows, cols, ring)
-        assert (vec is None) == _forces_zero_by_enumeration(raw, m)
-        if vec is not None:
-            assert len(vec) == cols and any(v.value for v in vec)
-            for row in raw:
-                assert sum(a * v.value for a, v in zip(row, vec)) % m == 0
-        seen.add(vec is None)
-    assert seen == {True, False}
+    systems = []
+    for m in range(2, 65):
+        for _ in range(40):
+            cols = rng.randint(1, 3)
+            raw = []
+            for _ in range(rng.randint(1, 5)):
+                # rows scaled by a divisor of m keep zerodivisors frequent
+                d = rng.choice([d for d in range(1, m) if m % d == 0])
+                raw.append([d * rng.randrange(m) % m for _ in range(cols)])
+            if m**cols <= 2000:
+                forced = _forces_zero_by_enumeration(raw, m)
+            else:
+                ring = Zmod(m)
+                rows = [[ring.elem(v) for v in row] for row in raw]
+                forced = kernel_vector_reference(rows, cols, ring) is None
+            systems.append((m, cols, raw, forced))
+
+    def no_factoring(m):
+        raise AssertionError(f"factored {m}")
+
+    for patched in (False, True):
+        if patched:
+            monkeypatch.setattr("linaff.rings.prime_factors", no_factoring)
+        for m, cols, raw, forced in systems:
+            ring = Zmod(m)  # a fresh ring, with no factorization cached
+            vec = kernel_vector([[ring.elem(v) for v in row] for row in raw], cols, ring)
+            assert (vec is None) == forced
+            if vec is not None:
+                assert len(vec) == cols and any(v.value for v in vec)
+                for row in raw:
+                    assert sum(a * v.value for a, v in zip(row, vec)) % m == 0
+    assert {forced for *_, forced in systems} == {True, False}
 
 
 def test_recover_cancels_across_the_primes_of_m():
