@@ -131,10 +131,10 @@ def parse_function_table(text: str):
     if values is None:
         values = _collect_rows(ring, arity, rows, codomain_dim)
     if codomain_dim is None:
-        return TableOracle.from_codes(ring, arity, values)
+        return TableOracle._of_codes(ring, arity, values)
     from . import vonstaudt
     try:
-        return vonstaudt.VectorMapTable.from_codes(ring, arity, codomain_dim, values)
+        return vonstaudt.VectorMapTable._of_codes(ring, arity, codomain_dim, values)
     except LinaffError as exc:
         raise ParseError(str(exc)) from None
 

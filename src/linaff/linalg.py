@@ -22,14 +22,14 @@ def kernel_vector(rows, cols: int, ring: Ring) -> list[RingElem] | None:
 
     Over a field it is the reduced-echelon kernel vector of the first free
     column (that variable 1, the other free ones 0), unique as the reduced
-    echelon form is.  Over Z/m the rows stay residues mod m, valid modulo
-    each part n | m, first m itself; a non-unit pivot a replaces n by
-    g = gcd(a, n) and n/g.  A part's first free column gives that vector x
-    mod n, lifted to (m/n) x.
+    echelon form is.  Over Z/m, F_p too, the rows stay residues mod m,
+    valid modulo each part n | m, first m itself; a non-unit pivot a
+    replaces n by g = gcd(a, n) and n/g.  A part's first free column gives
+    that vector x mod n, lifted to (m/n) x.
     """
     add, mul, neg = ring.add, ring.mul, ring.neg
     values = [[e.value for e in row] for row in rows]
-    whole = None if ring.is_field else ring.m
+    whole = getattr(ring, "m", None)
     parts = [whole]
     while parts:
         n = parts.pop()

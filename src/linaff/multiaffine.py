@@ -42,14 +42,7 @@ Point = tuple  # tuple[RingElem, ...]
 
 def mask_to_subset(mask: int) -> tuple[int, ...]:
     """Bitmask -> ascending 1-based variable indices."""
-    out = []
-    i = 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
+    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def subset_to_mask(indices) -> int:
@@ -152,12 +145,6 @@ def vector_line(ring: Ring, base, direction) -> list[tuple]:
     return list(zip(*map(ring.line, base, direction)))
 
 
-def line_indices(ring: Ring, base, direction) -> list[int]:
-    """`point_index` of every point of `vector_line(ring, base, direction)`."""
-    q = ring.size
-    return [point_index(q, point) for point in vector_line(ring, base, direction)]
-
-
 def index_point(ring: Ring, arity: int, index: int) -> Point:
     """The point of ring^arity whose `point_index` is `index`."""
     q = ring.size
@@ -190,10 +177,10 @@ class TableOracle(Record):
     `point_index` i.  The line scans of `line_affine_check` and
     `recovery.recover` and the affine re-verify run on these codes through
     the ring's value-level operations; `value` answers in RingElem.
-    `from_codes` builds the table from codes in that order, as the
-    table-file parser does; the dict constructor converts its dict to
-    them.  A table is an immutable record, equal by ring, arity and codes,
-    and unhashable, since `codes` is a list.
+    `from_codes` builds the table from codes in that order, checked; the
+    table-file parser builds them in range and calls `_of_codes`.  The dict
+    constructor converts its dict to them.  A table is an immutable record,
+    equal by ring, arity and codes, and unhashable, since `codes` is a list.
     """
 
     __slots__ = ("ring", "arity", "codes")
@@ -211,13 +198,15 @@ class TableOracle(Record):
     @classmethod
     def from_codes(cls, ring: Ring, arity: int, codes: list) -> "TableOracle":
         """The table whose value at the point with `point_index` i has code codes[i]."""
-        _check_table_domain(ring, arity)
-        if len(codes) != ring.size**arity:
-            raise PreconditionError(
-                f"table has {len(codes)} entries, needs all {ring.size**arity} points"
-            )
-        if codes and (min(codes) < 0 or max(codes) >= ring.size):
+        oracle = cls._of_codes(ring, arity, codes)
+        if min(codes) < 0 or max(codes) >= ring.size:
             raise PreconditionError(f"table value code out of range for {ring.spec_text()}")
+        return oracle
+
+    @classmethod
+    def _of_codes(cls, ring: Ring, arity: int, codes: list) -> "TableOracle":
+        """`from_codes` for codes known to be in range, as the table parser builds them."""
+        _check_table_domain(ring, arity, len(codes))
         oracle = cls.__new__(cls)
         Record.__init__(oracle, ring, arity, codes)
         return oracle
@@ -229,11 +218,13 @@ class TableOracle(Record):
         return RingElem(self.ring, self.codes[index])
 
 
-def _check_table_domain(ring: Ring, arity: int):
+def _check_table_domain(ring: Ring, arity: int, entries: int | None = None):
     if not ring.is_finite:
         raise UnsupportedRingError("table oracles need a finite ring; use a poly oracle")
     if not 1 <= arity <= MAX_ARITY:
         raise PreconditionError(f"arity must be in 1..{MAX_ARITY}, got {arity}")
+    if entries is not None and entries != ring.size**arity:
+        raise PreconditionError(f"table has {entries} entries, needs all {ring.size**arity} points")
 
 
 def _checked_index(ring: Ring, arity: int, x) -> int | None:
@@ -299,18 +290,18 @@ def line_affine_check(f: FunctionOracle, line: Line) -> LineCheck:
     """Decide whether f restricted to the line is affine.
 
     The candidate slope is forced to be f(base+dir) - f(base).  A table's
-    codes along the line, read by `line_indices`, are compared with the
-    line f(base) + slope*r at every element code r; a polynomial's
-    restriction is read off its coefficients by `restriction_check`.  On
-    failure the witness is the parameter triple (0, 1, r) with r the first
-    refuting parameter in canonical order.
+    codes at the points of `vector_line` are compared with the line
+    f(base) + slope*r at every element code r; a polynomial's restriction
+    is read off its coefficients by `restriction_check`.  On failure the
+    witness is the parameter triple (0, 1, r) with r the first refuting
+    parameter in canonical order.
     """
     _check_arity(f, line)
     ring = f.ring
     if isinstance(f, MultiAffinePoly):
         return restriction_check(ring, radial_values(shift_poly(f, line.base), line.dir))
-    indices = line_indices(ring, point_values(ring, line.base), point_values(ring, line.dir))
-    vals = [f.codes[i] for i in indices]
+    points = vector_line(ring, point_values(ring, line.base), point_values(ring, line.dir))
+    vals = [f.codes[point_index(ring.size, p)] for p in points]
     slope = ring.sub(vals[1], vals[0])
     want = ring.line(vals[0], slope)
     if vals != want:

@@ -323,8 +323,8 @@ class Ring:
 class Zmod(Ring):
     """The ring Z/mZ of integers modulo m >= 2, residues in [0, m).
 
-    `primes` holds the distinct prime factors of m, ascending: an element
-    is regular iff it is nonzero modulo each of them.
+    `primes`, the distinct prime factors of m, ascending, and `is_field` are
+    found on first use; an element is regular iff it is nonzero mod each.
     """
 
     kind = "zmod"
@@ -336,9 +336,12 @@ class Zmod(Ring):
         self.is_finite = True
         self.size = m
         self.characteristic = m
-        self.is_field = is_prime(m)
         self.zero = RingElem(self, 0)
         self.one = RingElem(self, 1)
+
+    @functools.cached_property
+    def is_field(self) -> bool:
+        return is_prime(self.m)
 
     @functools.cached_property
     def primes(self) -> tuple[int, ...]:
@@ -394,12 +397,12 @@ class PrimeField(Zmod):
     """The field F_p = Z/pZ for a (deterministically verified) prime p."""
 
     kind = "prime"
+    is_field = True
 
     def __init__(self, p: int):
-        if isinstance(p, int) and p >= 2:
-            super().__init__(p)
-        if not self.is_field:
+        if not (isinstance(p, int) and p >= 2 and is_prime(p)):
             raise PreconditionError(f"{p} is not prime")
+        super().__init__(p)
         self.p = p
 
 

@@ -24,9 +24,9 @@ argument needs a third scalar), d in 2..16 and any e.  The decomposition
 decides every such table in O(q^d * e).  The one exhaustive pass is the
 line scan, over q^(d-1) (q^d - 1)/(q - 1) lines of q points, and only
 it is capped: at MAX_LINE_POINTS, the points on the lines of GF(4)^6.
-A full scan (every line read) of GF(4)^6 -> GF(4)^6 took 22 s on a
-2-core Xeon, the slowest table measured under the cap: F_3^7 took 19 s,
-GF(9)^4 11 s and F_173^2 7 s.
+A full scan (every line read) of GF(4)^6 -> GF(4)^6 takes 14 s on a
+2-core Xeon under Python 3.11, the slowest table measured under the cap:
+F_3^7 takes 10 s, GF(9)^4 6 s and F_173^2 4 s.
 
 Over a prime field the Frobenius power is always 0, since F_p has no
 automorphism but the identity; the same collapse happens over any field
@@ -36,10 +36,11 @@ fields), which are beyond table oracles and noted here only for context.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import product
 
 from .errors import DomainTooLargeError, InconsistencyError, MissingPointError, PreconditionError
-from .multiaffine import MAX_ARITY, Line, _checked_index, _key_index, line_indices, vector_line
+from .multiaffine import MAX_ARITY, Line, _checked_index, _key_index, vector_line
 from .rings import Record, Ring, RingElem, format_elements, frobenius
 
 MAX_LINE_POINTS = 4 * 1_397_760  # the 1,397,760 lines of GF(4)^6, 4 points each
@@ -59,9 +60,7 @@ def _check_table_shape(fld: Ring, dim_in: int, dim_out: int, entries: int):
     if dim_out < 1:
         raise PreconditionError(f"codomain dimension must be >= 1, got {dim_out}")
     if entries != fld.size**dim_in:
-        raise PreconditionError(
-            f"table has {entries} entries, needs all {fld.size ** dim_in} points"
-        )
+        raise PreconditionError(f"table has {entries} entries, needs all {fld.size**dim_in} points")
 
 
 class VectorMapTable(Record):
@@ -69,11 +68,11 @@ class VectorMapTable(Record):
 
     The images are stored as one flat list `codes` of tuples of element
     codes, position i holding the image of the point with `point_index`
-    i, as in `TableOracle`.  `from_codes` takes that list, as the
-    table-file parser does; the dict constructor checks every key and
-    image, as `TableOracle`'s does, and converts its dict to it.  Like
-    `TableOracle`, the table is an immutable record, equal by its fields
-    and unhashable.
+    i, as in `TableOracle`.  `from_codes` takes that list, checked, and
+    `_of_codes` as the table-file parser builds it; the dict constructor
+    checks every key and image, as `TableOracle`'s does, and converts its
+    dict to it.  Like `TableOracle`, the table is an immutable record,
+    equal by its fields and unhashable.
     """
 
     __slots__ = ("field", "dim_in", "dim_out", "codes")
@@ -93,11 +92,17 @@ class VectorMapTable(Record):
     @classmethod
     def from_codes(cls, fld: Ring, dim_in: int, dim_out: int, codes: list) -> "VectorMapTable":
         """The table whose image of the point with `point_index` i has codes codes[i]."""
-        _check_table_shape(fld, dim_in, dim_out, len(codes))
+        table = cls._of_codes(fld, dim_in, dim_out, codes)
         if set(map(len, codes)) != {dim_out}:
             raise PreconditionError("table entry with wrong arity")
         if min(map(min, codes)) < 0 or max(map(max, codes)) >= fld.size:
             raise PreconditionError(f"table image code out of range for {fld.spec_text()}")
+        return table
+
+    @classmethod
+    def _of_codes(cls, fld: Ring, dim_in: int, dim_out: int, codes: list) -> "VectorMapTable":
+        """`from_codes` for images of dim_out codes in range, as the parser builds them."""
+        _check_table_shape(fld, dim_in, dim_out, len(codes))
         table = cls.__new__(cls)
         Record.__init__(table, fld, dim_in, dim_out, codes)
         return table
@@ -117,15 +122,14 @@ class VectorMapTable(Record):
 
 def _lines_with_points(fld: Ring, dim: int):
     """The canonical line enumeration, lazily: the codes of each line's base
-    and direction, with the `point_index` of its points, the parameter
-    running in code order.
+    and direction, with an iterator over the `point_index` of its points,
+    the parameter running in code order.
 
     Directions come normalized (first nonzero code 1) in lexicographic
-    order.  The lines of a direction partition the space, and each has
-    exactly one point whose code is 0 at the direction's leading
-    coordinate, its least point, which serves as the base; the bases run
-    in lexicographic order.  A space whose lines hold more than
-    MAX_LINE_POINTS points in all raises DomainTooLargeError.
+    order.  A line's base is its least point, the one with code 0 at the
+    direction's lead; the bases run in lexicographic order.  An index sums
+    the weighted `fld.line` rows of the base's codes.  A space whose lines
+    hold more than MAX_LINE_POINTS points in all raises DomainTooLargeError.
     """
     if not (fld.is_finite and fld.is_field):
         raise PreconditionError("line enumeration needs a finite field")
@@ -138,14 +142,16 @@ def _lines_with_points(fld: Ring, dim: int):
             f"dimension {dim} over {fld.spec_text()} has {lines:,} lines of {q:,} points, "
             f"{lines * q:,} in all; the line scan is capped at {MAX_LINE_POINTS:,} points"
         )
-    vectors = list(product(range(q), repeat=dim))  # code tuples, lexicographic
-    for direction in vectors:
-        lead = next((i for i, c in enumerate(direction) if c), None)
-        if lead is None or direction[lead] != 1:
-            continue
-        for base in vectors:
-            if base[lead] == 0:
-                yield base, direction, line_indices(fld, base, direction)
+    weights = [q**i for i in reversed(range(dim))]
+    for lead in reversed(range(dim)):
+        for tail in product(range(q), repeat=dim - 1 - lead):
+            direction = (0,) * lead + (1,) + tail
+            # rows[i][b]: coordinate i's weighted codes on the line whose base has code b there
+            rows = [[range(0, q * w, w)] if i == lead else  # one row, base code 0, at the lead
+                    [[c * w for c in fld.line(b, s)] for b in range(q)]
+                    for i, (w, s) in enumerate(zip(weights, direction))]
+            for base, picked in zip(product(*map(range, map(len, rows))), product(*rows)):
+                yield base, direction, map(sum, zip(*picked))
 
 
 def enumerate_affine_lines(fld: Ring, dim: int) -> list[Line]:
@@ -247,7 +253,9 @@ def _decompose(f: VectorMapTable) -> SemilinearCert | None:
         power += 1
         if fld.characteristic**power >= q:
             return None
-        tau = [frobenius(x, power).value for x in fld.elements()]
+        if power == 1:  # x -> x^p on codes; each further power composes it
+            frob = [reduce(fld.mul, [x] * fld.characteristic) for x in tau]
+        tau = [frob[t] for t in tau]
     # the candidate at every point in index order: axis by axis, each value
     # v becomes v + tau(r) * col for r in code order
     want = [offset]

@@ -719,10 +719,14 @@ def test_answers_decided_by_the_bh_maths_are_fast(argv, answer, seconds):
 _MERSENNE_PRODUCT = (2**61 - 1) * (2**89 - 1)
 
 
-@pytest.mark.parametrize("m", [_MERSENNE_PRODUCT, 5 * PSI_13], ids=["mersenne-product", "5-psi13"])
+@pytest.mark.parametrize(
+    "m", [_MERSENNE_PRODUCT, 5 * PSI_13, 2**89 - 1],
+    ids=["mersenne-product", "5-psi13", "mersenne-89"],
+)
 def test_recover_over_zmod_answers_without_factoring_the_modulus(tmp_path, m):
     # the consistency check's kernel splits m by gcds where a pivot is not a
-    # unit, and never factors it
+    # unit, and never factors it; nor does it ask whether m is prime, so a
+    # prime past psi_13, which is_prime cannot certify, answers too
     path = _write(tmp_path, "x1x2.poly", f"ring zmod {m}\narity 2\npoly\nterm 1 1 2\n")
     start = time.perf_counter()
     code, text = run_subcommand(["recover", "--input", path, "--dirs", "1,0"])
@@ -741,6 +745,47 @@ def test_bh_verify_refuses_a_modulus_rho_cannot_split_within_its_budget():
         EXIT_USAGE,
         f"error: cannot factor {_MERSENNE_PRODUCT} within {RHO_STEPS} Pollard rho steps\n",
     )
+
+
+def test_bh_verify_refuses_a_prime_modulus_past_psi_13():
+    # zmod 2^89 - 1 parses, and recover answers over it (above), but a B_h
+    # set asks whether the ring is a field, which is_prime cannot certify
+    m = 2**89 - 1
+    code, text = run_subcommand(["bh", "verify", "--ring", f"zmod {m}", "--set", "1,2,3"])
+    assert (code, text) == (
+        EXIT_USAGE, f"error: {m} is too large to certify as prime (limit {PSI_13 - 1})\n"
+    )
+
+
+def test_parsed_tables_equal_the_checked_constructions():
+    # the parser hands the codes it builds to the tables' private
+    # constructors, which skip from_codes' range scan: every layout, read
+    # by the column pass or the row pass, must still give the table that
+    # from_codes and the dict constructor build from the same values
+    Z6, F5 = Zmod(6), PrimeField(5)
+    scalar = {p: Z6.from_int(3 * p[0].value + 5 * p[1].value * p[0].value + 1)
+              for p in product(Z6.elements(), repeat=2)}
+    vector = {p: (p[1], p[0] + p[1], p[0] * p[0]) for p in product(F5.elements(), repeat=2)}
+    tables = [
+        (TableOracle(Z6, 2, scalar),
+         TableOracle.from_codes(Z6, 2, [v.value for v in scalar.values()])),
+        (VectorMapTable(F5, 2, 3, vector),
+         VectorMapTable.from_codes(F5, 2, 3, [tuple(c.value for c in v) for v in vector.values()])),
+    ]
+    for from_dict, from_codes in tables:
+        assert from_dict == from_codes
+        text = format_function_table(from_dict)
+        at = text.index("map ")
+        rows = text[at:].splitlines()
+        layouts = {
+            "canonical": text,
+            "crlf": text.replace("\n", "\r\n"),
+            "shuffled": text[:at] + "\n".join(random.Random(3).sample(rows, len(rows))) + "\n",
+            "tabs": text.replace(" ", "\t"),
+        }
+        for name, layout in layouts.items():
+            parsed = parse_function_table(layout)
+            assert type(parsed) is type(from_dict) and parsed == from_dict, name
 
 
 def test_emit_certificate_examples():

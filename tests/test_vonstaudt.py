@@ -16,8 +16,9 @@ from linaff import (
     recover_semilinear,
 )
 
-from linaff.multiaffine import Line
-from linaff.vonstaudt import MAX_LINE_POINTS, _lines_with_points
+from linaff.multiaffine import Line, point_index, vector_line
+from linaff.rings import GF_MAX_SIZE, RingElem, frobenius, is_prime
+from linaff.vonstaudt import MAX_LINE_POINTS, _decompose, _lines_with_points
 
 from helpers import affine_lines_reference, check_hypotheses_reference, separation_failure
 
@@ -89,6 +90,30 @@ def test_line_order_matches_reference():
         for dim in (1, 2, 3):
             expected = [line for line, _ in affine_lines_reference(fld, dim)]
             assert enumerate_affine_lines(fld, dim) == expected
+
+
+def test_line_indices_are_the_point_indices_of_the_line():
+    # the walk sums weighted coordinate rows; each sum must be the
+    # point_index of base + r * direction, r in code order
+    spaces = ((PrimeField(3), 4), (GF4, 3), (PrimeField(5), 3), (GF9, 2), (PrimeField(7), 1))
+    for fld, dim in spaces:
+        q, count = fld.size, 0
+        for base, direction, indices in _lines_with_points(fld, dim):
+            points = vector_line(fld, base, direction)
+            assert list(indices) == [point_index(q, point) for point in points]
+            count += 1
+        assert count == q ** (dim - 1) * (q**dim - 1) // (q - 1)
+
+
+def test_the_line_of_a_large_prime_field_is_enumerated_without_its_points():
+    # the walk builds no row at the lead and lists no points, so the one line
+    # of F_p is named at once however large p is under the cap
+    F = PrimeField(1_000_003)
+    start = time.perf_counter()
+    assert enumerate_affine_lines(F, 1) == [Line((F.zero,), (F.one,))]
+    assert time.perf_counter() - start < 0.25
+    (_, _, indices), = _lines_with_points(F, 1)
+    assert all(i == r for i, r in zip(indices, range(F.size), strict=True))
 
 
 def test_scan_stops_at_the_first_violating_line():
@@ -402,6 +427,60 @@ def test_scalar_codomain_fails_naturally():
     f = _table(F3, 2, 1, lambda v: (v[0],))
     verdict = check_hypotheses(f)
     assert not verdict.ok
+
+
+def test_decomposition_frobenius_table_matches_rings_frobenius():
+    # differential: _decompose builds tau on codes, x -> x^p by the field's
+    # mul and each further power by composing it; on the map v -> tau^j(v),
+    # built with rings.frobenius, it must find j, for every field GF(p^k)
+    # of more than two elements under GF_MAX_SIZE and every j in 0..k-1
+    seen = 0
+    for p in filter(is_prime, range(GF_MAX_SIZE + 1)):
+        for k in range(1, GF_MAX_SIZE.bit_length()):
+            if not 2 < p**k <= GF_MAX_SIZE:
+                continue
+            fld = _first_galois_field(p, k)
+            for j in range(k):
+                tau = [frobenius(x, j).value for x in fld.elements()]
+                codes = [(tau[a], tau[b]) for a, b in product(range(fld.size), repeat=2)]
+                cert = _decompose(VectorMapTable.from_codes(fld, 2, 2, codes))
+                assert cert is not None and cert.tau_power == j, (fld, j)
+                assert cert.basis_images == ((fld.one, fld.zero), (fld.zero, fld.one))
+                seen += 1
+    # the k = 1 fields F_3..F_79 (21), then GF(4), GF(8), GF(16), GF(32),
+    # GF(64), GF(9), GF(27), GF(81), GF(25) and GF(49) at each power
+    assert seen == 21 + (2 + 3 + 4 + 5 + 6) + (2 + 3 + 4) + 2 + 2
+
+
+def _first_galois_field(p, k):
+    """GaloisField(p, k, modulus) for the lexicographically first modulus that gives a field."""
+    for modulus in product(range(p), repeat=k):
+        try:
+            return GaloisField(p, k, modulus)
+        except PreconditionError:
+            continue
+
+
+def test_decomposition_builds_no_ring_element_before_the_certificate(monkeypatch):
+    # tau is found on codes: an injective map over GF(9) that matches
+    # tau = frobenius^1 along the first axis, but has two images off it
+    # swapped, is refused with no RingElem made
+    identity = ((GF9.one, GF9.zero), (GF9.zero, GF9.one))
+    codes = _table(GF9, 2, 2, _semilinear_map(GF9, identity, (GF9.zero,) * 2, 1)).codes
+    swapped = codes[:-2] + [codes[-1], codes[-2]]
+    f = VectorMapTable.from_codes(GF9, 2, 2, swapped)
+    made = []
+    init = RingElem.__init__
+
+    def counting_init(self, ring, value):
+        made.append(value)
+        init(self, ring, value)
+
+    monkeypatch.setattr(RingElem, "__init__", counting_init)
+    assert _decompose(f) is None
+    assert made == []
+    assert _decompose(VectorMapTable.from_codes(GF9, 2, 2, codes)).tau_power == 1
+    assert made  # the certificate itself is in RingElem
 
 
 def test_frobenius_composed_with_matrix_is_recovered_over_gf9():
