@@ -406,22 +406,23 @@ def _parse_dirs(ring: Ring, arity: int, text: str):
     return recovery.DirectionSet(ring, arity, vectors)
 
 
-def _load_oracle(path: str):
+def _read_input(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+            return handle.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise ParseError(f"cannot read {path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-    return text, parse_function_table(text)
 
 
 def _direction_set(opts, ring, arity):
     from . import recovery
-    dirs_text, family, moment = opts.get("dirs"), opts["family"], opts["moment"]
+    dirs_text, family, moment, count = map(opts.get, ("dirs", "family", "moment", "count"))
     if [bool(dirs_text), family, bool(moment)].count(True) != 1:
         raise ParseError("give exactly one of --dirs, --family, --moment")
+    if count is not None and not moment:
+        raise ParseError("--count needs --moment")
     if arity < 1:
         raise PreconditionError(f"arity must be >= 1, got {arity}")
     if dirs_text:
@@ -431,7 +432,6 @@ def _direction_set(opts, ring, arity):
     nodes = _parse_vector(ring, moment)
     if len(nodes) != arity:
         raise ParseError(f"--moment needs {arity} node values")
-    count = opts["count"]
     if count is None:
         count = recovery.minimal_direction_count(arity) if arity >= 2 else 1
     return recovery.moment_directions(nodes, count)
@@ -441,59 +441,59 @@ def _direction_set(opts, ring, arity):
 # subcommand handlers
 
 
-def _run(path, opts) -> tuple[list[tuple[str, str]], str]:
-    """Dispatch; returns (document, digest source text)."""
+def _run(path, opts, text: str) -> list[tuple[str, str]]:
+    """Dispatch; returns the document.  `text` is the --input file's text."""
     cmd, sub = path[0], path[-1]
     if path == ("sharpness", "bound"):
         from . import recovery
         n = recovery.minimal_direction_count(opts["n"])
-        return [("status", "ok"), ("N", str(n))], str(opts["n"])
+        return [("status", "ok"), ("N", str(n))]
     if cmd == "directions":
         ring = parse_ring_spec(opts["ring"])
         dirs = _direction_set(opts, ring, opts["n"])
         rendered = ";".join(",".join(map(ring.format_element, v)) for v in dirs.dirs)
-        return [("status", "ok"), ("dirs", rendered)], opts["ring"]
+        return [("status", "ok"), ("dirs", rendered)]
     if cmd in ("bh", "sharpness"):
         from . import bh_sets
         ring = parse_ring_spec(opts["ring"])
         if sub == "search":
             found = bh_sets.search_bh(ring, opts["n"], opts["budget"])
-            return [("status", "none")] if found is None else found.document(), opts["ring"]
+            return [("status", "none")] if found is None else found.document()
         if sub == "geometric":
             g = ring.parse_element(opts["g"])
-            return bh_sets.construct_geometric(g, opts["n"]).document(), opts["ring"]
+            return bh_sets.construct_geometric(g, opts["n"]).document()
         if sub == "witness":
             from . import sharpness
             dirs = _parse_dirs(ring, opts["n"], opts["dirs"])
-            return sharpness.lower_bound_witness(opts["n"], dirs, ring).document(), opts["dirs"]
+            return sharpness.lower_bound_witness(opts["n"], dirs, ring).document()
         candidate = bh_sets.BhCandidate(ring, _parse_vector(ring, opts["set"]))
         if sub == "certify":
             from . import sharpness
-            return sharpness.certify_directions(opts["n"], ring, candidate).document(), opts["set"]
+            return sharpness.certify_directions(opts["n"], ring, candidate).document()
         if opts["h"] is None:
-            return bh_sets.verify_properties(candidate).document(), opts["set"]
+            return bh_sets.verify_properties(candidate).document()
         collision = bh_sets.verify_bh(candidate, opts["h"])
-        return [("status", "ok")] if collision is None else collision.document(), opts["set"]
-    text, oracle = _load_oracle(opts["input"])
+        return [("status", "ok")] if collision is None else collision.document()
+    oracle = parse_function_table(text)
     if cmd == "vonstaudt":
         if isinstance(oracle, FunctionOracle):
             raise ParseError("this subcommand needs a 'codomain vector' table")
         from . import vonstaudt
         if sub == "check":
-            return vonstaudt.check_hypotheses(oracle).document(), text
-        return vonstaudt.recover_semilinear(oracle).document(), text
+            return vonstaudt.check_hypotheses(oracle).document()
+        return vonstaudt.recover_semilinear(oracle).document()
     if not isinstance(oracle, FunctionOracle):
         raise ParseError("this subcommand needs a scalar-valued oracle")
     if cmd == "check-line":
         base = _parse_vector(oracle.ring, opts["base"])
         direction = _parse_vector(oracle.ring, opts["dir"])
-        return line_affine_check(oracle, Line(base, direction)).document(), text
+        return line_affine_check(oracle, Line(base, direction)).document()
     if cmd == "psi":
         base = _parse_vector(oracle.ring, opts["base"]) if opts["base"] else None
-        return [("status", "ok"), ("coeffs", repr(psi_extract(oracle, base)))], text
+        return [("status", "ok"), ("coeffs", repr(psi_extract(oracle, base)))]
     from . import recovery
     dirs = _direction_set(opts, oracle.ring, oracle.arity)
-    return recovery.recover(oracle, dirs, mode=opts["mode"]).document(), text
+    return recovery.recover(oracle, dirs, mode=opts["mode"]).document()
 
 
 def run_subcommand(argv) -> tuple[int, str]:
@@ -504,20 +504,23 @@ def run_subcommand(argv) -> tuple[int, str]:
         if read is None:
             return EXIT_OK, _usage()
         path, opts, as_json = read
-        doc, digest_source = _run(path, opts)
+        text = _read_input(opts["input"]) if "input" in opts else ""
+        doc = _run(path, opts, text) + [("version", __version__)]
     except InconsistencyError as exc:
         return EXIT_INTERNAL, f"internal error: {exc}\n"
     except LinaffError as exc:
         # domain preconditions and malformed input are both usage errors here
         return EXIT_USAGE, f"error: {exc}\n"
-    digest = hashlib.sha256(digest_source.encode("utf-8")).hexdigest()
-    doc = doc + [("version", __version__), ("digest", digest)]
+    # the request as a canonical argv, the input and the document (README, "Digest")
+    body = _text(doc)
+    request = [f"--{k}" if v is True else f"--{k}={v}" for k, v in opts.items()
+               if v is not None and v is not False and k != "input"]
+    framed = "".join([f"{len(part)}:{part}" for part in (*path, *request, text, body)])
+    digest = hashlib.sha256(framed.encode()).hexdigest()
     if as_json:
         import json
-        text = json.dumps(dict(doc), indent=None, separators=(", ", ": ")) + "\n"
-    else:
-        text = _text(doc)
-    return _exit_code_for(doc), text
+        return _exit_code_for(doc), json.dumps(dict(doc, digest=digest)) + "\n"
+    return _exit_code_for(doc), f"{body}digest: {digest}\n"
 
 
 def main(argv=None) -> int:

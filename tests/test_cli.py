@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import time
@@ -678,12 +679,21 @@ def test_malformed_ring_literals_are_usage_errors(tmp_path, argv, body):
          "g^2 - 1 is not regular"),
         (["bh", "geometric", "--ring", "rational", "--g", "2", "--n", "16"],
          "rational of about 4933 digits is too long to print"),
+        (["recover", "--input", "FILE", "--family", "--count", "3"], "--count needs --moment"),
+        (["recover", "--input", "FILE", "--dirs", "1,1", "--count", "3"], "--count needs --moment"),
+        (["directions", "--ring", "prime 5", "--n", "3", "--family", "--count", "3"],
+         "--count needs --moment"),
+        (["recover", "--input", "FILE", "--dirs", "0,0"], "directions must be nonzero"),
+        (["recover", "--input", "FILE", "--dirs", "1,1;0,0"], "directions must be nonzero"),
+        (["recover", "--input", "FILE", "--dirs", "7,1"],
+         "bad vector '7,1': encoding 7 out of range for zmod 7"),
     ],
     ids=["family-n40", "moment-n-1", "dirs-arity", "moment-n40", "moment-count",
          "witness-n0", "witness-n-2", "witness-n40", "certify-collision", "certify-difference",
          "certify-n40", "verify-24-primes", "geometric-n17", "bound-n100000",
          "geometric-3000-digits", "geometric-rational-g1", "geometric-rational-g-1",
-         "geometric-rational-g2-n16"],
+         "geometric-rational-g2-n16", "recover-family-count", "recover-dirs-count",
+         "directions-family-count", "dirs-zero", "dirs-second-zero", "dirs-out-of-range"],
 )
 def test_direction_set_errors(tmp_path, argv, message):
     path = _write(tmp_path, "affine.tbl", _affine_z7_table())
@@ -875,6 +885,120 @@ def test_one_document_per_result(tmp_path, argv, body, result):
     lines = text.splitlines(keepends=True)
     assert [line.split(":")[0] for line in lines[-2:]] == ["version", "digest"]
     assert "".join(lines[:-2]) == emit_certificate(result(oracle))
+
+
+def _digest(code_text):
+    code, text = code_text
+    assert code != EXIT_USAGE, text
+    if text.startswith("{"):
+        return json.loads(text)["digest"]
+    return text.rpartition("digest: ")[2].removesuffix("\n")
+
+
+_Z4_2XY = "ring zmod 4\narity 2\npoly\nterm 2 1 2\n"
+_Z4_1_PLUS_X1 = "ring zmod 4\narity 2\npoly\nterm 1\nterm 1 1\n"
+
+
+@pytest.mark.parametrize(
+    "body, first, second",
+    [
+        # cannot-cancel (exit 3) against non-affine (exit 2)
+        (_Z4_2XY, ["recover", "--input", "FILE", "--dirs", "1,1"],
+         ["recover", "--input", "FILE", "--dirs", "1,2"]),
+        # affine (exit 0) against cannot-cancel (exit 3)
+        (_Z4_1_PLUS_X1, ["recover", "--input", "FILE", "--dirs", "1,1"],
+         ["recover", "--input", "FILE", "--dirs", "1,1", "--mode", "proof"]),
+        (None, ["bh", "verify", "--ring", "prime 5", "--set", "1,2,4"],
+         ["bh", "verify", "--ring", "prime 7", "--set", "1,2,4"]),
+        (None, ["directions", "--ring", "prime 5", "--family", "--n", "3"],
+         ["directions", "--ring", "prime 5", "--family", "--n", "4"]),
+        (None, ["sharpness", "witness", "--n", "3", "--dirs", "1,1,1;1,2,4", "--ring", "prime 7"],
+         ["sharpness", "witness", "--n", "3", "--dirs", "1,1,1;1,2,4", "--ring", "rational"]),
+    ],
+    ids=["recover-dirs", "recover-mode", "bh-verify-ring", "directions-n", "witness-ring"],
+)
+def test_different_questions_print_different_digests(tmp_path, body, first, second):
+    # each pair once shared a digest, which hashed one option or the input alone
+    path = body and _write(tmp_path, "f.poly", body)
+    first, second = ([path if a == "FILE" else a for a in argv] for argv in (first, second))
+    assert _digest(run_subcommand(first)) != _digest(run_subcommand(second))
+
+
+def test_one_question_prints_one_digest(tmp_path):
+    path = _write(tmp_path, "affine.tbl", _affine_z7_table())
+    crlf = _write(tmp_path, "crlf.tbl", _affine_z7_table().replace("\n", "\r\n"))
+    same = [
+        (["recover", "--input", path, "--dirs", "1,1"],
+         ["recover", f"--input={path}", "--dirs=1,1"],
+         ["recover", "--input", path, "--dirs", "1,1", "--mode", "exhaustive"],
+         ["--json", "recover", "--input", path, "--dirs", "1,1"],
+         # the input is read with universal newlines
+         ["recover", "--input", crlf, "--dirs", "1,1"]),
+        (["bh", "search", "--ring", "prime 5", "--n", "3"],
+         ["bh", "search", "--ring", "prime 5", "--n=3", "--budget", "1000000"],
+         ["--json", "bh", "search", "--ring", "prime 5", "--n", "3"]),
+        (["directions", "--ring", "prime 5", "--n", "3", "--family"],
+         ["directions", "--family", "--n", "03", "--ring=prime 5"],
+         ["--json", "directions", "--ring", "prime 5", "--n", "3", "--family"]),
+    ]
+    for runs in same:
+        assert len({_digest(run_subcommand(argv)) for argv in runs}) == 1, runs[0]
+
+
+@pytest.mark.parametrize(
+    "argv, body, words",
+    [
+        (["check-line", "--input", "FILE", "--dir", "1,1", "--base", "0,0"], _affine_z7_table(),
+         ["check-line", "--base=0,0", "--dir=1,1"]),
+        (["psi", "--input", "FILE"], _affine_z7_table(), ["psi"]),
+        # a length counts characters: the no-break space is two UTF-8 bytes
+        (["psi", "--input", "FILE", "--base", "0,0\u00a0"], _affine_z7_table(),
+         ["psi", "--base=0,0\u00a0"]),
+        (["recover", "--input", "FILE", "--moment", "1,2", "--count", "3"], _affine_z7_table(),
+         ["recover", "--moment=1,2", "--count=3", "--mode=exhaustive"]),
+        (["directions", "--ring", "prime 5", "--n", "3", "--family"], None,
+         ["directions", "--ring=prime 5", "--n=3", "--family"]),
+        (["bh", "verify", "--ring", "prime 5", "--set", "1,2,4", "--h", "2"], None,
+         ["bh", "verify", "--ring=prime 5", "--set=1,2,4", "--h=2"]),
+        (["bh", "search", "--ring", "prime 5", "--n", "3"], None,
+         ["bh", "search", "--ring=prime 5", "--n=3", "--budget=1000000"]),
+        (["bh", "geometric", "--ring", "prime 17", "--g", "3", "--n", "4"], None,
+         ["bh", "geometric", "--ring=prime 17", "--g=3", "--n=4"]),
+        (["sharpness", "bound", "--n", "4"], None, ["sharpness", "bound", "--n=4"]),
+        (["sharpness", "witness", "--ring", "prime 7", "--n", "3", "--dirs", "1,1,1;1,2,4"], None,
+         ["sharpness", "witness", "--ring=prime 7", "--n=3", "--dirs=1,1,1;1,2,4"]),
+        (["sharpness", "certify", "--ring", "prime 5", "--n", "3", "--set", "1,2,4"], None,
+         ["sharpness", "certify", "--ring=prime 5", "--n=3", "--set=1,2,4"]),
+        (["vonstaudt", "check", "--input", "FILE"], _CONST_MAP, ["vonstaudt", "check"]),
+        (["vonstaudt", "recover", "--input", "FILE"], _GOOD_MAP, ["vonstaudt", "recover"]),
+    ],
+    ids=["check-line", "psi", "psi-base", "recover", "directions", "bh-verify", "bh-search", "bh-geometric",
+         "sharpness-bound", "sharpness-witness", "sharpness-certify", "vonstaudt-check",
+         "vonstaudt-recover"],
+)
+def test_digest_follows_the_readme_recipe(tmp_path, argv, body, words):
+    # README, "Digest": each part, written as its length in characters, ':' and
+    # the part, in order; the SHA-256 of the UTF-8 bytes of them all
+    path = body and _write(tmp_path, "f.tbl", body)
+    _, text = run_subcommand([path if a == "FILE" else a for a in argv])
+    document, digest_line = text[: text.index("digest: ")], text[text.index("digest: "):]
+    recipe = hashlib.sha256()
+    for part in [*words, body or "", document]:
+        recipe.update(str(len(part)).encode("ascii") + b":")
+        recipe.update(part.encode("utf-8"))
+    assert digest_line == f"digest: {recipe.hexdigest()}\n"
+
+
+def test_digest_frames_each_part(tmp_path):
+    # a line end moved from the end of --base to the front of the input file
+    # leaves the answer and the concatenated text alike, but not the digest
+    body = _affine_z7_table()
+    argvs = (["psi", "--input", _write(tmp_path, "a.tbl", body), "--base", "0,0\n"],
+             ["psi", "--input", _write(tmp_path, "b.tbl", "\n" + body), "--base", "0,0"])
+    (code_a, text_a), (code_b, text_b) = map(run_subcommand, argvs)
+    assert code_a == code_b == EXIT_OK
+    assert text_a.rpartition("digest: ")[0] == text_b.rpartition("digest: ")[0]
+    assert _digest((code_a, text_a)) != _digest((code_b, text_b))
 
 
 def test_vonstaudt_cli_semilinear_document(tmp_path):
