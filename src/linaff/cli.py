@@ -390,20 +390,19 @@ def _read_argv(argv):
 
 
 def _parse_vector(ring: Ring, text: str) -> tuple:
-    """The elements of a comma-separated vector, each read by `Ring.parse_code`."""
+    """The codes of a comma-separated vector's elements, each read by `Ring.parse_code`."""
     try:
-        values = [ring.parse_code(t) for t in map(str.strip, text.split(",")) if t]
+        codes = tuple(ring.parse_code(t) for t in map(str.strip, text.split(",")) if t)
     except LinaffError as exc:
         raise ParseError(f"bad vector {text!r}: {exc}") from None
-    if not values:
+    if not codes:
         raise ParseError(f"empty vector in {text!r}")
-    return tuple(RingElem(ring, x) for x in values)
+    return codes
 
 
-def _parse_dirs(ring: Ring, arity: int, text: str):
-    from . import recovery
-    vectors = tuple(_parse_vector(ring, chunk) for chunk in text.split(";") if chunk.strip())
-    return recovery.DirectionSet(ring, arity, vectors)
+def _parse_elements(ring: Ring, text: str) -> tuple:
+    """The elements of a comma-separated vector, as `_parse_vector` reads their codes."""
+    return tuple(RingElem(ring, c) for c in _parse_vector(ring, text))
 
 
 def _read_input(path: str) -> str:
@@ -419,17 +418,18 @@ def _read_input(path: str) -> str:
 def _direction_set(opts, ring, arity):
     from . import recovery
     dirs_text, family, moment, count = map(opts.get, ("dirs", "family", "moment", "count"))
-    if [bool(dirs_text), family, bool(moment)].count(True) != 1:
+    if [dirs_text is not None, family, moment is not None].count(True) != 1:
         raise ParseError("give exactly one of --dirs, --family, --moment")
-    if count is not None and not moment:
+    if count is not None and moment is None:
         raise ParseError("--count needs --moment")
     if arity < 1:
         raise PreconditionError(f"arity must be >= 1, got {arity}")
-    if dirs_text:
-        return _parse_dirs(ring, arity, dirs_text)
+    if dirs_text is not None:
+        vectors = (_parse_vector(ring, chunk) for chunk in dirs_text.split(";") if chunk.strip())
+        return recovery.DirectionSet(ring, arity, tuple(vectors))
     if family:
         return recovery.family_directions(ring, arity)
-    nodes = _parse_vector(ring, moment)
+    nodes = _parse_elements(ring, moment)
     if len(nodes) != arity:
         raise ParseError(f"--moment needs {arity} node values")
     if count is None:
@@ -451,7 +451,7 @@ def _run(path, opts, text: str) -> list[tuple[str, str]]:
     if cmd == "directions":
         ring = parse_ring_spec(opts["ring"])
         dirs = _direction_set(opts, ring, opts["n"])
-        rendered = ";".join(",".join(map(ring.format_element, v)) for v in dirs.dirs)
+        rendered = ";".join(",".join(map(ring.format_code, v)) for v in dirs.dirs)
         return [("status", "ok"), ("dirs", rendered)]
     if cmd in ("bh", "sharpness"):
         from . import bh_sets
@@ -464,9 +464,9 @@ def _run(path, opts, text: str) -> list[tuple[str, str]]:
             return bh_sets.construct_geometric(g, opts["n"]).document()
         if sub == "witness":
             from . import sharpness
-            dirs = _parse_dirs(ring, opts["n"], opts["dirs"])
+            dirs = _direction_set(opts, ring, opts["n"])
             return sharpness.lower_bound_witness(opts["n"], dirs, ring).document()
-        candidate = bh_sets.BhCandidate(ring, _parse_vector(ring, opts["set"]))
+        candidate = bh_sets.BhCandidate(ring, _parse_elements(ring, opts["set"]))
         if sub == "certify":
             from . import sharpness
             return sharpness.certify_directions(opts["n"], ring, candidate).document()
@@ -485,11 +485,11 @@ def _run(path, opts, text: str) -> list[tuple[str, str]]:
     if not isinstance(oracle, FunctionOracle):
         raise ParseError("this subcommand needs a scalar-valued oracle")
     if cmd == "check-line":
-        base = _parse_vector(oracle.ring, opts["base"])
-        direction = _parse_vector(oracle.ring, opts["dir"])
+        base = _parse_elements(oracle.ring, opts["base"])
+        direction = _parse_elements(oracle.ring, opts["dir"])
         return line_affine_check(oracle, Line(base, direction)).document()
     if cmd == "psi":
-        base = _parse_vector(oracle.ring, opts["base"]) if opts["base"] else None
+        base = _parse_elements(oracle.ring, opts["base"]) if opts["base"] else None
         return [("status", "ok"), ("coeffs", repr(psi_extract(oracle, base)))]
     from . import recovery
     dirs = _direction_set(opts, oracle.ring, oracle.arity)

@@ -1,6 +1,6 @@
 """Exact dense linear algebra over the supported rings: one routine,
-`kernel_vector`, which decides whether a homogeneous system of RingElem
-rows forces its unknowns to zero by one Gauss-Jordan pass through the
+`kernel_vector`, which decides whether a homogeneous system of rows of
+values forces its unknowns to zero by one Gauss-Jordan pass through the
 ring's value-level operations.  Over Z/m it never factors m.  It
 eliminates modulo a part n | m as if n were prime, and a pivot that is
 nonzero mod n but not a unit splits n by a gcd instead of being inverted
@@ -16,9 +16,9 @@ import math
 from .rings import Ring, RingElem
 
 
-def kernel_vector(rows, cols: int, ring: Ring) -> list[RingElem] | None:
+def kernel_vector(rows, cols: int, ring: Ring) -> list | None:
     """A nonzero solution of rows * x = 0, x with `cols` entries, or None
-    when x = 0 is the only one.
+    when x = 0 is the only one; the rows and x are given as values.
 
     Over a field it is the reduced-echelon kernel vector of the first free
     column (that variable 1, the other free ones 0), unique as the reduced
@@ -28,12 +28,11 @@ def kernel_vector(rows, cols: int, ring: Ring) -> list[RingElem] | None:
     that vector x mod n, lifted to (m/n) x.
     """
     add, mul, neg = ring.add, ring.mul, ring.neg
-    values = [[e.value for e in row] for row in rows]
     whole = getattr(ring, "m", None)
     parts = [whole]
     while parts:
         n = parts.pop()
-        mat = [row[:] for row in values]
+        mat = [list(row) for row in rows]
         pivots = []
         for col in range(cols):
             r = len(pivots)
@@ -47,7 +46,7 @@ def kernel_vector(rows, cols: int, ring: Ring) -> list[RingElem] | None:
                 vec = [ring.one.value if c == col else ring.zero.value for c in range(cols)]
                 for i, pc in enumerate(pivots):
                     vec[pc] = neg(mat[i][col])
-                return [RingElem(ring, mul(1 if n == whole else whole // n, x)) for x in vec]
+                return [mul(1 if n == whole else whole // n, x) for x in vec]
             a = column[pivot]
             if n is None:
                 inv = ring.inverse(RingElem(ring, a)).value

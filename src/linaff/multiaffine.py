@@ -299,7 +299,8 @@ def line_affine_check(f: FunctionOracle, line: Line) -> LineCheck:
     _check_arity(f, line)
     ring = f.ring
     if isinstance(f, MultiAffinePoly):
-        return restriction_check(ring, radial_values(shift_poly(f, line.base), line.dir))
+        shifted = shift_poly(f, line.base)
+        return restriction_check(ring, radial_values(shifted, point_values(ring, line.dir)))
     points = vector_line(ring, point_values(ring, line.base), point_values(ring, line.dir))
     vals = [f.codes[point_index(ring.size, p)] for p in points]
     slope = ring.sub(vals[1], vals[0])
@@ -375,22 +376,22 @@ def psi_extract(f: FunctionOracle, base: Point | None = None) -> MultiAffinePoly
     return MultiAffinePoly(ring, n, {m: RingElem(ring, v) for m, v in enumerate(vals) if v})
 
 
-def radial_values(poly: MultiAffinePoly, v: Point) -> list:
-    """Values of the coefficients b_0..b_n of r -> poly(r*v), v a point of
-    the poly's arity: b_k = sum over |J|=k of a_J prod_{j in J} v_j."""
+def radial_values(poly: MultiAffinePoly, v) -> list:
+    """Values of the coefficients b_0..b_n of r -> poly(r*v), v the values of a
+    direction of the poly's arity: b_k = sum over |J|=k of a_J prod_{j in J} v_j."""
     if len(v) != poly.arity:
         raise ArityError(f"direction arity {len(v)} != poly arity {poly.arity}")
-    ring, vals = poly.ring, point_values(poly.ring, v)
+    ring = poly.ring
     b = [ring.zero.value] * (poly.arity + 1)
     for mask, c in poly.coeffs.items():
         k = mask.bit_count()
-        b[k] = ring.add(b[k], subset_product(ring, c.value, mask, vals))
+        b[k] = ring.add(b[k], subset_product(ring, c.value, mask, v))
     return b
 
 
 def restrict_radial(poly: MultiAffinePoly, v: Point) -> list[RingElem]:
-    """The coefficients b_0..b_n of r -> poly(r*v), as ring elements."""
-    return [RingElem(poly.ring, x) for x in radial_values(poly, v)]
+    """The coefficients b_0..b_n of r -> poly(r*v), v a point, as ring elements."""
+    return [RingElem(poly.ring, x) for x in radial_values(poly, point_values(poly.ring, v))]
 
 
 def is_affine_poly(poly: MultiAffinePoly) -> bool:

@@ -61,10 +61,10 @@ from .rings import Record, Ring, RingElem, format_elements
 
 
 class DirectionSet(Record):
-    """Nonzero test directions of one arity over one ring, in the given order.
-
-    `family_directions` and `moment_directions` build the two standard
-    shapes; any other tuple of nonzero vectors is accepted as well.
+    """Nonzero test directions of one arity over one ring, in the given order,
+    each a tuple of element codes as `Ring.parse_code` reads them (over Q, a
+    `Fraction`).  `family_directions` and `moment_directions` build the two
+    standard shapes; any other tuple of nonzero directions is accepted too.
     """
 
     __slots__ = ("ring", "arity", "dirs")
@@ -72,19 +72,19 @@ class DirectionSet(Record):
     def __init__(self, ring: Ring, arity: int, dirs: tuple):
         if arity < 1:
             raise PreconditionError(f"arity must be >= 1, got {arity}")
+        code, size = type(ring.zero.value), ring.size
         for v in dirs:
+            if not all(type(c) is code and (not size or 0 <= c < size) for c in v):
+                raise PreconditionError(f"direction {v!r} is not a tuple of codes of {ring}")
             if len(v) != arity:
-                coords = ", ".join(c.ring.format_element(c) for c in v)
-                raise ArityError(f"direction ({coords}) has arity {len(v)}, expected {arity}")
-            if not any(point_values(ring, v)):
+                coords = ", ".join(map(ring.format_code, v))
+                raise PreconditionError(f"direction ({coords}) has arity {len(v)}, expected {arity}")
+            if not any(v):
                 raise PreconditionError("directions must be nonzero")
         super().__init__(ring, arity, dirs)
 
     def __len__(self):
         return len(self.dirs)
-
-    def subset(self, indices) -> "DirectionSet":
-        return DirectionSet(self.ring, self.arity, tuple(self.dirs[i] for i in indices))
 
 
 def family_directions(ring: Ring, n: int, coeffs=None) -> DirectionSet:
@@ -109,15 +109,14 @@ def family_directions(ring: Ring, n: int, coeffs=None) -> DirectionSet:
                     raise PreconditionError(f"no coefficients given for J={subset}") from None
                 if len(cs) != size:
                     raise PreconditionError(f"J={subset} needs {size} coefficients")
+            vec = [ring.zero.value] * n
             for j, c in zip(subset, cs):
                 if not ring.is_regular(c):
                     raise PreconditionError(
                         f"coefficient for J={subset} at j={j} is not regular: "
                         f"{ring.format_element(c)}"
                     )
-            vec = [ring.zero] * n
-            for j, c in zip(subset, cs):
-                vec[j - 1] = c
+                vec[j - 1] = c.value
             dirs.append(tuple(vec))
     return DirectionSet(ring, n, tuple(dirs))
 
@@ -154,18 +153,16 @@ def moment_directions(s_elements, count: int) -> DirectionSet:
     ring = s_elements[0].ring
     nodes = point_values(ring, s_elements)
     # v_{i+1} = v_i * s coordinatewise on values, so each power costs one product
-    powers = [ring.one.value] * len(nodes)
-    dirs = [tuple(RingElem(ring, p) for p in powers)]
+    dirs = [(ring.one.value,) * len(nodes)]
     while len(dirs) < count:
-        powers = [ring.mul(p, s) for p, s in zip(powers, nodes)]
-        dirs.append(tuple(RingElem(ring, p) for p in powers))
+        dirs.append(tuple(map(ring.mul, dirs[-1], nodes)))
     return DirectionSet(ring, len(s_elements), tuple(dirs))
 
 
 def degree_system(dirs: DirectionSet, k: int) -> tuple[tuple, list]:
     """Homogeneous constraints on the degree-k coefficients, as (masks, rows).
 
-    Row i corresponds to direction v_i and has entry prod_{j in J} (v_i)_j
+    Row i corresponds to direction v_i and has the value prod_{j in J} (v_i)_j
     at the column of subset J, whose bitmask is `masks[col]`; columns go in
     subset-lex order and the right-hand side is zero.  The rows depend on
     the directions only: the values a function must meet are the degree-k
@@ -173,8 +170,7 @@ def degree_system(dirs: DirectionSet, k: int) -> tuple[tuple, list]:
     """
     ring, one = dirs.ring, dirs.ring.one.value
     masks = tuple(subset_to_mask(s) for s in combinations(range(1, dirs.arity + 1), k))
-    points = ([c.value for c in v] for v in dirs.dirs)
-    return masks, [[RingElem(ring, subset_product(ring, one, m, x)) for m in masks] for x in points]
+    return masks, [[subset_product(ring, one, m, v) for m in masks] for v in dirs.dirs]
 
 
 def factorial_det(n: int, ring: Ring) -> RingElem:
@@ -334,7 +330,8 @@ def recover(f: FunctionOracle, dirs: DirectionSet, mode: str = "exhaustive") -> 
         radials.append(radial_values(high, v))
         check = restriction_check(ring, radials[-1], samples)
         if not check.ok:
-            return LineWitness(Line(zero_point(ring, n), v), check.witness)
+            line = Line(zero_point(ring, n), tuple(RingElem(ring, c) for c in v))
+            return LineWitness(line, check.witness)
 
     if mode == "proof":
         fac_det = factorial_det(n, ring)

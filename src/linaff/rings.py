@@ -301,8 +301,11 @@ class Ring:
         """Element from its file text: the code for finite rings, a fraction for Q."""
         return RingElem(self, self.parse_code(text))
 
+    def format_code(self, code) -> str:
+        return str(code)
+
     def format_element(self, x: RingElem) -> str:
-        return str(x.value)
+        return self.format_code(x.value)
 
     def spec_text(self) -> str:
         """The canonical literal that `parse_ring_spec` reads back: the ring's identity."""
@@ -591,8 +594,7 @@ class Rationals(Ring):
         except ZeroDivisionError:
             raise PreconditionError(f"zero denominator in {text!r}") from None
 
-    def format_element(self, x: RingElem) -> str:
-        v = x.value
+    def format_code(self, v) -> str:
         try:
             return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
         except ValueError:  # Python caps the digits of an int -> str conversion

@@ -19,9 +19,9 @@ from __future__ import annotations
 from .bh_sets import BhCandidate, verify_properties
 from .errors import InconsistencyError, PreconditionError, RingMismatchError
 from .linalg import kernel_vector
-from .multiaffine import MAX_ARITY, MultiAffinePoly, is_affine_poly, restrict_radial
+from .multiaffine import MAX_ARITY, MultiAffinePoly, is_affine_poly, radial_values
 from .recovery import DirectionSet, degree_system, minimal_direction_count
-from .rings import Record, Ring
+from .rings import Record, Ring, RingElem
 
 
 class SharpnessWitness(Record):
@@ -72,11 +72,11 @@ def lower_bound_witness(n: int, dirs: DirectionSet, fld: Ring) -> SharpnessWitne
     vector = kernel_vector(rows, len(masks), fld)
     if vector is None:
         raise InconsistencyError("direction set already forces the binding degree")
-    poly = MultiAffinePoly(fld, n, dict(zip(masks, vector)))
+    poly = MultiAffinePoly(fld, n, {m: RingElem(fld, x) for m, x in zip(masks, vector)})
     if poly.is_zero or is_affine_poly(poly):
         raise InconsistencyError("degenerate witness polynomial")
     for v in dirs.dirs:
-        if not restrict_radial(poly, v)[k].is_zero:
+        if radial_values(poly, v)[k]:
             raise InconsistencyError("witness is visible along a supplied direction")
     return SharpnessWitness(poly, k)
 

@@ -33,6 +33,12 @@ from linaff.rings import PrimeField, Ring, RingElem
 from linaff.multiaffine import mask_to_subset, unit_point, zero_point
 
 
+def elements_of(ring, values):
+    """The ring elements with the given values: the point of a direction's
+    codes, or a row of a degree system."""
+    return tuple(RingElem(ring, x) for x in values)
+
+
 def rand_elem(ring, rng):
     if ring.is_finite:
         return ring.element_from_encoding(rng.randrange(ring.size))
@@ -409,7 +415,7 @@ def recover_reference(f, dirs, mode="exhaustive"):
         return failure
     ring, n = f.ring, f.arity
     origin = zero_point(ring, n)
-    for v in dirs.dirs:
+    for v in (elements_of(ring, codes) for codes in dirs.dirs):
         line = Line(origin, v)
         if mode == "exhaustive":
             witness = line_check_reference(f, line).witness
@@ -449,8 +455,9 @@ def recover_poly_reference(poly, dirs, mode="exhaustive"):
     by the ring if some radial restriction has a nonzero coefficient of
     its degree, else the witness; with none, psi's affine coefficients."""
     ring, n = poly.ring, poly.arity
-    radials = [restrict_radial_reference(poly, v) for v in dirs.dirs]
-    for v, b in zip(dirs.dirs, radials):
+    points = [elements_of(ring, v) for v in dirs.dirs]
+    radials = [restrict_radial_reference(poly, v) for v in points]
+    for v, b in zip(points, radials):
         if mode == "proof" and ring.is_finite:
             slope = sum(b[2:], b[1])
             witness = None

@@ -687,13 +687,29 @@ def test_malformed_ring_literals_are_usage_errors(tmp_path, argv, body):
         (["recover", "--input", "FILE", "--dirs", "1,1;0,0"], "directions must be nonzero"),
         (["recover", "--input", "FILE", "--dirs", "7,1"],
          "bad vector '7,1': encoding 7 out of range for zmod 7"),
+        (["recover", "--input", "FILE", "--family", "--moment", ""],
+         "give exactly one of --dirs, --family, --moment"),
+        (["recover", "--input", "FILE", "--family", "--dirs", ""],
+         "give exactly one of --dirs, --family, --moment"),
+        (["recover", "--input", "FILE", "--family", "--moment="],
+         "give exactly one of --dirs, --family, --moment"),
+        (["recover", "--input", "FILE", "--dirs", "", "--moment", "1,2"],
+         "give exactly one of --dirs, --family, --moment"),
+        (["directions", "--ring", "prime 5", "--n", "2", "--family", "--moment", ""],
+         "give exactly one of --dirs, --family, --moment"),
+        (["recover", "--input", "FILE", "--moment", ""], "empty vector in ''"),
+        (["recover", "--input", "FILE", "--moment", "", "--count", "2"], "empty vector in ''"),
+        (["directions", "--ring", "prime 5", "--n", "2", "--moment", ""], "empty vector in ''"),
     ],
     ids=["family-n40", "moment-n-1", "dirs-arity", "moment-n40", "moment-count",
          "witness-n0", "witness-n-2", "witness-n40", "certify-collision", "certify-difference",
          "certify-n40", "verify-24-primes", "geometric-n17", "bound-n100000",
          "geometric-3000-digits", "geometric-rational-g1", "geometric-rational-g-1",
          "geometric-rational-g2-n16", "recover-family-count", "recover-dirs-count",
-         "directions-family-count", "dirs-zero", "dirs-second-zero", "dirs-out-of-range"],
+         "directions-family-count", "dirs-zero", "dirs-second-zero", "dirs-out-of-range",
+         "family-empty-moment", "family-empty-dirs", "family-empty-moment-equals",
+         "empty-dirs-moment", "directions-family-empty-moment", "empty-moment",
+         "empty-moment-count", "directions-empty-moment"],
 )
 def test_direction_set_errors(tmp_path, argv, message):
     path = _write(tmp_path, "affine.tbl", _affine_z7_table())
@@ -821,7 +837,8 @@ def _vec(ring, text):
 
 
 def _dirs(ring, arity, text):
-    return DirectionSet(ring, arity, tuple(_vec(ring, v) for v in text.split(";")))
+    codes = (tuple(map(ring.parse_code, v.split(","))) for v in text.split(";"))
+    return DirectionSet(ring, arity, tuple(codes))
 
 
 def _line(ring, base, direction):
@@ -1068,16 +1085,26 @@ def test_vonstaudt_without_decomposition_or_violation_is_internal(tmp_path, monk
 def test_sharpness_witness_cross_checks_are_internal_errors(monkeypatch):
     # only a faulty kernel reaches these checks: fewer rows than columns
     # always leave a kernel, and its vectors solve every row
-    F7 = PrimeField(7)
     argv = ["sharpness", "witness", "--ring", "prime 7", "--n", "3", "--dirs", "1,1,1;1,2,4"]
     for vector, message in [
         (None, "direction set already forces the binding degree"),
-        ([F7.zero] * 3, "degenerate witness polynomial"),
+        ([0] * 3, "degenerate witness polynomial"),
         # x1*x2 restricts to r^2 along (1,1,1)
-        ([F7.one, F7.zero, F7.zero], "witness is visible along a supplied direction"),
+        ([1, 0, 0], "witness is visible along a supplied direction"),
     ]:
         monkeypatch.setattr("linaff.sharpness.kernel_vector", lambda *args, v=vector: v)
         assert run_subcommand(argv) == (EXIT_INTERNAL, f"internal error: {message}\n")
+
+
+def test_an_empty_dirs_value_is_the_empty_set(tmp_path):
+    # --dirs "" is given, as --dirs ";" is: both name no direction, so
+    # recover answers from psi alone; only the request in the digest differs
+    for name, table in (("affine.tbl", _affine_z7_table()), ("xy.tbl", _xy_z5_table())):
+        path = _write(tmp_path, name, table)
+        answers = [run_subcommand(["recover", "--input", path, "--dirs", text]) for text in ("", ";")]
+        (code, empty), (code_semicolon, semicolon) = answers
+        assert code == code_semicolon == (EXIT_OK if name == "affine.tbl" else EXIT_NEGATIVE)
+        assert empty[: empty.index("digest:")] == semicolon[: semicolon.index("digest:")]
 
 
 def test_family_flag_via_cli(tmp_path):

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -39,6 +40,7 @@ from linaff.recovery import _coordinate_line_failure, _verified_affine
 from helpers import (
     all_points,
     coordinate_line_failure_reference,
+    elements_of,
     is_pointwise_affine,
     kernel_vector_reference,
     rand_affine_poly,
@@ -60,6 +62,11 @@ GF9 = GaloisField(3, 2, [1, 0])
 
 
 def _vec(ring, *vals):
+    """A direction: the element codes of vals."""
+    return tuple(ring.elem(v).value for v in vals)
+
+
+def _elems(ring, *vals):
     return tuple(ring.elem(v) for v in vals)
 
 
@@ -124,32 +131,62 @@ def test_moment_directions_examples():
 def test_moment_directions_match_powers_from_scratch(nodes):
     count = 20
     dirs = moment_directions(nodes, count)
-    assert dirs.dirs == tuple(tuple(s ** (i - 1) for s in nodes) for i in range(1, count + 1))
+    assert dirs.dirs == tuple(tuple((s ** (i - 1)).value for s in nodes) for i in range(1, count + 1))
 
 
 def test_direction_set_validation():
     Z5 = Zmod(5)
     with pytest.raises(PreconditionError):
-        DirectionSet(Z5, 2, ((Z5.zero, Z5.zero),))
-    with pytest.raises(RingMismatchError):
+        DirectionSet(Z5, 2, ((0, 0),))
+    with pytest.raises(PreconditionError):
         DirectionSet(Z5, 1, ((Zmod(7).one,),))
+
+
+@pytest.mark.parametrize(
+    "ring, arity, dirs, message",
+    [
+        (Zmod(5), 2, ((Zmod(5).one, Zmod(5).one),),
+         "direction (1@zmod 5, 1@zmod 5) is not a tuple of codes of zmod 5"),
+        (Rationals(), 2, ((Fraction(1), Rationals().one),),
+         "direction (Fraction(1, 1), 1@rational) is not a tuple of codes of rational"),
+        (Rationals(), 1, ((1,),), "direction (1,) is not a tuple of codes of rational"),
+        (Zmod(5), 2, ((1, 5),), "direction (1, 5) is not a tuple of codes of zmod 5"),
+        (Zmod(5), 2, ((-1, 1),), "direction (-1, 1) is not a tuple of codes of zmod 5"),
+        (GF9, 1, ((9,),), "direction (9,) is not a tuple of codes of gf 3 2 1 0"),
+        (Zmod(5), 2, ((True, 1),), "direction (True, 1) is not a tuple of codes of zmod 5"),
+        (Zmod(5), 2, ((1, 1, 1),), "direction (1, 1, 1) has arity 3, expected 2"),
+        (Rationals(), 2, ((Fraction(1, 2),),), "direction (1/2) has arity 1, expected 2"),
+        (Zmod(5), 2, ((1, 1), ()), "direction () has arity 0, expected 2"),
+        (Zmod(5), 2, ((1, 1), (0, 0)), "directions must be nonzero"),
+        (Rationals(), 2, ((Fraction(0), Fraction(0)),), "directions must be nonzero"),
+    ],
+    ids=["elements-zmod5", "element-rational", "int-rational", "out-of-range", "negative",
+         "out-of-range-gf9", "bool", "arity", "arity-rational", "arity-empty", "zero",
+         "zero-rational"],
+)
+def test_direction_set_takes_code_tuples_only(ring, arity, dirs, message):
+    # the constructor is the one check of a direction: its coordinates are
+    # codes of the ring, its arity is the set's, and it is nonzero
+    with pytest.raises(PreconditionError) as err:
+        DirectionSet(ring, arity, dirs)
+    assert str(err.value) == message
 
 
 def test_degree_system_examples():
     Z5 = Zmod(5)
     dirs = DirectionSet(Z5, 2, (_vec(Z5, 1, 1),))
-    assert degree_system(dirs, 2) == ((0b11,), [[Z5.one]])
+    assert degree_system(dirs, 2) == ((0b11,), [[1]])
 
     F5 = PrimeField(5)
     moments = moment_directions([F5.one, F5.elem(2), F5.elem(4)], 3)
     masks, rows = degree_system(moments, 2)
-    assert [[e.value for e in row] for row in rows] == [
+    assert rows == [
         [1, 1, 1],
         [2, 4, 3],
         [4, 1, 4],
     ]
     # degree-3 row of the all-ones direction is [1]
-    assert degree_system(moments, 3)[1][0] == [F5.one]
+    assert degree_system(moments, 3)[1][0] == [1]
     assert masks == (
         subset_to_mask((1, 2)),
         subset_to_mask((1, 3)),
@@ -160,15 +197,15 @@ def test_degree_system_examples():
 def test_degree_system_residuals_read_off_the_coefficients():
     Z7 = Zmod(7)
     psi = MultiAffinePoly(Z7, 2, {0b11: Z7.elem(3)})
-    v = _vec(Z7, 2, 5)
+    v = _elems(Z7, 2, 5)
     assert restrict_radial(psi, v)[2] == Z7.elem(3) * Z7.elem(2) * Z7.elem(5)
 
 
 def test_solve_trivial_square_system():
     Z4 = Zmod(4)
-    assert kernel_vector([[Z4.one]], 1, Z4) is None
+    assert kernel_vector([[1]], 1, Z4) is None
     Q = Rationals()
-    assert kernel_vector([[Q.one]], 1, Q) is None
+    assert kernel_vector([[Q.one.value]], 1, Q) is None
 
 
 def test_solve_zmod4_univariate_instance_cannot_cancel():
@@ -177,31 +214,31 @@ def test_solve_zmod4_univariate_instance_cannot_cancel():
     # kernel vector (1,1) lifts to the nonzero solution (2,2)
     Z4 = Zmod(4)
     rows = [
-        [Z4.elem(1), Z4.elem(1)],
-        [Z4.elem(2), Z4.elem(4)],
+        [Z4.elem(1).value, Z4.elem(1).value],
+        [Z4.elem(2).value, Z4.elem(4).value],
     ]
-    assert kernel_vector(rows, 2, Z4) == [Z4.elem(2), Z4.elem(2)]
+    assert kernel_vector(rows, 2, Z4) == [2, 2]
 
 
 def test_solve_underdetermined_over_field_gives_kernel():
     F7 = PrimeField(7)
-    rows = [[F7.one, F7.one, F7.one]]
+    rows = [[1, 1, 1]]
     assert kernel_vector(rows, 3, F7) is not None
 
 
 def test_solve_singular_square_over_field_gives_kernel():
     F5 = PrimeField(5)
-    rows = [[F5.one, F5.elem(2)], [F5.elem(2), F5.elem(4)]]
+    rows = [[1, 2], [2, 4]]
     assert kernel_vector(rows, 2, F5) is not None
 
 
 def test_solve_tall_system_uses_any_regular_square_subsystem():
     Z6 = Zmod(6)
     rows = [
-        [Z6.elem(2), Z6.elem(0)],  # singular-ish rows first
-        [Z6.elem(4), Z6.elem(0)],
-        [Z6.one, Z6.zero],
-        [Z6.zero, Z6.one],
+        [2, 0],  # singular-ish rows first
+        [4, 0],
+        [1, 0],
+        [0, 1],
     ]
     assert kernel_vector(rows, 2, Z6) is None
 
@@ -220,7 +257,7 @@ def test_solve_all_zero_iff_enumeration_finds_only_zero(monkeypatch):
     # elsewhere, also where every square minor is a zerodivisor.  The second
     # pass runs with prime_factors raising: the kernel splits m, never factors it
     Z6 = Zmod(6)
-    assert kernel_vector([[Z6.elem(3)], [Z6.elem(2)]], 1, Z6) is None
+    assert kernel_vector([[3], [2]], 1, Z6) is None
     rng = random.Random(31337)
     systems = []
     for m in range(2, 65):
@@ -247,12 +284,12 @@ def test_solve_all_zero_iff_enumeration_finds_only_zero(monkeypatch):
             monkeypatch.setattr("linaff.rings.prime_factors", no_factoring)
         for m, cols, raw, forced in systems:
             ring = Zmod(m)  # a fresh ring, with no factorization cached
-            vec = kernel_vector([[ring.elem(v) for v in row] for row in raw], cols, ring)
+            vec = kernel_vector(raw, cols, ring)
             assert (vec is None) == forced
             if vec is not None:
-                assert len(vec) == cols and any(v.value for v in vec)
+                assert len(vec) == cols and any(vec)
                 for row in raw:
-                    assert sum(a * v.value for a, v in zip(row, vec)) % m == 0
+                    assert sum(a * v for a, v in zip(row, vec)) % m == 0
     assert {forced for *_, forced in systems} == {True, False}
 
 
@@ -266,7 +303,7 @@ def test_recover_cancels_across_the_primes_of_m():
         cert = recover(oracle, dirs)
         assert cert.status == "affine"
         assert cert.constant == Z6.one
-        assert cert.linear == _vec(Z6, 2, 5)
+        assert cert.linear == _elems(Z6, 2, 5)
 
 
 def test_recover_affine_example():
@@ -286,7 +323,7 @@ def test_recover_xy_over_z5_non_affine():
     dirs = DirectionSet(Z5, 2, (_vec(Z5, 1, 1),))
     cert = recover(f, dirs)
     assert cert.status == "non-affine"
-    assert cert.line is not None and cert.line.dir == _vec(Z5, 1, 1)
+    assert cert.line is not None and cert.line.dir == _elems(Z5, 1, 1)
 
 
 def test_recover_2xy_over_z4_cannot_cancel():
@@ -458,7 +495,7 @@ def test_recover_input_validation():
     Z5 = Zmod(5)
     f = table_from_poly(MultiAffinePoly(Z5, 2, {}))
     with pytest.raises(RingMismatchError):
-        recover(f, DirectionSet(Zmod(7), 2, ((Zmod(7).one, Zmod(7).one),)))
+        recover(f, DirectionSet(Zmod(7), 2, ((1, 1),)))
     with pytest.raises(PreconditionError):
         recover(f, DirectionSet(Z5, 2, (_vec(Z5, 1, 1),)), mode="sideways")
 
@@ -476,7 +513,7 @@ def test_monotone_degree_stripping():
         systems = {k: degree_system(dirs, k) for k in range(2, 4)}
         if all(
             kernel_vector(rows, len(masks), F11) is None
-            and all(restrict_radial(psi, v)[k].is_zero for v in dirs.dirs)
+            and all(restrict_radial(psi, elements_of(F11, v))[k].is_zero for v in dirs.dirs)
             for k, (masks, rows) in systems.items()
         ):
             assert is_affine_poly(psi)
@@ -511,7 +548,7 @@ def test_recover_randomized_sweep_is_total_and_sound():
                 ring.element_from_encoding(rng.randrange(ring.size)) for _ in range(n)
             )
             if any(not c.is_zero for c in v):
-                dirs.append(v)
+                dirs.append(tuple(c.value for c in v))
         cert = recover(
             oracle,
             DirectionSet(ring, n, tuple(dirs)),
@@ -565,7 +602,7 @@ def _seeded_dirs(ring, n, rng, k):
     while len(dirs) < rng.randint(1, 3):
         v = tuple(ring.element_from_encoding(rng.randrange(ring.size)) for _ in range(n))
         if any(not c.is_zero for c in v):
-            dirs.append(v)
+            dirs.append(tuple(c.value for c in v))
     return DirectionSet(ring, n, tuple(dirs))
 
 
@@ -728,7 +765,7 @@ def _seeded_direction_sets(ring, n, rng):
     while len(dirs) < rng.randint(1, 4):
         v = tuple(rand_elem(ring, rng) for _ in range(n))
         if any(not c.is_zero for c in v):
-            dirs.append(v)
+            dirs.append(tuple(c.value for c in v))
     nodes = [rand_elem(ring, rng) for _ in range(n)]
     nodes[0] = rand_nonzero(ring, rng)
     count = rng.randint(1, minimal_direction_count(n) + 1)
@@ -749,7 +786,7 @@ def test_poly_recover_matches_full_restriction_reference(ring):
     for n in (2, 3, 4, 5):
         for poly in _seeded_polys(ring, n, rng):
             for dirs in _seeded_direction_sets(ring, n, rng):
-                for v in dirs.dirs[:2]:
+                for v in (elements_of(ring, v) for v in dirs.dirs[:2]):
                     assert restrict_radial(poly, v) == restrict_radial_reference(poly, v)
                 for mode in ("exhaustive", "proof"):
                     got = emit_certificate(recover(poly, dirs, mode))

@@ -28,10 +28,15 @@ from linaff import (
 )
 from linaff.multiaffine import Line, zero_point
 
-from helpers import adjugate, determinant, mat_mul
+from helpers import adjugate, determinant, elements_of, mat_mul
 
 
 def _vec(ring, *vals):
+    """A direction: the element codes of vals."""
+    return tuple(ring.elem(v).value for v in vals)
+
+
+def _elems(ring, *vals):
     return tuple(ring.elem(v) for v in vals)
 
 
@@ -105,16 +110,17 @@ def test_witness_passes_all_line_hypotheses_yet_is_not_affine():
         count = minimal_direction_count(n)
         nodes = _first_nodes(F, n)
         dirs = moment_directions(nodes, count)
-        subset = dirs.subset(range(count - 1))
+        subset = DirectionSet(F, n, dirs.dirs[: count - 1])
         witness = lower_bound_witness(n, subset, F)
         assert not is_affine_poly(witness.poly)
         oracle = witness.poly
-        for v in subset.dirs:
+        points = [elements_of(F, v) for v in subset.dirs]
+        for v in points:
             assert line_affine_check(oracle, Line(zero_point(F, n), v)).ok
         for k in range(n + 1):
             if k != witness.degree:
                 continue
-            for v in subset.dirs:
+            for v in points:
                 assert restrict_radial(witness.poly, v)[k].is_zero
         cert = recover(oracle, subset)
         assert cert.status == "non-affine"
@@ -131,11 +137,11 @@ def _first_nodes(F, n):
 def test_certify_directions_f5_example():
     F5 = PrimeField(5)
     directions = _certified_directions(3, F5, _cand(F5, 1, 2, 4))
-    assert [[e.value for e in v] for v in directions.dirs] == [
-        [1, 1, 1],
-        [1, 2, 4],
-        [1, 4, 1],  # 4^2 = 1 mod 5
-    ]
+    assert directions.dirs == (
+        (1, 1, 1),
+        (1, 2, 4),
+        (1, 4, 1),  # 4^2 = 1 mod 5
+    )
 
 
 def test_certify_directions_f17_example():
@@ -154,8 +160,8 @@ def test_moment_systems_are_vandermonde_in_the_subset_products():
                           (GF4, 3), (GF9, 4), (PrimeField(37), 5))]
     cases += [
         (Rationals(), 5, construct_primes(5).elements, True),
-        (PrimeField(7), 4, _vec(PrimeField(7), 1, 2, 3, 6), False),  # 1*6 = 2*3
-        (GF9, 3, _vec(GF9, 0, 1, 5), False),  # a zero node
+        (PrimeField(7), 4, _elems(PrimeField(7), 1, 2, 3, 6), False),  # 1*6 = 2*3
+        (GF9, 3, _elems(GF9, 0, 1, 5), False),  # a zero node
     ]
     for ring, n, nodes, bundle in cases:
         assert verify_properties(BhCandidate(ring, tuple(nodes))).ok == bundle
@@ -171,7 +177,7 @@ def test_moment_systems_are_vandermonde_in_the_subset_products():
             vandermonde = ring.one
             for a, b in combinations(range(len(products)), 2):
                 vandermonde = vandermonde * (products[b] - products[a])
-            square = rows[: len(products)]
+            square = [elements_of(ring, row) for row in rows[: len(products)]]
             assert determinant(square, ring) == vandermonde
             if bundle:
                 assert ring.is_regular(vandermonde)
@@ -203,7 +209,7 @@ def test_certified_moment_matrices_satisfy_adjugate_identity():
         directions = _certified_directions(n, F, cand)
         for k in range(2, n):
             cols = math.comb(n, k)
-            square = degree_system(directions, k)[1][:cols]
+            square = [elements_of(F, row) for row in degree_system(directions, k)[1][:cols]]
             det = determinant(square, F)
             assert F.is_regular(det)
             adj = adjugate(square, F)
@@ -222,10 +228,10 @@ def test_duality_at_the_boundary():
         count = minimal_direction_count(n)
         assert len(directions) == count
         for keep in combinations(range(count), count - 1):
-            subset = directions.subset(keep)
+            subset = DirectionSet(F, n, tuple(directions.dirs[i] for i in keep))
             witness = lower_bound_witness(n, subset, F)
             for v in subset.dirs:
-                assert restrict_radial(witness.poly, v)[witness.degree].is_zero
+                assert restrict_radial(witness.poly, elements_of(F, v))[witness.degree].is_zero
 
 
 def test_witness_over_rationals():
@@ -233,5 +239,5 @@ def test_witness_over_rationals():
     dirs = DirectionSet(Q, 3, (_vec(Q, 1, 1, 1), _vec(Q, 2, 3, 5)))
     witness = lower_bound_witness(3, dirs, Q)
     for v in dirs.dirs:
-        assert restrict_radial(witness.poly, v)[2].is_zero
+        assert restrict_radial(witness.poly, elements_of(Q, v))[2].is_zero
     assert not is_affine_poly(witness.poly)

@@ -183,7 +183,7 @@ def test_record_fields_cannot_be_changed():
     line = Line((F5.zero,), (F5.one,))
     records = [
         (line, "base"),
-        (DirectionSet(F5, 1, ((F5.one,),)), "dirs"),
+        (DirectionSet(F5, 1, ((1,),)), "dirs"),
         (BhCandidate(F5, (F5.one, F5.elem(2))), "elements"),
         (Affine(F5.one, (F5.zero,)), "constant"),
         (BudgetSpent(3), "budget"),
