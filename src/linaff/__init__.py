@@ -17,11 +17,9 @@ __version__ = "0.1.0"
 _MODULE_EXPORTS = {
     "bh_sets": "BhCandidate BhReport BudgetSpent Collision construct_geometric "
     "construct_primes search_bh verify_bh verify_properties",
-    "errors": "ArityError DomainTooLargeError InconsistencyError LinaffError "
-    "MissingPointError NotEnumerableError ParseError PreconditionError "
-    "RingMismatchError UnsupportedRingError",
+    "errors": "InconsistencyError LinaffError ParseError PreconditionError",
     "multiaffine": "Line LineCheck MultiAffinePoly TableOracle is_affine_poly "
-    "line_affine_check psi_extract restrict_radial",
+    "line_affine_check psi_extract radial_values",
     "recovery": "Affine CannotCancel Certificate CoefficientWitness DirectionSet "
     "LineWitness degree_system factorial_det family_directions "
     "minimal_direction_count moment_directions recover",

@@ -23,7 +23,7 @@ from __future__ import annotations
 from itertools import combinations
 from math import prod
 
-from .errors import InconsistencyError, PreconditionError, UnsupportedRingError
+from .errors import InconsistencyError, PreconditionError
 from .multiaffine import MAX_ARITY
 from .rings import Rationals, Record, Ring, RingElem, Zmod, format_elements, is_prime
 
@@ -242,7 +242,7 @@ def search_bh(ring: Ring, n: int, budget: int = 1_000_000) -> BhCandidate | Budg
     every F_p does, and Z/m is searched only then, each with the budget.
     """
     if not ring.is_finite:
-        raise UnsupportedRingError("search needs a finite ring; use construct_primes over Q")
+        raise PreconditionError("search needs a finite ring; use construct_primes over Q")
     if n < 3:
         raise PreconditionError(f"search needs n >= 3, got {n}")
     _check_size(n)

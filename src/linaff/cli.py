@@ -275,11 +275,6 @@ def _text(doc: list[tuple[str, str]]) -> str:
     return "".join(f"{k}: {v}\n" for k, v in doc)
 
 
-def emit_certificate(obj) -> str:
-    """Deterministic text rendering of a result's document."""
-    return _text(obj.document())
-
-
 def _exit_code_for(doc: list[tuple[str, str]]) -> int:
     status = dict(doc).get("status", "ok")
     if status in ("cannot-cancel", "inconclusive"):
@@ -429,12 +424,12 @@ def _direction_set(opts, ring, arity):
         return recovery.DirectionSet(ring, arity, tuple(vectors))
     if family:
         return recovery.family_directions(ring, arity)
-    nodes = _parse_elements(ring, moment)
+    nodes = _parse_vector(ring, moment)
     if len(nodes) != arity:
         raise ParseError(f"--moment needs {arity} node values")
     if count is None:
         count = recovery.minimal_direction_count(arity) if arity >= 2 else 1
-    return recovery.moment_directions(nodes, count)
+    return recovery.moment_directions(ring, nodes, count)
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +484,7 @@ def _run(path, opts, text: str) -> list[tuple[str, str]]:
         direction = _parse_elements(oracle.ring, opts["dir"])
         return line_affine_check(oracle, Line(base, direction)).document()
     if cmd == "psi":
-        base = _parse_elements(oracle.ring, opts["base"]) if opts["base"] else None
+        base = _parse_elements(oracle.ring, opts["base"]) if opts["base"] is not None else None
         return [("status", "ok"), ("coeffs", repr(psi_extract(oracle, base)))]
     from . import recovery
     dirs = _direction_set(opts, oracle.ring, oracle.arity)

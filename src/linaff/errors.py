@@ -1,28 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Three kinds, each under `LinaffError`: a `ParseError` is malformed input
+text, a `PreconditionError` is any other wrong input (an arity, a ring,
+a point or a size that the operation refuses), and the CLI answers both
+with exit 1; an `InconsistencyError` is a failed internal cross-check,
+a bug, and the CLI answers it with exit 4.
+"""
 
 
 class LinaffError(Exception):
     """Base class for all errors raised by this package."""
-
-
-class RingMismatchError(LinaffError):
-    """Operands or arguments belong to different rings."""
-
-
-class NotEnumerableError(LinaffError):
-    """Element enumeration requested for an infinite ring."""
-
-
-class UnsupportedRingError(LinaffError):
-    """Operation is undefined for this kind of ring."""
-
-
-class ArityError(LinaffError):
-    """Point, direction or polynomial arity does not match."""
-
-
-class MissingPointError(LinaffError):
-    """A table oracle has no value for the requested point."""
 
 
 class PreconditionError(LinaffError):
@@ -31,10 +18,6 @@ class PreconditionError(LinaffError):
 
 class InconsistencyError(LinaffError):
     """Internal cross-check failed; indicates a bug, not bad input."""
-
-
-class DomainTooLargeError(LinaffError):
-    """A line scan would read more points than `vonstaudt.MAX_LINE_POINTS`."""
 
 
 class ParseError(LinaffError):

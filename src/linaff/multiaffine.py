@@ -25,14 +25,7 @@ from __future__ import annotations
 
 from functools import reduce
 
-from .errors import (
-    ArityError,
-    InconsistencyError,
-    MissingPointError,
-    PreconditionError,
-    RingMismatchError,
-    UnsupportedRingError,
-)
+from .errors import InconsistencyError, PreconditionError
 from .rings import Record, Ring, RingElem, format_elements
 
 MAX_ARITY = 16
@@ -85,8 +78,9 @@ class MultiAffinePoly(Record):
     def value(self, x: Point) -> RingElem:
         """Exact value of the polynomial at a point of matching arity."""
         if len(x) != self.arity:
-            raise ArityError(f"point has arity {len(x)}, poly has {self.arity}")
-        return sum(restrict_radial(self, x), self.ring.zero)
+            raise PreconditionError(f"point has arity {len(x)}, poly has {self.arity}")
+        ring = self.ring
+        return RingElem(ring, reduce(ring.add, radial_values(self, point_values(ring, x))))
 
     def terms(self):
         """Coefficients in (popcount, subset-lex) order."""
@@ -114,7 +108,7 @@ def point_values(ring: Ring, x: Point) -> list:
     """The values of a point's coordinates, which must lie in the ring."""
     for c in x:
         if not (isinstance(c, RingElem) and (c.ring is ring or c.ring == ring)):
-            raise RingMismatchError(f"coordinate {c!r} is not in {ring.spec_text()}")
+            raise PreconditionError(f"coordinate {c!r} is not in {ring.spec_text()}")
     return [c.value for c in x]
 
 
@@ -214,13 +208,13 @@ class TableOracle(Record):
     def value(self, x: Point) -> RingElem:
         index = _checked_index(self.ring, self.arity, x)
         if index is None:
-            raise MissingPointError(f"no table entry for point {format_elements(x)}")
+            raise PreconditionError(f"no table entry for point {format_elements(x)}")
         return RingElem(self.ring, self.codes[index])
 
 
 def _check_table_domain(ring: Ring, arity: int, entries: int | None = None):
     if not ring.is_finite:
-        raise UnsupportedRingError("table oracles need a finite ring; use a poly oracle")
+        raise PreconditionError("table oracles need a finite ring; use a poly oracle")
     if not 1 <= arity <= MAX_ARITY:
         raise PreconditionError(f"arity must be in 1..{MAX_ARITY}, got {arity}")
     if entries is not None and entries != ring.size**arity:
@@ -257,7 +251,7 @@ class Line(Record):
 
     def __init__(self, base: Point, dir: Point):
         if len(base) != len(dir):
-            raise ArityError("line base and direction have different arities")
+            raise PreconditionError("line base and direction have different arities")
         if all(c.is_zero for c in dir):
             raise PreconditionError("line direction must be nonzero")
         super().__init__(base, dir)
@@ -283,7 +277,7 @@ class LineCheck(Record):
 
 def _check_arity(f: FunctionOracle, line: Line):
     if len(line.base) != f.arity:
-        raise ArityError(f"line arity {len(line.base)} != oracle arity {f.arity}")
+        raise PreconditionError(f"line arity {len(line.base)} != oracle arity {f.arity}")
 
 
 def line_affine_check(f: FunctionOracle, line: Line) -> LineCheck:
@@ -355,12 +349,12 @@ def psi_extract(f: FunctionOracle, base: Point | None = None) -> MultiAffinePoly
     if base is None:
         base = zero_point(ring, n)
     if len(base) != n:
-        raise ArityError(f"base point arity {len(base)} != oracle arity {n}")
+        raise PreconditionError(f"base point arity {len(base)} != oracle arity {n}")
     if isinstance(f, MultiAffinePoly):
         return shift_poly(f, base)
     start = _checked_index(ring, n, base)
     if start is None:
-        raise MissingPointError(f"no table entry for point {format_elements(base)}")
+        raise PreconditionError(f"no table entry for point {format_elements(base)}")
     # moving coordinate i from base_i to base_i + 1 moves the point index
     # by the difference of their codes times q^(n-1-i)
     index = [start]
@@ -380,18 +374,13 @@ def radial_values(poly: MultiAffinePoly, v) -> list:
     """Values of the coefficients b_0..b_n of r -> poly(r*v), v the values of a
     direction of the poly's arity: b_k = sum over |J|=k of a_J prod_{j in J} v_j."""
     if len(v) != poly.arity:
-        raise ArityError(f"direction arity {len(v)} != poly arity {poly.arity}")
+        raise PreconditionError(f"direction arity {len(v)} != poly arity {poly.arity}")
     ring = poly.ring
     b = [ring.zero.value] * (poly.arity + 1)
     for mask, c in poly.coeffs.items():
         k = mask.bit_count()
         b[k] = ring.add(b[k], subset_product(ring, c.value, mask, v))
     return b
-
-
-def restrict_radial(poly: MultiAffinePoly, v: Point) -> list[RingElem]:
-    """The coefficients b_0..b_n of r -> poly(r*v), v a point, as ring elements."""
-    return [RingElem(poly.ring, x) for x in radial_values(poly, point_values(poly.ring, v))]
 
 
 def is_affine_poly(poly: MultiAffinePoly) -> bool:
@@ -402,7 +391,7 @@ def is_affine_poly(poly: MultiAffinePoly) -> bool:
 def shift_poly(poly: MultiAffinePoly, base: Point) -> MultiAffinePoly:
     """The polynomial x -> poly(base + x), again multi-affine."""
     if len(base) != poly.arity:
-        raise ArityError("shift base arity mismatch")
+        raise PreconditionError("shift base arity mismatch")
     n, ring = poly.arity, poly.ring
     dense = [ring.zero.value] * (1 << n)
     for mask, c in poly.coeffs.items():

@@ -5,7 +5,7 @@ On a table, `recover` checks f's coordinate lines a slab at a time
 coefficients psi at the origin; a polynomial is its own psi.  A
 function affine on every coordinate line equals psi at every point, so
 f is affine iff psi has no coefficient of degree >= 2, and along R*v it
-is r -> sum_k b_k r^k with b = `restrict_radial(psi, v)`.  The line is
+is r -> sum_k b_k r^k with b = `radial_values(psi, v)`.  The line is
 affine iff the residual sum_{k>=2} b_k (r^k - r) is zero at every
 element, and only psi's coefficients of degree >= 2 feed it: with none,
 no direction is touched; otherwise each line is decided by
@@ -34,12 +34,7 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
-from .errors import (
-    ArityError,
-    InconsistencyError,
-    PreconditionError,
-    RingMismatchError,
-)
+from .errors import InconsistencyError, PreconditionError
 from .multiaffine import (
     MAX_ARITY,
     FunctionOracle,
@@ -48,7 +43,6 @@ from .multiaffine import (
     TableOracle,
     index_point,
     mask_to_subset,
-    point_values,
     psi_extract,
     radial_values,
     restriction_check,
@@ -72,9 +66,8 @@ class DirectionSet(Record):
     def __init__(self, ring: Ring, arity: int, dirs: tuple):
         if arity < 1:
             raise PreconditionError(f"arity must be >= 1, got {arity}")
-        code, size = type(ring.zero.value), ring.size
         for v in dirs:
-            if not all(type(c) is code and (not size or 0 <= c < size) for c in v):
+            if not _are_codes(ring, v):
                 raise PreconditionError(f"direction {v!r} is not a tuple of codes of {ring}")
             if len(v) != arity:
                 coords = ", ".join(map(ring.format_code, v))
@@ -85,6 +78,11 @@ class DirectionSet(Record):
 
     def __len__(self):
         return len(self.dirs)
+
+
+def _are_codes(ring: Ring, v) -> bool:
+    code, size = type(ring.zero.value), ring.size
+    return all(type(c) is code and (not size or 0 <= c < size) for c in v)
 
 
 def family_directions(ring: Ring, n: int, coeffs=None) -> DirectionSet:
@@ -136,27 +134,27 @@ def minimal_direction_count(n: int) -> int:
     return math.comb(n, (n + 1) // 2)
 
 
-def moment_directions(s_elements, count: int) -> DirectionSet:
-    """Directions v_i = (s_1^{i-1}, ..., s_n^{i-1}) for i = 1..count.
+def moment_directions(ring: Ring, nodes: tuple, count: int) -> DirectionSet:
+    """Directions v_i = (s_1^{i-1}, ..., s_n^{i-1}) for i = 1..count, the
+    nodes s_j given as codes of the ring, as a direction's coordinates are.
 
     At most MAX_ARITY nodes and MAX_DIRECTIONS directions are accepted.
     """
     if count < 1:
         raise PreconditionError(f"need at least one direction, got {count}")
-    s_elements = list(s_elements)
-    if not s_elements:
+    if not nodes:
         raise PreconditionError("empty node set")
-    if len(s_elements) > MAX_ARITY:
-        raise PreconditionError(f"arity must be at most {MAX_ARITY}, got {len(s_elements)}")
+    if len(nodes) > MAX_ARITY:
+        raise PreconditionError(f"arity must be at most {MAX_ARITY}, got {len(nodes)}")
     if count > MAX_DIRECTIONS:
         raise PreconditionError(f"direction count must be at most {MAX_DIRECTIONS}, got {count}")
-    ring = s_elements[0].ring
-    nodes = point_values(ring, s_elements)
+    if not _are_codes(ring, nodes):
+        raise PreconditionError(f"nodes {nodes!r} are not codes of {ring}")
     # v_{i+1} = v_i * s coordinatewise on values, so each power costs one product
     dirs = [(ring.one.value,) * len(nodes)]
     while len(dirs) < count:
         dirs.append(tuple(map(ring.mul, dirs[-1], nodes)))
-    return DirectionSet(ring, len(s_elements), tuple(dirs))
+    return DirectionSet(ring, len(nodes), tuple(dirs))
 
 
 def degree_system(dirs: DirectionSet, k: int) -> tuple[tuple, list]:
@@ -305,9 +303,9 @@ def recover(f: FunctionOracle, dirs: DirectionSet, mode: str = "exhaustive") -> 
         raise PreconditionError(f"unknown mode {mode!r}")
     ring, n = f.ring, f.arity
     if dirs.ring != ring:
-        raise RingMismatchError("direction set ring differs from the oracle ring")
+        raise PreconditionError("direction set ring differs from the oracle ring")
     if dirs.arity != n:
-        raise ArityError(f"direction arity {dirs.arity} != oracle arity {n}")
+        raise PreconditionError(f"direction arity {dirs.arity} != oracle arity {n}")
 
     if isinstance(f, MultiAffinePoly):
         # multi-affine, hence affine on every coordinate line, and its own psi
@@ -317,7 +315,7 @@ def recover(f: FunctionOracle, dirs: DirectionSet, mode: str = "exhaustive") -> 
         if failure is not None:
             return failure
         psi = psi_extract(f)
-    # f = psi at every point, so f(r*v) = sum_k b_k r^k with b = restrict_radial(psi, v);
+    # f = psi at every point, so f(r*v) = sum_k b_k r^k with b = radial_values(psi, v);
     # the residual sum_{k>=2} b_k (r^k - r) decides the line and names its
     # witness, so only psi's coefficients of degree >= 2 are restricted;
     # with none, every line is affine and no direction is touched

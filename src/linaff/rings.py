@@ -25,12 +25,7 @@ import functools
 import math
 from collections import namedtuple
 
-from .errors import (
-    NotEnumerableError,
-    PreconditionError,
-    RingMismatchError,
-    UnsupportedRingError,
-)
+from .errors import PreconditionError
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # psi_13, the least strong pseudoprime to all of them (Sorenson-Webster 2017)
@@ -152,7 +147,7 @@ class RingElem:
     """An element of a specific ring, always in canonical form.
 
     Arithmetic goes through the usual operators; mixing elements of
-    different rings raises RingMismatchError.
+    different rings raises PreconditionError.
     """
 
     __slots__ = ("ring", "value")
@@ -163,9 +158,9 @@ class RingElem:
 
     def _other(self, other) -> "RingElem":
         if not isinstance(other, RingElem):
-            raise RingMismatchError(f"cannot combine {self!r} with {other!r}")
+            raise PreconditionError(f"cannot combine {self!r} with {other!r}")
         if other.ring != self.ring:
-            raise RingMismatchError(
+            raise PreconditionError(
                 f"mixed rings: {self.ring.spec_text()} vs {other.ring.spec_text()}"
             )
         return other
@@ -230,7 +225,7 @@ class Ring:
         """`raw` itself if it is an element of this ring, else raw input coerced."""
         if isinstance(raw, RingElem):
             if raw.ring != self:
-                raise RingMismatchError(f"{raw!r} is not in {self.spec_text()}")
+                raise PreconditionError(f"{raw!r} is not in {self.spec_text()}")
             return raw
         return self._coerce(raw)
 
@@ -277,7 +272,7 @@ class Ring:
     def elements(self) -> list[RingElem]:
         """All elements of a finite ring in ascending code order."""
         if not self.is_finite:
-            raise NotEnumerableError(f"{self.spec_text()} is not enumerable")
+            raise PreconditionError(f"{self.spec_text()} is not enumerable")
         return [RingElem(self, code) for code in range(self.size)]
 
     def element_from_encoding(self, code: int) -> RingElem:
@@ -617,7 +612,7 @@ def frobenius(x: RingElem, j: int = 1) -> RingElem:
     """x^(p^j) on a finite field; j = 0 is the identity."""
     ring = x.ring
     if not (ring.is_finite and ring.is_field):
-        raise UnsupportedRingError(f"frobenius needs a finite field, got {ring.spec_text()}")
+        raise PreconditionError(f"frobenius needs a finite field, got {ring.spec_text()}")
     if j < 0:
         raise PreconditionError("frobenius power must be nonnegative")
     return x ** (ring.characteristic**j)

@@ -17,7 +17,7 @@ is the whole proof.
 from __future__ import annotations
 
 from .bh_sets import BhCandidate, verify_properties
-from .errors import InconsistencyError, PreconditionError, RingMismatchError
+from .errors import InconsistencyError, PreconditionError
 from .linalg import kernel_vector
 from .multiaffine import MAX_ARITY, MultiAffinePoly, is_affine_poly, radial_values
 from .recovery import DirectionSet, degree_system, minimal_direction_count
@@ -64,7 +64,7 @@ def lower_bound_witness(n: int, dirs: DirectionSet, fld: Ring) -> SharpnessWitne
     if len(dirs) >= bound:
         raise PreconditionError(f"{len(dirs)} directions are not fewer than N = {bound}")
     if dirs.ring != fld:
-        raise RingMismatchError("directions live in a different ring")
+        raise PreconditionError("directions live in a different ring")
     if dirs.arity != n:
         raise PreconditionError(f"direction arity {dirs.arity} != n = {n}")
     k = (n + 1) // 2
@@ -82,7 +82,7 @@ def lower_bound_witness(n: int, dirs: DirectionSet, fld: Ring) -> SharpnessWitne
 
 
 class CertifyResult(Record):
-    """The N moment directions `moment_directions(nodes, N)` are complete; the
+    """The N moment directions `moment_directions(ring, nodes, N)` are complete; the
     B_h bundle the nodes pass is the certificate, so they are not built."""
 
     __slots__ = ()
@@ -108,7 +108,7 @@ def certify_directions(n: int, ring: Ring, candidate: BhCandidate) -> CertifyRes
     if len(candidate) != n:
         raise PreconditionError(f"node set has {len(candidate)} elements, need {n}")
     if candidate.ring != ring:
-        raise RingMismatchError("node set lives in a different ring")
+        raise PreconditionError("node set lives in a different ring")
     report = verify_properties(candidate)
     if not report.ok:
         failure = "; ".join(f"{k}: {v}" for k, v in report.document())

@@ -39,7 +39,7 @@ from __future__ import annotations
 from functools import reduce
 from itertools import product
 
-from .errors import DomainTooLargeError, InconsistencyError, MissingPointError, PreconditionError
+from .errors import InconsistencyError, PreconditionError
 from .multiaffine import MAX_ARITY, Line, _checked_index, _key_index, vector_line
 from .rings import Record, Ring, RingElem, format_elements, frobenius
 
@@ -110,7 +110,7 @@ class VectorMapTable(Record):
     def value(self, point) -> tuple:
         index = _checked_index(self.field, self.dim_in, point)
         if index is None:
-            raise MissingPointError(f"no table entry for point {format_elements(point)}")
+            raise PreconditionError(f"no table entry for point {format_elements(point)}")
         return _elements(self.field, self.codes[index])
 
     @property
@@ -129,7 +129,7 @@ def _lines_with_points(fld: Ring, dim: int):
     order.  A line's base is its least point, the one with code 0 at the
     direction's lead; the bases run in lexicographic order.  An index sums
     the weighted `fld.line` rows of the base's codes.  A space whose lines
-    hold more than MAX_LINE_POINTS points in all raises DomainTooLargeError.
+    hold more than MAX_LINE_POINTS points in all raises PreconditionError.
     """
     if not (fld.is_finite and fld.is_field):
         raise PreconditionError("line enumeration needs a finite field")
@@ -138,7 +138,7 @@ def _lines_with_points(fld: Ring, dim: int):
     q = fld.size
     lines = q ** (dim - 1) * (q**dim - 1) // (q - 1)
     if lines * q > MAX_LINE_POINTS:
-        raise DomainTooLargeError(
+        raise PreconditionError(
             f"dimension {dim} over {fld.spec_text()} has {lines:,} lines of {q:,} points, "
             f"{lines * q:,} in all; the line scan is capped at {MAX_LINE_POINTS:,} points"
         )
@@ -201,7 +201,7 @@ def check_hypotheses(f: VectorMapTable) -> HypothesisCheck:
     The verdict is ok when f decomposes as c + A tau(v) with A injective.
     Otherwise the witness is the first line, in canonical order, whose
     image is not a line; if there is none, which the theorem rules out,
-    InconsistencyError is raised.  The scan raises DomainTooLargeError on
+    InconsistencyError is raised.  The scan raises PreconditionError on
     a space whose lines hold more than MAX_LINE_POINTS points.
     """
     if _decompose(f) is not None:

@@ -33,6 +33,11 @@ from linaff.rings import PrimeField, Ring, RingElem
 from linaff.multiaffine import mask_to_subset, unit_point, zero_point
 
 
+def emit_certificate(obj) -> str:
+    """A result's document as the CLI prints it, before version and digest."""
+    return "".join(f"{k}: {v}\n" for k, v in obj.document())
+
+
 def elements_of(ring, values):
     """The ring elements with the given values: the point of a direction's
     codes, or a row of a degree system."""
@@ -433,9 +438,9 @@ def recover_reference(f, dirs, mode="exhaustive"):
     return recover(psi_extract(f), dirs, mode)
 
 
-def restrict_radial_reference(poly, v):
-    """Reference for restrict_radial: b_0..b_n of r -> poly(r*v), each
-    monomial a_J prod_{j in J} v_j formed in RingElem arithmetic."""
+def radial_reference(poly, v):
+    """Reference for radial_values: b_0..b_n of r -> poly(r*v), v a point,
+    each monomial a_J prod_{j in J} v_j formed in RingElem arithmetic."""
     ring, n = poly.ring, poly.arity
     b = [ring.zero] * (n + 1)
     for mask, c in poly.coeffs.items():
@@ -456,7 +461,7 @@ def recover_poly_reference(poly, dirs, mode="exhaustive"):
     its degree, else the witness; with none, psi's affine coefficients."""
     ring, n = poly.ring, poly.arity
     points = [elements_of(ring, v) for v in dirs.dirs]
-    radials = [restrict_radial_reference(poly, v) for v in points]
+    radials = [radial_reference(poly, v) for v in points]
     for v, b in zip(points, radials):
         if mode == "proof" and ring.is_finite:
             slope = sum(b[2:], b[1])

@@ -11,7 +11,6 @@ from linaff import (
     PreconditionError,
     PrimeField,
     Rationals,
-    UnsupportedRingError,
     Zmod,
     construct_geometric,
     construct_primes,
@@ -195,7 +194,9 @@ def test_search_bh_examples():
     assert search_bh(Zmod(4), 3) is None
     assert search_bh(PrimeField(2), 3) is None
 
-    with pytest.raises(UnsupportedRingError):
+    with pytest.raises(
+        PreconditionError, match="^search needs a finite ring; use construct_primes over Q$"
+    ):
         search_bh(Rationals(), 3)
     with pytest.raises(PreconditionError):
         search_bh(F5, 2)

@@ -37,7 +37,6 @@ from linaff.cli import (
     EXIT_NEGATIVE,
     EXIT_OK,
     EXIT_USAGE,
-    emit_certificate,
     _map_columns,
     format_function_table,
     main,
@@ -47,7 +46,7 @@ from linaff.cli import (
 from linaff.recovery import Affine
 from linaff.rings import PSI_13, RHO_STEPS
 
-from helpers import all_points, read_map_codes, table_from_poly
+from helpers import all_points, emit_certificate, read_map_codes, table_from_poly
 
 
 def _write(tmp_path, name, text):
@@ -700,6 +699,10 @@ def test_malformed_ring_literals_are_usage_errors(tmp_path, argv, body):
         (["recover", "--input", "FILE", "--moment", ""], "empty vector in ''"),
         (["recover", "--input", "FILE", "--moment", "", "--count", "2"], "empty vector in ''"),
         (["directions", "--ring", "prime 5", "--n", "2", "--moment", ""], "empty vector in ''"),
+        # an empty --base is given too: psi reads it as check-line does, not as the origin
+        (["psi", "--input", "FILE", "--base", ""], "empty vector in ''"),
+        (["psi", "--input", "FILE", "--base="], "empty vector in ''"),
+        (["check-line", "--input", "FILE", "--base", "", "--dir", "1,1"], "empty vector in ''"),
     ],
     ids=["family-n40", "moment-n-1", "dirs-arity", "moment-n40", "moment-count",
          "witness-n0", "witness-n-2", "witness-n40", "certify-collision", "certify-difference",
@@ -709,7 +712,8 @@ def test_malformed_ring_literals_are_usage_errors(tmp_path, argv, body):
          "directions-family-count", "dirs-zero", "dirs-second-zero", "dirs-out-of-range",
          "family-empty-moment", "family-empty-dirs", "family-empty-moment-equals",
          "empty-dirs-moment", "directions-family-empty-moment", "empty-moment",
-         "empty-moment-count", "directions-empty-moment"],
+         "empty-moment-count", "directions-empty-moment", "psi-empty-base",
+         "psi-empty-base-equals", "check-line-empty-base"],
 )
 def test_direction_set_errors(tmp_path, argv, message):
     path = _write(tmp_path, "affine.tbl", _affine_z7_table())
@@ -1033,6 +1037,34 @@ def test_vonstaudt_cli_semilinear_document(tmp_path):
     assert "tau: frobenius^1" in text
     assert "offset: 0 0" in text
     assert "basis_images: 1 0 ; 0 1" in text
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["check-line", "--input", "FILE", "--base", "1,1,1", "--dir", "1,1"],
+         "line base and direction have different arities"),
+        (["check-line", "--input", "FILE", "--base", "1,1,1", "--dir", "1,1,1"],
+         "line arity 3 != oracle arity 2"),
+        (["psi", "--input", "FILE", "--base", "1,1,1"], "base point arity 3 != oracle arity 2"),
+        (["bh", "search", "--ring", "rational", "--n", "3"],
+         "search needs a finite ring; use construct_primes over Q"),
+        (["vonstaudt", "check", "--input", "F3^8"],
+         "dimension 8 over prime 3 has 7,173,360 lines of 3 points, 21,520,080 in all; "
+         "the line scan is capped at 5,591,040 points"),
+    ],
+    ids=["line-arities", "line-vs-oracle", "psi-base-arity", "search-rational", "vonstaudt-cap"],
+)
+def test_precondition_failures_are_one_usage_error_line(tmp_path, capsys, argv, message):
+    # wrong input of every kind a library call can refuse: exit 1, one stderr line
+    files = {
+        "FILE": lambda: _write(tmp_path, "affine.tbl", _affine_z7_table()),
+        "F3^8": lambda: _write(tmp_path, "constant.tbl", format_function_table(
+            VectorMapTable.from_codes(PrimeField(3), 8, 1, [(0,)] * 3**8))),
+    }
+    argv = [files[a]() if a in files else a for a in argv]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_main_writes_to_streams(tmp_path, capsys):

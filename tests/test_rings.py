@@ -1,16 +1,14 @@
 import random
+import re
 from itertools import chain, product
 
 import pytest
 
 from linaff import (
     GaloisField,
-    NotEnumerableError,
     PreconditionError,
     PrimeField,
     Rationals,
-    RingMismatchError,
-    UnsupportedRingError,
     Zmod,
     frobenius,
     parse_ring_spec,
@@ -48,9 +46,9 @@ def test_rational_arithmetic():
 
 
 def test_mixed_ring_operands_rejected():
-    with pytest.raises(RingMismatchError):
+    with pytest.raises(PreconditionError, match="^mixed rings: zmod 4 vs zmod 5$"):
         Zmod(4).elem(1) + Zmod(5).elem(1)
-    with pytest.raises(RingMismatchError):
+    with pytest.raises(PreconditionError, match="^mixed rings: zmod 5 vs prime 5$"):
         Zmod(5).elem(1) * PrimeField(5).elem(1)  # distinct specs on purpose
 
 
@@ -87,7 +85,7 @@ def test_enumeration():
     assert [e.value for e in Zmod(3).elements()] == [0, 1, 2]
     assert [e.value for e in GF4.elements()] == [0, 1, 2, 3]
     assert [e.value for e in PrimeField(2).elements()] == [0, 1]
-    with pytest.raises(NotEnumerableError):
+    with pytest.raises(PreconditionError, match="^rational is not enumerable$"):
         Rationals().elements()
 
 
@@ -97,9 +95,9 @@ def test_frobenius():
     assert frobenius(t, 0) == t
     F5 = PrimeField(5)
     assert frobenius(F5.elem(3), 1) == F5.elem(3)
-    with pytest.raises(UnsupportedRingError):
+    with pytest.raises(PreconditionError, match="^frobenius needs a finite field, got zmod 4$"):
         frobenius(Zmod(4).elem(1), 1)
-    with pytest.raises(UnsupportedRingError):
+    with pytest.raises(PreconditionError, match="^frobenius needs a finite field, got rational$"):
         frobenius(Rationals().one, 1)
 
 
@@ -277,7 +275,8 @@ def test_ring_contract_over_all_four_kinds():
         assert ring.elem(x) is x
         for other in rings:
             if other != ring:
-                with pytest.raises(RingMismatchError, match=f"is not in {ring.spec_text()}$"):
+                message = f"^{re.escape(repr(other.one))} is not in {ring.spec_text()}$"
+                with pytest.raises(PreconditionError, match=message):
                     ring.elem(other.one)
     # raw input is coerced
     assert Z12.elem(-5).value == 7 and PrimeField(7).elem(-5).value == 2
