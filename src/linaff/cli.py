@@ -164,9 +164,15 @@ def _map_columns(ring, arity, width, body):
     `map x_1 .. x_n -> y_1 .. y_e` with single spaces and every code written
     `str(code)`.  Any other body gets None, and the row pass, which reads
     every layout, decides it and names the error.
+
+    Over a ring of q <= 10 elements every code is one digit, so every row
+    has one length and `_digit_columns` reads the body by character columns;
+    over a larger ring the cells pass below cuts it at " -> " and line ends.
     """
     if not ring.is_finite or arity < 1 or width == 0:
         return None
+    if ring.size <= 10:
+        return _digit_columns(ring.size, arity, width, body)
     if "\r" in body:
         body = body.replace("\r\n", "\n")
         if "\r" in body:
@@ -196,6 +202,39 @@ def _map_columns(ring, arity, width, body):
     except KeyError:
         return None
     return cols[0] if width is None else list(zip(*cols))
+
+
+def _digit_columns(q, arity, width, body):
+    """`_map_columns` over q <= 10 elements: with every row `L` characters,
+    ending as the first does, each column `body[k::L]` must be the writer's
+    fixed character, its coordinate's digit pattern, or value digits below
+    q, which one `translate` turns into codes; no row is cut out as a string."""
+    e = width or 1
+    span = 2 * arity + 2 * e + 6  # a row's length before its line end
+    end = "\r\n" if body[span : span + 1] == "\r" else "\n"
+    L = span + len(end)
+    if len(body) % L:  # only the final line end may be missing
+        body += end
+    rows = len(body) // L
+    # the row count bounds the arity before q^arity or the row's text is built
+    if len(body) != rows * L or arity >= rows.bit_length() or rows != q**arity:
+        return None
+    row = "map " + "x " * arity + "-> " + " ".join("y" * e) + end  # x: point, y: value digit
+    to_code = b"\xff" * 48 + bytes(range(q)) + b"\xff" * (208 - q)  # a non-digit is 255
+    digits, point, cols = "0123456789"[:q], 0, []
+    for k, c in enumerate(row):
+        column = body[k::L]
+        if c == "x":  # x_1 is the most significant coordinate
+            block, point = q ** (arity - point - 1), point + 1
+            if column != "".join(d * block for d in digits) * (rows // (q * block)):
+                return None
+        elif c == "y":
+            cols.append(column.encode().translate(to_code))
+            if 255 in cols[-1]:
+                return None
+        elif column != c * rows:
+            return None
+    return list(cols[0]) if width is None else list(zip(*cols))
 
 
 def _collect_rows(ring, arity, rows, width=None):
@@ -401,13 +440,15 @@ def _parse_elements(ring: Ring, text: str) -> tuple:
 
 
 def _read_input(path: str) -> str:
+    """The file's UTF-8 text with "\r\n" and "\r" read as "\n", as text mode reads it."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+        with open(path, "rb") as handle:
+            text = handle.read().decode("utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise ParseError(f"cannot read {path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def _direction_set(opts, ring, arity):

@@ -37,7 +37,9 @@ from linaff.cli import (
     EXIT_NEGATIVE,
     EXIT_OK,
     EXIT_USAGE,
+    _digit_columns,
     _map_columns,
+    _read_input,
     format_function_table,
     main,
     parse_function_table,
@@ -199,6 +201,9 @@ _CORPUS_TABLES = [
     ("zmod 4", 1, None),
     ("prime 5", 2, 2),
     ("gf 3 2 2 1", 2, 1),
+    ("zmod 10", 2, None),
+    ("prime 11", 2, None),
+    ("prime 11", 2, 2),
 ]
 
 _LAYOUTS = {
@@ -245,6 +250,24 @@ def test_column_pass_takes_crlf_line_ends():
         assert _map_columns(ring, n, e, "\r\n".join(lone) + "\r\n") is None
 
 
+def test_digit_columns_read_every_one_digit_corpus_table():
+    # over a ring of at most ten elements `_map_columns` hands the body to
+    # the character-column reader alone, so a body it declines here would
+    # fall through to the row pass unseen
+    sizes = set()
+    for spec, n, e in _CORPUS_TABLES:
+        q = parse_ring_spec(spec).size
+        if q > 10:
+            continue
+        sizes.add(q)
+        header, rows = _corpus_table(spec, n, e)
+        codes = read_map_codes("\n".join(header + rows))
+        for end, final in product(["\n", "\r\n"], [True, False]):
+            body = end.join(rows) + (end if final else "")
+            assert _digit_columns(q, n, e, body) == codes, (spec, n, e, end, final)
+    assert sizes == {4, 5, 6, 9, 10}
+
+
 @pytest.mark.parametrize("arrow", ["\n", "\r->\n", "\r->\r\n"])
 def test_column_pass_needs_each_arrow_on_its_row(arrow):
     # the column pass cuts a body at " -> " and at line ends; a body whose
@@ -288,12 +311,16 @@ def test_column_pass_needs_each_vector_value_whole(at, extra, message):
             "ring zmod 100000000000\narity 100000000\ncodomain scalar\nmap 0 -> 0\nmap 1 -> 1\n",
             "line 4: expected 100000000 coordinates, got 1",
         ),
+        (
+            "ring prime 7\narity 100000000\ncodomain scalar\nmap 0 -> 0\nmap 1 -> 1\n",
+            "line 4: expected 100000000 coordinates, got 1",
+        ),
     ],
 )
 def test_a_short_table_over_a_large_space_is_refused_at_once(tmp_path, text, message):
-    # the column pass compares the row count with q^arity before it builds
-    # anything of size q or q^arity, such as the code dict of Z/10^11, and
-    # bounds the arity by the row count before it computes q^arity
+    # both column readers compare the row count with q^arity before they
+    # build anything of size q or q^arity, such as the code dict of Z/10^11,
+    # and bound the arity by the row count before they compute q^arity
     start = time.perf_counter()
     with pytest.raises(ParseError) as err:
         parse_function_table(text)
@@ -1086,6 +1113,33 @@ def test_a_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
         assert run_subcommand(argv) == (EXIT_USAGE, want)
         assert main(argv) == EXIT_USAGE
         assert capsys.readouterr().err == want
+
+
+@pytest.mark.parametrize("data", [
+    b"ring zmod 3\narity 1\nmap 0 -> 1\n",
+    b"ring zmod 3\r\narity 1\r\nmap 0 -> 1\r\n",
+    b"ring zmod 3\rarity 1\rmap 0 -> 1\r",
+    b"ring zmod 3\r\r\narity 1\n\rmap 0 -> 1\r\n\r",
+    b"\xef\xbb\xbfring zmod 3\r\narity 1\n",
+    b"",
+    b"ok\r\n\r\xe2\x82\n",
+    b"ok\r\nmap 0 -> \xc3",
+], ids=["lf", "crlf", "lone-cr", "mixed", "bom", "empty", "bad-byte-after-crs", "truncated"])
+def test_an_input_file_reads_as_text_mode_reads_it(tmp_path, data):
+    # the file is read as bytes and its line ends folded to "\n", which is
+    # what universal newlines make of it, so the digest's input text is the
+    # same, and a file that is not UTF-8 names the byte that text mode names
+    path = tmp_path / "f.tbl"
+    path.write_bytes(data)
+    try:
+        with open(path, encoding="utf-8") as handle:
+            want = handle.read()
+    except UnicodeDecodeError as exc:
+        want = f"cannot read {path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+    try:
+        assert _read_input(str(path)) == want
+    except ParseError as exc:
+        assert str(exc) == want
 
 
 def test_internal_errors_have_their_own_exit_code(tmp_path, monkeypatch, capsys):

@@ -188,11 +188,12 @@ _CORPUS_WIDTHS = sorted({e for _, _, e in _CORPUS_TABLES if e is not None})
 def _written_table(draw):
     """(ring, n, width, codes, text): a seeded table over a corpus ring as
     `format_function_table` writes it, scalar at n = 1..4, or a vector table
-    at n = 2..4 over a corpus field of more than two elements."""
+    at n = 2..4 over a corpus field of more than two elements; over a ring
+    of more than ten elements, whose codes take two digits, n stops at 3."""
     ring = parse_ring_spec(draw(st.sampled_from(_CORPUS_RINGS)))
     vector_ok = ring.is_field and ring.size > 2
     width = draw(st.sampled_from([None] + (_CORPUS_WIDTHS if vector_ok else [])))
-    n = draw(st.integers(1 if width is None else 2, 4))
+    n = draw(st.integers(1 if width is None else 2, 4 if ring.size <= 10 else 3))
     rng = random.Random(draw(st.integers(0, 2**32)))
     q = ring.size
     if width is None:
