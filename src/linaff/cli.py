@@ -32,6 +32,7 @@ from .multiaffine import (
     mask_to_subset,
     point_index,
     psi_extract,
+    stored_codes,
     subset_to_mask,
 )
 from .rings import Rationals, Ring, RingElem, format_elements, parse_ring_spec
@@ -155,7 +156,8 @@ def _codes_by_text(ring: Ring) -> dict:
 
 
 def _map_columns(ring, arity, width, body):
-    """The map body's values in point-index order, or None to run the row pass.
+    """The map body's values in point-index order, or None to run the row pass
+    (a scalar table's as `TableOracle` stores them: bytes over q <= 16).
 
     `body` is the text from the line of the first map row on.  It is read
     here only if it is exactly the text `format_function_table` writes for
@@ -198,7 +200,8 @@ def _map_columns(ring, arity, width, body):
         if len(values) != rows * step - 1:
             return None
     try:
-        cols = [list(map(codes.__getitem__, values[j::step])) for j in range(width or 1)]
+        cols = [stored_codes(ring, map(codes.__getitem__, values[j::step]))
+                for j in range(width or 1)]
     except KeyError:
         return None
     return cols[0] if width is None else list(zip(*cols))
@@ -208,7 +211,7 @@ def _digit_columns(q, arity, width, body):
     """`_map_columns` over q <= 10 elements: with every row `L` characters,
     ending as the first does, each column `body[k::L]` must be the writer's
     fixed character, its coordinate's digit pattern, or value digits below
-    q, which one `translate` turns into codes; no row is cut out as a string."""
+    q, which one `translate` makes bytes of codes; no row is cut out as a string."""
     e = width or 1
     span = 2 * arity + 2 * e + 6  # a row's length before its line end
     end = "\r\n" if body[span : span + 1] == "\r" else "\n"
@@ -234,7 +237,7 @@ def _digit_columns(q, arity, width, body):
                 return None
         elif column != c * rows:
             return None
-    return list(cols[0]) if width is None else list(zip(*cols))
+    return cols[0] if width is None else list(zip(*cols))
 
 
 def _collect_rows(ring, arity, rows, width=None):

@@ -14,9 +14,9 @@ polynomials (the only option over the rationals), which are their own
 oracle.  Every line question about a polynomial is answered from its
 coefficients: along base + R*dir it restricts to a polynomial in the
 parameter, which `restriction_check` decides by `Ring.is_null`.  A table
-stores its values as a flat list of element codes (`RingElem.value`) in
-point-index order (see `point_index`).  Scans over a table, and the
-polynomial arithmetic (evaluation, shift, radial restriction, the
+stores its element codes (`RingElem.value`) in point-index order (see
+`point_index`), as bytes over q <= 16 elements.  Scans over a table, and
+the polynomial arithmetic (evaluation, shift, radial restriction, the
 restriction check), run on element values through the ring's value-level
 operations; each returned coefficient is wrapped once.
 """
@@ -166,18 +166,20 @@ def flat_table(ring: Ring, arity: int, by_index: dict) -> list:
 class TableOracle(Record):
     """Function given by an exhaustive point -> value table over a finite ring.
 
-    The values are stored as one flat list `codes` of element codes
+    The values are stored as one flat sequence `codes` of element codes
     (`RingElem.value`), position i holding the value at the point with
-    `point_index` i.  The line scans of `line_affine_check` and
-    `recovery.recover` and the affine re-verify run on these codes through
-    the ring's value-level operations; `value` answers in RingElem.
+    `point_index` i: `bytes` over q <= 16 elements, whatever built the
+    table, else a list of its own.  The line scans and the affine re-verify
+    run on these codes (`recovery` translates bytes by `rings.byte_tables`);
+    `value` answers in RingElem.
     `from_codes` builds the table from codes in that order, checked; the
     table-file parser builds them in range and calls `_of_codes`.  The dict
     constructor converts its dict to them.  A table is an immutable record,
-    equal by ring, arity and codes, and unhashable, since `codes` is a list.
+    equal by ring, arity and codes, and unhashable, bytes or not.
     """
 
     __slots__ = ("ring", "arity", "codes")
+    __hash__ = None
 
     def __init__(self, ring: Ring, arity: int, table: dict[Point, RingElem]):
         _check_table_domain(ring, arity)
@@ -187,22 +189,22 @@ class TableOracle(Record):
             if not (isinstance(value, RingElem) and value.ring == ring):
                 raise PreconditionError(f"table value {value!r} is not in {ring.spec_text()}")
             by_index[index] = value.value
-        super().__init__(ring, arity, flat_table(ring, arity, by_index))
+        super().__init__(ring, arity, stored_codes(ring, flat_table(ring, arity, by_index)))
 
     @classmethod
-    def from_codes(cls, ring: Ring, arity: int, codes: list) -> "TableOracle":
+    def from_codes(cls, ring: Ring, arity: int, codes) -> "TableOracle":
         """The table whose value at the point with `point_index` i has code codes[i]."""
-        oracle = cls._of_codes(ring, arity, codes)
+        _check_table_domain(ring, arity, len(codes))
         if min(codes) < 0 or max(codes) >= ring.size:
             raise PreconditionError(f"table value code out of range for {ring.spec_text()}")
-        return oracle
+        return cls._of_codes(ring, arity, codes)
 
     @classmethod
-    def _of_codes(cls, ring: Ring, arity: int, codes: list) -> "TableOracle":
+    def _of_codes(cls, ring: Ring, arity: int, codes) -> "TableOracle":
         """`from_codes` for codes known to be in range, as the table parser builds them."""
         _check_table_domain(ring, arity, len(codes))
         oracle = cls.__new__(cls)
-        Record.__init__(oracle, ring, arity, codes)
+        Record.__init__(oracle, ring, arity, stored_codes(ring, codes))
         return oracle
 
     def value(self, x: Point) -> RingElem:
@@ -210,6 +212,12 @@ class TableOracle(Record):
         if index is None:
             raise PreconditionError(f"no table entry for point {format_elements(x)}")
         return RingElem(self.ring, self.codes[index])
+
+
+def stored_codes(ring: Ring, codes):
+    """Codes in range as a table stores them: bytes when q <= 16, so that a
+    pair byte a*q + b fits, else a list (`bytes` keeps bytes as they are)."""
+    return bytes(codes) if ring.size <= 16 else list(codes)
 
 
 def _check_table_domain(ring: Ring, arity: int, entries: int | None = None):

@@ -51,7 +51,7 @@ from .multiaffine import (
     unit_point,
     zero_point,
 )
-from .rings import Record, Ring, RingElem, format_elements
+from .rings import Record, Ring, RingElem, byte_tables, format_elements
 
 
 class DirectionSet(Record):
@@ -237,18 +237,25 @@ def _coordinate_line_failure(f: TableOracle) -> LineWitness | None:
     axis, bases in index order, with its witness as `line_affine_check` names it.
 
     Along axis a, the q*s codes (s = q^(n-a)) of one prefix x_1..x_{a-1} are
-    q slabs, and their lines are `ring.lines(slab 0, slab 1 - slab 0)`.  Once
+    q slabs, all compared with the lines slab 0 + r*(slab 1 - slab 0): on a
+    list by `ring.lines`, on bytes as the pair bytes a*q + b of slabs 0 and 1
+    (one integer sum, no carry as q*q <= 256) translated by `line[r]`.  Once
     axes 1..a-1 pass, f is affine in each x_j, j < a, so an a-line is
     L(x_j = 0) + x_j * (L(x_j = 1) - L(x_j = 0)) at the same base: the first
     refuted one has its prefix in {0,1}^(a-1), and only those parts are checked.
     """
-    ring, n = f.ring, f.arity
+    ring, n, codes = f.ring, f.arity, f.codes
     q = ring.size
-    parts = [(0, f.codes)]  # (index of the part's first point, its codes)
+    tables = byte_tables(ring).line if type(codes) is bytes else None
+    parts = [(0, codes)]  # (index of the part's first point, its codes)
     for axis in range(1, n + 1):
         s = q ** (n - axis)
         for start, part in parts:
-            want = ring.lines(part[:s], list(map(ring.sub, part[s : 2 * s], part[:s])))
+            if tables:
+                pairs = int.from_bytes(part[:s], "big") * q + int.from_bytes(part[s : 2 * s], "big")
+                want = b"".join(map(pairs.to_bytes(s, "big").translate, tables))
+            else:
+                want = ring.lines(part[:s], list(map(ring.sub, part[s : 2 * s], part[:s])))
             if want == part:
                 continue
             # slabs 0 and 1 match by construction: the least base, then the least r
@@ -269,15 +276,20 @@ def _verified_affine(f: FunctionOracle, psi: MultiAffinePoly) -> Affine:
     """The affine certificate from psi's constant and linear coefficients.
 
     A polynomial is its own psi, so its coefficients are the certificate;
-    a table is re-verified against it at every point.
+    a table is re-verified against it at every point, in one comparison.
     """
     cert = Affine(psi.coeff(0), tuple(psi.coeff(1 << i) for i in range(f.arity)))
     if isinstance(f, TableOracle):
         # the candidate's value at every point, in the table's index order:
-        # from the last axis to the first, the values v become the slabs v + c_i * r
-        want = [cert.constant.value]
+        # from the last axis to the first, the values v become the slabs
+        # v + c_i * r, on bytes by `shift[c_i * r]` of `byte_tables`
+        ring, want = f.ring, type(f.codes)([cert.constant.value])
+        shift = byte_tables(ring).shift if type(want) is bytes else None
         for c in reversed(cert.linear):
-            want = f.ring.lines(want, [c.value] * len(want))
+            if shift:
+                want = b"".join(want.translate(shift[t]) for t in ring.line(0, c.value))
+            else:
+                want = ring.lines(want, [c.value] * len(want))
         if want != f.codes:
             raise InconsistencyError("affine certificate failed pointwise verification")
     return cert
@@ -287,8 +299,8 @@ def recover(f: FunctionOracle, dirs: DirectionSet, mode: str = "exhaustive") -> 
     """Decide affine-linearity of f from coordinate and radial line data.
 
     (i) On a table, the first refuted coordinate-parallel line is the
-    witness, found by one `Ring.lines` pass per part of each axis whose
-    earlier coordinates are in {0,1}, and (ii) psi is extracted.  (iii)
+    witness, found by one pass over the q slabs of each part of each axis
+    whose earlier coordinates are in {0,1}, and (ii) psi is extracted.  (iii)
     Every radial line is decided from psi's coefficients of degree >= 2
     (see the module docstring).  (iv) Proof mode answers cannot-cancel
     when the factorial determinant is not regular.  (v) The first

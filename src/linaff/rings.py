@@ -12,8 +12,9 @@ fields.  A rational is a reduced fraction.  Each ring has one set of
 value-level operations (`add`, `sub`, `mul`, `neg`, and for finite rings
 `line` and `lines`) that both the RingElem operators and the code scans
 over table oracles call: `%` for Z/m, add/mul/neg tables for Galois
-fields.  One value-level test, `is_null`, decides whether a polynomial
-is the zero function of the ring.
+fields; a table's bytes (q <= 16) are scanned by `byte_tables`, and
+`lines` is the scans' path over larger rings.  One value-level test,
+`is_null`, decides whether a polynomial is the zero function of the ring.
 
 The regularity predicate follows the non-zerodivisor convention in which
 0 is never regular, so cancelling a regular factor is always legitimate.
@@ -486,6 +487,21 @@ class GaloisField(Ring):
 
     def spec_text(self) -> str:
         return f"gf {self.p} {self.k} " + " ".join(str(c) for c in self.modulus)
+
+
+_ByteTables = namedtuple("_ByteTables", "line shift")
+
+
+@functools.cache
+def byte_tables(ring: Ring) -> _ByteTables:
+    """The 2q `bytes.translate` tables of a ring of q <= 16 elements, where a
+    pair byte a*q + b of codes fits: `line[r]` sends a*q + b to a + r*(b - a),
+    `shift[t]` sends x to x + t.  Cached by ring spec, as rings hash: only
+    finitely many specs have q <= 16."""
+    q = ring.size
+    slopes = (ring.line(a, ring.sub(b, a)) for a in range(q) for b in range(q))
+    line = tuple(bytes(col) + bytes(256 - q * q) for col in zip(*slopes))
+    return _ByteTables(line, tuple(bytes(ring.line(t, 1)) + bytes(256 - q) for t in range(q)))
 
 
 _FieldTables = namedtuple("_FieldTables", "add mul neg")

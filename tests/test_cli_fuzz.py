@@ -263,4 +263,4 @@ def test_an_edited_table_reads_as_the_row_pass_reads_it(text):
         by_rows = _read(text)
     assert _read(text) == by_rows
     if not isinstance(by_rows, str):
-        assert by_rows == read_map_codes(text)
+        assert list(by_rows) == read_map_codes(text)

@@ -39,6 +39,7 @@ from linaff.multiaffine import (
     unit_point,
 )
 from linaff.recovery import _coordinate_line_failure, _verified_affine
+from linaff.rings import byte_tables
 
 from helpers import (
     all_points,
@@ -578,6 +579,8 @@ _CODE_PATH_RINGS = [
     GaloisField(2, 2, [1, 1]),
     GaloisField(2, 3, [1, 1, 0]),
     GaloisField(3, 2, [1, 0]),
+    Zmod(16),  # the largest ring whose tables are bytes: a pair byte reaches 255
+    PrimeField(17),  # the smallest whose tables are lists, scanned by Ring.lines
 ]
 
 
@@ -619,7 +622,7 @@ def test_table_code_path_matches_ringelem_reference(ring):
     # table text round-trips through the parser into the same codes
     rng = random.Random(f"code-path {ring.spec_text()}")
     answers = set()
-    for n in (1, 2, 3):
+    for n in (1, 2, 3) if ring.size <= 11 else (1, 2):
         for k, values in enumerate(_seeded_tables(ring, n, rng)):
             f = TableOracle(ring, n, values)
             text = format_function_table(f)
@@ -661,14 +664,22 @@ def _peeled_tables(ring, n, rng):
 
 @pytest.mark.parametrize(
     "ring",
-    [Zmod(4), Zmod(6), PrimeField(5), GaloisField(2, 2, [1, 1]), GaloisField(3, 2, [1, 0])],
+    [
+        Zmod(4),
+        Zmod(6),
+        PrimeField(5),
+        GaloisField(2, 2, [1, 1]),
+        GaloisField(3, 2, [1, 0]),
+        Zmod(16),
+        PrimeField(17),
+    ],
     ids=lambda r: r.spec_text(),
 )
 def test_coordinate_lines_past_the_first_axis_match_the_reference(ring):
     # each axis is checked a slab at a time on its parts with a {0,1} prefix;
     # each answer, witness included, must be the reference's
     rng = random.Random(f"peeled {ring.spec_text()}")
-    for n in (1, 2, 3, 4):
+    for n in (1, 2, 3, 4) if ring.size <= 11 else (1, 2, 3):
         for f, k in _peeled_tables(ring, n, rng):
             want = coordinate_line_failure_reference(f)
             assert _coordinate_line_failure(f) == want
@@ -723,10 +734,35 @@ def test_the_first_refuted_coordinate_line_has_a_zero_one_prefix(ring):
     assert len(prefixes) >= 3
 
 
+def _assert_no_witness_is_an_internal_error(tmp_path, f):
+    message = "coordinate lines refuted, but no line names a witness"
+    with pytest.raises(InconsistencyError, match=message):
+        _coordinate_line_failure(f)
+    path = tmp_path / "f.tbl"
+    path.write_text(format_function_table(f))
+    argv = ["recover", "--input", str(path), "--family"]
+    assert run_subcommand(argv) == (EXIT_INTERNAL, f"internal error: {message}\n")
+
+
 def test_coordinate_lines_without_a_witness_are_an_internal_error(tmp_path, monkeypatch):
     # slabs 0 and 1 of a part match its lines by construction, so a part
-    # that differs only there names no line: a fault in Ring.lines, not an answer
+    # that differs only there names no line: a fault in the byte tables, not
+    # an answer; the flipped entry is the pair byte of the first line's
+    # points at r = 0 and 1
     f = table_from_poly(rand_poly(Zmod(4), 3, random.Random(3)))
+    tables = byte_tables(f.ring)
+    k = f.codes[0] * 4 + f.codes[16]
+    line0 = bytearray(tables.line[0])
+    line0[k] = (line0[k] + 1) % 4
+    flipped = tables._replace(line=[bytes(line0), *tables.line[1:]])
+    monkeypatch.setattr(recovery, "byte_tables", lambda ring: flipped)
+    _assert_no_witness_is_an_internal_error(tmp_path, f)
+
+
+def test_coordinate_lines_without_a_witness_past_the_byte_rings(tmp_path, monkeypatch):
+    # over q > 16 elements the slabs come from Ring.lines, and a fault there
+    # that touches only slab 0 is the same internal error
+    f = table_from_poly(rand_poly(Zmod(17), 2, random.Random(3)))
     lines = Zmod.lines
 
     def flipped(ring, g, h):
@@ -735,13 +771,7 @@ def test_coordinate_lines_without_a_witness_are_an_internal_error(tmp_path, monk
         return want
 
     monkeypatch.setattr(Zmod, "lines", flipped)
-    message = "coordinate lines refuted, but no line names a witness"
-    with pytest.raises(InconsistencyError, match=message):
-        _coordinate_line_failure(f)
-    path = tmp_path / "f.tbl"
-    path.write_text(format_function_table(f))
-    argv = ["recover", "--input", str(path), "--family"]
-    assert run_subcommand(argv) == (EXIT_INTERNAL, f"internal error: {message}\n")
+    _assert_no_witness_is_an_internal_error(tmp_path, f)
 
 
 _POLY_PATH_RINGS = [Zmod(m) for m in (4, 6, 8, 9, 12)] + [
@@ -806,30 +836,31 @@ def test_poly_recover_matches_full_restriction_reference(ring):
 
 def test_affine_reverify_checks_every_point():
     # a table that differs from the affine candidate at a point off the
-    # origin and the basis vectors must fail the pointwise re-verify
-    for ring in (Zmod(6), GaloisField(3, 2, [1, 0])):
+    # origin and the basis vectors must fail the pointwise re-verify, on
+    # bytes (q <= 16) and on a list (q > 16)
+    for ring, n in ((Zmod(6), 3), (GaloisField(3, 2, [1, 0]), 3), (PrimeField(17), 2)):
         rng = random.Random(ring.spec_text())
-        poly = rand_affine_poly(ring, 3, rng)
-        values = {pt: poly.value(pt) for pt in all_points(ring, 3)}
-        _verified_affine(TableOracle(ring, 3, values), psi_extract(poly))
+        poly = rand_affine_poly(ring, n, rng)
+        values = {pt: poly.value(pt) for pt in all_points(ring, n)}
+        _verified_affine(TableOracle(ring, n, values), psi_extract(poly))
         for point in rng.sample([pt for pt in values if sum(not c.is_zero for c in pt) >= 2], 5):
             bumped = dict(values)
             bumped[point] = bumped[point] + ring.one
             with pytest.raises(InconsistencyError):
-                _verified_affine(TableOracle(ring, 3, bumped), psi_extract(poly))
+                _verified_affine(TableOracle(ring, n, bumped), psi_extract(poly))
 
 
 def test_recover_reverifies_an_affine_table_at_every_point(tmp_path, monkeypatch):
     # the table passes every coordinate line; a psi with one linear
     # coefficient off must fail recover's pointwise re-verify, end to end
-    for ring in (Zmod(6), GF9):
-        poly = rand_affine_poly(ring, 3, random.Random(f"reverify {ring.spec_text()}"))
+    for ring, n in ((Zmod(6), 3), (GF9, 3), (PrimeField(17), 2)):
+        poly = rand_affine_poly(ring, n, random.Random(f"reverify {ring.spec_text()}"))
         f = table_from_poly(poly)
-        wrong = MultiAffinePoly(ring, 3, {**poly.coeffs, 0b010: poly.coeff(0b010) + ring.one})
+        wrong = MultiAffinePoly(ring, n, {**poly.coeffs, 0b010: poly.coeff(0b010) + ring.one})
         monkeypatch.setattr(recovery, "psi_extract", lambda f, base=None: wrong)
         message = "affine certificate failed pointwise verification"
         with pytest.raises(InconsistencyError, match=message):
-            recover(f, family_directions(ring, 3))
+            recover(f, family_directions(ring, n))
         path = tmp_path / "f.tbl"
         path.write_text(format_function_table(f))
         argv = ["recover", "--input", str(path), "--family"]

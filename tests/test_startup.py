@@ -259,9 +259,28 @@ def test_tables_are_records_equal_by_fields():
         for name in fields:
             with pytest.raises(AttributeError):
                 setattr(t, name, None)
-        # codes is a list, so a table does not hash, like MultiAffinePoly
+        # a table does not hash, like MultiAffinePoly, even where its codes are bytes
         with pytest.raises(TypeError):
             hash(t)
+
+
+def test_table_codes_are_bytes_up_to_sixteen_elements():
+    # every constructor stores the codes of a table over q <= 16 elements as
+    # bytes, where a pair byte a*q + b fits, and a larger ring's as a list,
+    # so a table's equality does not depend on how it was built
+    from linaff.cli import format_function_table, parse_function_table
+    from linaff.multiaffine import TableOracle
+
+    for ring, kind in ((Zmod(16), bytes), (PrimeField(17), list)):
+        codes = [(3 * c + 5) % ring.size for c in range(ring.size)]
+        tables = [
+            TableOracle(ring, 1, {(x,): ring.elem(codes[x.value]) for x in ring.elements()}),
+            TableOracle.from_codes(ring, 1, codes),
+            TableOracle.from_codes(ring, 1, bytes(codes)),
+        ]
+        tables.append(parse_function_table(format_function_table(tables[0])))
+        for t in tables:
+            assert type(t.codes) is kind and t == tables[0]
 
 
 def test_table_from_codes_rejects_bad_codes():
