@@ -24,7 +24,7 @@ _MODULE_EXPORTS = {
     "LineWitness degree_system factorial_det family_directions "
     "minimal_direction_count moment_directions recover",
     "rings": "GaloisField PrimeField Rationals Ring RingElem Zmod frobenius parse_ring_spec",
-    "sharpness": "CertifyResult SharpnessWitness certify_directions lower_bound_witness",
+    "sharpness": "SharpnessWitness certify_directions lower_bound_witness",
     "vonstaudt": "HypothesisCheck SemilinearCert VectorMapTable check_hypotheses "
     "enumerate_affine_lines recover_semilinear",
 }

@@ -20,8 +20,8 @@ arity the direction machinery accepts.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations
-from math import prod
 
 from .errors import InconsistencyError, PreconditionError
 from .multiaffine import MAX_ARITY
@@ -71,9 +71,9 @@ class Collision(Record):
 
 
 class Property2Failure(Record):
-    """Two h-fold products whose difference is a zerodivisor."""
+    """Two h-fold products, h = len(left), whose difference is a zerodivisor."""
 
-    __slots__ = ("h", "left", "right", "difference")
+    __slots__ = ("left", "right", "difference")
 
 
 class BhReport(Record):
@@ -123,12 +123,11 @@ def verify_bh(candidate: BhCandidate, h: int) -> Collision | None:
     if not 1 <= h <= n:
         raise PreconditionError(f"h must be in 1..{n}, got {h}")
     ring = candidate.ring
-    seen: dict[RingElem, tuple] = {}
-    for picks in combinations(range(n), h):
-        subset = tuple(candidate.elements[i] for i in picks)
-        product = prod(subset, start=ring.one)
+    seen: dict = {}  # product value -> the first subset with it
+    for subset in combinations(candidate.elements, h):
+        product = reduce(ring.mul, (s.value for s in subset), ring.one.value)
         if product in seen:
-            return Collision(seen[product], subset, product)
+            return Collision(seen[product], subset, RingElem(ring, product))
         seen[product] = subset
     return None
 
@@ -177,7 +176,7 @@ def verify_properties(candidate: BhCandidate) -> BhReport:
         masks = [sum(1 << i for i in c) for c in combinations(range(n), h)]
         a, b = (masks[j] for j in _first_nonregular_pair(ring, [table[m] for m in masks]))
         left, right = (tuple(s for i, s in enumerate(elements) if m >> i & 1) for m in (a, b))
-        failure = Property2Failure(h, left, right, RingElem(ring, ring.sub(table[a], table[b])))
+        failure = Property2Failure(left, right, RingElem(ring, ring.sub(table[a], table[b])))
         collisions = (verify_bh(candidate, k) for k in range(h, n))
         return BhReport(next(filter(None, collisions), None), failure)
     return BhReport(None, None)
@@ -194,13 +193,15 @@ def construct_geometric(g: RingElem, n: int) -> BhCandidate:
         raise PreconditionError("generator g is not regular")
     # over Q, g^k = 1 forces g = 1 or g = -1, so g^2 = 1: k = 1, 2 decide
     end = 2 ** (n - 1) if ring.is_finite else min(2 ** (n - 1), 3)
-    power = ring.one
+    one = power = ring.one.value
     for k in range(1, end):
-        power = power * g
-        if not ring.is_regular(power - ring.one):
+        power = ring.mul(power, g.value)
+        if not ring.is_regular(RingElem(ring, ring.sub(power, one))):
             raise PreconditionError(f"g^{k} - 1 is not regular")
-    exponents = [0] + [2**j for j in range(n - 1)]
-    elements = tuple(g**e for e in exponents)
+    values = [one, g.value]  # 1, then g^(2^j) for j = 0 .. n-2
+    while len(values) < n:
+        values.append(ring.mul(values[-1], values[-1]))
+    elements = tuple(RingElem(ring, v) for v in values)
     # the set is reported as text, so one that cannot be printed fails
     # before the bundle check forms its products
     format_elements(elements)

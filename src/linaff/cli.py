@@ -161,11 +161,12 @@ def _map_columns(ring, arity, width, body):
 
     `body` is the text from the line of the first map row on.  It is read
     here only if it is exactly the text `format_function_table` writes for
-    the header's ring, arity and codomain, with "\n" or "\r\n" line ends and
-    the final one optional: one row to a line in point-index order, each
+    the header's ring, arity and codomain, with "\n" line ends and the final
+    one optional: one row to a line in point-index order, each
     `map x_1 .. x_n -> y_1 .. y_e` with single spaces and every code written
-    `str(code)`.  Any other body gets None, and the row pass, which reads
-    every layout, decides it and names the error.
+    `str(code)`.  Any other body, one holding a "\r" among them (`_read_input`
+    leaves none), gets None, and the row pass, which reads every layout,
+    decides it and names the error.
 
     Over a ring of q <= 10 elements every code is one digit, so every row
     has one length and `_digit_columns` reads the body by character columns;
@@ -176,10 +177,8 @@ def _map_columns(ring, arity, width, body):
     if ring.size <= 10:
         return _digit_columns(ring.size, arity, width, body)
     if "\r" in body:
-        body = body.replace("\r\n", "\n")
-        if "\r" in body:
-            return None
-    # with no "\r" left, writing " -> " as "\r->\n" can be undone, so the
+        return None
+    # with no "\r" in the body, writing " -> " as "\r->\n" can be undone, so the
     # cells pin the body: a cell ends in "\r->" exactly when " -> " followed it
     cells = body.replace(" -> ", "\r->\n").split("\n")
     if cells[-1] == "":
@@ -209,20 +208,19 @@ def _map_columns(ring, arity, width, body):
 
 def _digit_columns(q, arity, width, body):
     """`_map_columns` over q <= 10 elements: with every row `L` characters,
-    ending as the first does, each column `body[k::L]` must be the writer's
-    fixed character, its coordinate's digit pattern, or value digits below
-    q, which one `translate` makes bytes of codes; no row is cut out as a string."""
+    ending in "\n", each column `body[k::L]` must be the writer's fixed
+    character, its coordinate's digit pattern, or value digits below q, which
+    one `translate` makes bytes of codes; no row is cut out as a string, and
+    a "\r" anywhere fails its column's check."""
     e = width or 1
-    span = 2 * arity + 2 * e + 6  # a row's length before its line end
-    end = "\r\n" if body[span : span + 1] == "\r" else "\n"
-    L = span + len(end)
+    L = 2 * arity + 2 * e + 7  # a row's length with its "\n"
     if len(body) % L:  # only the final line end may be missing
-        body += end
+        body += "\n"
     rows = len(body) // L
     # the row count bounds the arity before q^arity or the row's text is built
     if len(body) != rows * L or arity >= rows.bit_length() or rows != q**arity:
         return None
-    row = "map " + "x " * arity + "-> " + " ".join("y" * e) + end  # x: point, y: value digit
+    row = "map " + "x " * arity + "-> " + " ".join("y" * e) + "\n"  # x: point, y: value digit
     to_code = b"\xff" * 48 + bytes(range(q)) + b"\xff" * (208 - q)  # a non-digit is 255
     digits, point, cols = "0123456789"[:q], 0, []
     for k, c in enumerate(row):

@@ -397,9 +397,7 @@ def is_affine_poly(poly: MultiAffinePoly) -> bool:
 
 
 def shift_poly(poly: MultiAffinePoly, base: Point) -> MultiAffinePoly:
-    """The polynomial x -> poly(base + x), again multi-affine."""
-    if len(base) != poly.arity:
-        raise PreconditionError("shift base arity mismatch")
+    """The polynomial x -> poly(base + x), again multi-affine; base has poly's arity."""
     n, ring = poly.arity, poly.ring
     dense = [ring.zero.value] * (1 << n)
     for mask, c in poly.coeffs.items():

@@ -483,7 +483,7 @@ class GaloisField(Ring):
     def inverse(self, x: RingElem) -> RingElem:
         if x.value == 0:
             raise PreconditionError("0 is not invertible")
-        return x ** (self.size - 2)
+        return RingElem(self, self._tables.mul[x.value].index(1))
 
     def spec_text(self) -> str:
         return f"gf {self.p} {self.k} " + " ".join(str(c) for c in self.modulus)

@@ -11,12 +11,12 @@ radial line yet is not affine.  `certify_directions` proves that the N
 moment directions built from a node set suffice: each per-degree system
 is a Vandermonde matrix in the subset products, and the node set's B_h
 property bundle makes its determinant regular, so verifying the bundle
-is the whole proof.
+is the whole proof, and the bundle's ok `BhReport` is the certificate.
 """
 
 from __future__ import annotations
 
-from .bh_sets import BhCandidate, verify_properties
+from .bh_sets import BhCandidate, BhReport, verify_properties
 from .errors import InconsistencyError, PreconditionError
 from .linalg import kernel_vector
 from .multiaffine import MAX_ARITY, MultiAffinePoly, is_affine_poly, radial_values
@@ -81,17 +81,7 @@ def lower_bound_witness(n: int, dirs: DirectionSet, fld: Ring) -> SharpnessWitne
     return SharpnessWitness(poly, k)
 
 
-class CertifyResult(Record):
-    """The N moment directions `moment_directions(ring, nodes, N)` are complete; the
-    B_h bundle the nodes pass is the certificate, so they are not built."""
-
-    __slots__ = ()
-
-    def document(self) -> list[tuple[str, str]]:
-        return [("status", "ok")]
-
-
-def certify_directions(n: int, ring: Ring, candidate: BhCandidate) -> CertifyResult:
+def certify_directions(n: int, ring: Ring, candidate: BhCandidate) -> BhReport:
     """Certify that the N moment directions from the node set are complete.
 
     For 2 <= k <= n-1 the degree-k system on the first C(n,k) directions
@@ -100,8 +90,8 @@ def certify_directions(n: int, ring: Ring, candidate: BhCandidate) -> CertifyRes
     Property (2) of the B_h bundle makes every factor regular, so the
     determinant is regular; the degree-n system is the 1x1 row [1] of the
     all-ones direction.  A node set that passes `verify_properties` is
-    therefore the certificate, as in the paper's sharpness proof, and no
-    determinant is computed.
+    therefore the certificate, as in the paper's sharpness proof: no
+    determinant is computed, and its ok `verify_properties` report is returned.
     """
     if n < 3:
         raise PreconditionError(f"need n >= 3, got {n}")
@@ -113,4 +103,4 @@ def certify_directions(n: int, ring: Ring, candidate: BhCandidate) -> CertifyRes
     if not report.ok:
         failure = "; ".join(f"{k}: {v}" for k, v in report.document())
         raise PreconditionError(f"node set fails the B_h property bundle: {failure}")
-    return CertifyResult()
+    return report

@@ -166,12 +166,14 @@ def enumerate_affine_lines(fld: Ring, dim: int) -> list[Line]:
 
 
 class HypothesisCheck(Record):
-    """Verdict of the line hypotheses, with the first line whose image is not a line."""
+    """Verdict of the line hypotheses: the first line whose image is not a
+    line, or None when they hold."""
 
-    __slots__ = ("ok", "line")
+    __slots__ = ("line",)
 
-    def __init__(self, ok: bool, line: Line | None = None):
-        super().__init__(ok, line)
+    @property
+    def ok(self) -> bool:
+        return self.line is None
 
     def document(self) -> list[tuple[str, str]]:
         if self.ok:
@@ -204,9 +206,7 @@ def check_hypotheses(f: VectorMapTable) -> HypothesisCheck:
     InconsistencyError is raised.  The scan raises PreconditionError on
     a space whose lines hold more than MAX_LINE_POINTS points.
     """
-    if _decompose(f) is not None:
-        return HypothesisCheck(True)
-    return HypothesisCheck(False, _first_violation(f))
+    return HypothesisCheck(None if _decompose(f) is not None else _first_violation(f))
 
 
 class SemilinearCert(Record):

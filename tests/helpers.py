@@ -299,7 +299,7 @@ def verify_properties_pairwise(candidate) -> BhReport:
         for a, b in combinations(range(len(subsets)), 2):
             diff = prods[a] - prods[b]
             if not ring.is_regular(diff):
-                return BhReport(collision, Property2Failure(h, subsets[a], subsets[b], diff))
+                return BhReport(collision, Property2Failure(subsets[a], subsets[b], diff))
     assert all(ring.is_regular(s) for s in candidate.elements), "non-regular element passed"
     return BhReport(collision, None)
 
@@ -365,14 +365,14 @@ def check_hypotheses_reference(f):
     for line, on_line in affine_lines_reference(fld, f.dim_in):
         images = {mapping[p] for p in on_line}
         if len(images) != fld.size:
-            return HypothesisCheck(False, line)
+            return HypothesisCheck(line)
         x, y = sorted(images, key=lambda image: tuple(c.value for c in image))[:2]
         spanned = {
             tuple(lam * a + (fld.one - lam) * b for a, b in zip(x, y)) for lam in fld.elements()
         }
         if spanned != images:
-            return HypothesisCheck(False, line)
-    return HypothesisCheck(True)
+            return HypothesisCheck(line)
+    return HypothesisCheck(None)
 
 
 def line_check_reference(f, line):

@@ -78,7 +78,7 @@ def test_verify_properties_examples():
     assert not report.ok
     fail = report.property2
     assert fail is not None
-    assert fail.h == 2
+    assert len(fail.left) == len(fail.right) == 2  # h = 2
     assert fail.left == (Z6.one, Z6.elem(2))
     assert fail.right == (Z6.elem(2), Z6.elem(3))
     assert fail.difference == Z6.elem(2)  # 2 - 0 after 2*3 = 0
@@ -127,7 +127,7 @@ def test_subset_product_table_matches_pairwise_scan_on_larger_sets():
             cand = BhCandidate(ring, tuple(ring.from_int(v) for v in rng.sample(range(-12, 25), n)))
         report = verify_properties(cand)
         assert report == verify_properties_pairwise(cand)
-        failing.add(None if report.property2 is None else report.property2.h)
+        failing.add(None if report.property2 is None else len(report.property2.left))
     assert failing == {None, 2, 3}
 
 

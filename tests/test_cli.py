@@ -236,18 +236,20 @@ def test_parse_matches_the_reference_reader(layout):
         assert list(parsed.codes) == read_map_codes(text)
 
 
-def test_column_pass_takes_crlf_line_ends():
-    # "\r\n" ends one line for str.splitlines, so an in-order CRLF body is
-    # read by columns; a lone "\r" also ends a line there, so it is declined
+def test_column_pass_declines_crlf_line_ends():
+    # the input file's reader folds every line end to "\n", so the column
+    # pass declines a body holding "\r"; the row pass reads a CRLF table,
+    # as `parse_function_table` is given it, to the LF text's table
     for spec, n, e in _CORPUS_TABLES:
         ring = parse_ring_spec(spec)
-        rows = _corpus_table(spec, n, e)[1]
-        codes = _map_columns(ring, n, e, "\n".join(rows) + "\n")
-        assert codes is not None
-        assert _map_columns(ring, n, e, "\r\n".join(rows) + "\r\n") == codes
-        assert _map_columns(ring, n, e, "\r\n".join(rows)) == codes
+        header, rows = _corpus_table(spec, n, e)
+        assert _map_columns(ring, n, e, "\n".join(rows) + "\n") is not None
         lone = [rows[0].replace(" ->", "\r->")] + rows[1:]
-        assert _map_columns(ring, n, e, "\r\n".join(lone) + "\r\n") is None
+        for body in ("\r\n".join(rows) + "\r\n", "\r\n".join(rows),
+                     "\n".join(rows) + "\r\n", "\n".join(lone) + "\n"):
+            assert _map_columns(ring, n, e, body) is None, (spec, n, e, body[-20:])
+        text = "\n".join(header + rows) + "\n"
+        assert parse_function_table(text.replace("\n", "\r\n")) == parse_function_table(text)
 
 
 def test_digit_columns_read_every_one_digit_corpus_table():
@@ -261,10 +263,14 @@ def test_digit_columns_read_every_one_digit_corpus_table():
             continue
         sizes.add(q)
         header, rows = _corpus_table(spec, n, e)
-        codes = read_map_codes("\n".join(header + rows))
-        for end, final in product(["\n", "\r\n"], [True, False]):
-            body = end.join(rows) + (end if final else "")
-            assert list(_digit_columns(q, n, e, body)) == codes, (spec, n, e, end, final)
+        text = "\n".join(header + rows) + "\n"
+        codes = read_map_codes(text)
+        for final in (True, False):
+            body = "\n".join(rows) + ("\n" if final else "")
+            assert list(_digit_columns(q, n, e, body)) == codes, (spec, n, e, final)
+            # a "\r" fails its character column's check
+            assert _digit_columns(q, n, e, body.replace("\n", "\r\n")) is None, (spec, n, e)
+        assert parse_function_table(text.replace("\n", "\r\n")) == parse_function_table(text)
     assert sizes == {4, 5, 6, 9, 10}
 
 

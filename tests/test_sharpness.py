@@ -44,9 +44,10 @@ def _cand(ring, *vals):
 
 
 def _certified_directions(n, ring, cand):
-    # certify_directions answers ok and builds no directions: these are the
-    # N moment directions that its answer certifies
-    assert certify_directions(n, ring, cand).document() == [("status", "ok")]
+    # certify_directions answers with the node set's ok B_h report and builds
+    # no directions: these are the N moment directions that its answer certifies
+    report = certify_directions(n, ring, cand)
+    assert report == verify_properties(cand) and report.document() == [("status", "ok")]
     return moment_directions(ring, [s.value for s in cand.elements], minimal_direction_count(n))
 
 

@@ -13,7 +13,6 @@ from linaff import (
     Affine,
     BhCandidate,
     BudgetSpent,
-    CertifyResult,
     DirectionSet,
     HypothesisCheck,
     Line,
@@ -169,9 +168,9 @@ def test_records_compare_hash_and_print_by_type_and_fields():
     assert LineCheck(F5.one, None) != Affine(F5.one, None)
     assert BudgetSpent(3) == BudgetSpent(3) and BudgetSpent(3) != BudgetSpent(4)
     assert len({BudgetSpent(3), BudgetSpent(3), BudgetSpent(4)}) == 2
-    assert CertifyResult() == CertifyResult()
+    assert HypothesisCheck(None) == HypothesisCheck(None) and HypothesisCheck(None).ok
     assert repr(BudgetSpent(3)) == "BudgetSpent(budget=3)"
-    assert repr(HypothesisCheck(True)) == "HypothesisCheck(ok=True, line=None)"
+    assert repr(HypothesisCheck(None)) == "HypothesisCheck(line=None)"
     Z4 = Zmod(4)
     poly = MultiAffinePoly(Z4, 2, {0b11: Z4.one})
     assert poly == MultiAffinePoly(Z4, 2, {0b11: Z4.one})
@@ -187,7 +186,7 @@ def test_record_fields_cannot_be_changed():
         (BhCandidate(F5, (F5.one, F5.elem(2))), "elements"),
         (Affine(F5.one, (F5.zero,)), "constant"),
         (BudgetSpent(3), "budget"),
-        (CertifyResult(), "directions"),
+        (HypothesisCheck(None), "ok"),
     ]
     for record, field in records:
         with pytest.raises(AttributeError):
@@ -221,7 +220,7 @@ def test_field_only_records_take_their_slots_in_order():
     assert names >= {
         "Affine", "LineWitness", "CoefficientWitness", "CannotCancel", "LineCheck",
         "Collision", "Property2Failure", "BhReport", "BudgetSpent", "SharpnessWitness",
-        "SemilinearCert", "CertifyResult",
+        "SemilinearCert", "HypothesisCheck",
     }, names
     for cls in field_only:
         values = [object() for _ in cls.__slots__]
